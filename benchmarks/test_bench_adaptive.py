@@ -1,14 +1,14 @@
-"""Adaptive-stopping benchmark: convergence speedup, checkpoint cost.
+"""Adaptive-stopping benchmark: convergence speedup, chunked growth.
 
 The acceptance criteria of the convergence-observability layer:
 
 * **savings**: on a converged 3TS workload, adaptive stopping reaches
   the same per-communicator LRC verdicts as the full fixed-run batch
   while simulating at least :data:`SAVINGS_FLOOR` times fewer runs;
-* **overhead**: emitting checkpoint telemetry from the batch kernel
-  costs at most :data:`OVERHEAD_CEILING` of the plain no-checkpoint
-  batch path — the checkpoint fold is a handful of prefix sums per
-  boundary, never inner-loop work;
+* **overhead**: growing a batch chunk by chunk along a checkpoint
+  schedule (with a snapshot at every boundary) costs at most
+  :data:`OVERHEAD_CEILING` of growing it in one chunk — a chunk
+  boundary adds a merge and a snapshot, never inner-loop work;
 * **determinism**: the stop point is bit-identical serial vs sharded,
   because stop decisions are functions of pooled counts at global
   checkpoint boundaries only.
@@ -28,7 +28,7 @@ from repro.experiments import (
     three_tank_spec,
 )
 from repro.runtime import BatchSimulator, BernoulliFaults
-from repro.runtime.executor import ShardedExecutor
+from repro.service.supervision import SupervisedShardedExecutor
 from repro.telemetry.convergence import (
     StoppingRule,
     checkpoint_schedule,
@@ -66,7 +66,7 @@ def test_bench_adaptive_savings(benchmark, report, bench_scale):
     spec, batch = _three_tank_batch()
 
     adaptive = benchmark.pedantic(
-        lambda: batch.run_adaptive(MAX_RUNS, iterations, rule=rule),
+        lambda: batch.grow(MAX_RUNS, iterations, rule=rule).adaptive,
         rounds=1, iterations=1,
     )
     _, fixed_batch = _three_tank_batch()
@@ -103,16 +103,20 @@ def test_bench_adaptive_savings(benchmark, report, bench_scale):
     )
 
 
-def test_bench_checkpoint_overhead(benchmark, report, bench_scale):
+def test_bench_chunked_growth_overhead(benchmark, report, bench_scale):
     iterations = bench_scale(OVERHEAD_ITERATIONS)
     schedule = checkpoint_schedule(OVERHEAD_RUNS, first=32)
-    marks: list = []
+    # An unreachable width target: the rule never stops early, so the
+    # batch grows through every boundary of the schedule.
+    rule = StoppingRule(
+        sequential=False, target_rel_half_width=1e-12, min_runs=32
+    )
+    assert rule.schedule(OVERHEAD_RUNS) == schedule
 
-    def run(checkpoints=None, on_checkpoint=None):
+    def run(chunked):
         _, batch = _three_tank_batch(seed=99)
-        return batch.run_batch(
-            OVERHEAD_RUNS, iterations,
-            checkpoints=checkpoints, on_checkpoint=on_checkpoint,
+        return batch.grow(
+            OVERHEAD_RUNS, iterations, rule=rule if chunked else None
         )
 
     def best_of(fn, rounds=3):
@@ -123,20 +127,19 @@ def test_bench_checkpoint_overhead(benchmark, report, bench_scale):
             elapsed.append(time.perf_counter() - start)
         return min(elapsed)
 
-    checkpointed = benchmark.pedantic(
-        lambda: run(schedule, marks.append), rounds=1, iterations=1
+    chunked = benchmark.pedantic(
+        lambda: run(True), rounds=1, iterations=1
     )
-    assert marks, "no checkpoint events were emitted"
-    assert [event.run for event in marks] == list(schedule)
+    assert [s.run for s in chunked.adaptive.snapshots] == list(schedule)
 
-    plain_elapsed = best_of(lambda: run())
-    marked_elapsed = best_of(lambda: run(schedule, lambda _: None))
-    overhead = marked_elapsed / plain_elapsed
+    plain_elapsed = best_of(lambda: run(False))
+    chunked_elapsed = best_of(lambda: run(True))
+    overhead = chunked_elapsed / plain_elapsed
 
-    # Checkpointing observes; the counts must not change.
-    plain = run()
+    # Chunking only changes where the batch is cut; not one count.
+    plain = run(False).result
     for name, counts in plain.reliable_counts.items():
-        assert (checkpointed.reliable_counts[name] == counts).all()
+        assert (chunked.result.reliable_counts[name] == counts).all()
 
     ceiling = (
         OVERHEAD_CEILING if bench_scale.full
@@ -145,12 +148,11 @@ def test_bench_checkpoint_overhead(benchmark, report, bench_scale):
     assert overhead <= ceiling
 
     report(
-        "adaptive stopping — checkpoint telemetry overhead",
+        "adaptive stopping — chunked growth overhead",
         [
-            ("batch runtime (s)", "(baseline)",
-             f"{plain_elapsed:.3f}"),
-            ("checkpointed (s)", f"<= {OVERHEAD_CEILING:.1f}x",
-             f"{marked_elapsed:.3f}"),
+            ("one chunk (s)", "(baseline)", f"{plain_elapsed:.3f}"),
+            (f"{len(schedule)} chunks (s)", f"<= {OVERHEAD_CEILING:.1f}x",
+             f"{chunked_elapsed:.3f}"),
             ("overhead", f"<= {OVERHEAD_CEILING:.1f}x",
              f"{overhead:.2f}x"),
         ],
@@ -162,13 +164,13 @@ def test_bench_adaptive_stop_parity_sharded(report, bench_scale):
     rule = StoppingRule(min_runs=MIN_RUNS)
 
     _, serial_batch = _three_tank_batch()
-    serial = serial_batch.run_adaptive(MAX_RUNS, iterations, rule=rule)
+    serial = serial_batch.grow(MAX_RUNS, iterations, rule=rule).adaptive
     _, sharded_batch = _three_tank_batch(
-        executor=ShardedExecutor(2, processes=False)
+        executor=SupervisedShardedExecutor(2, processes=False)
     )
-    sharded = sharded_batch.run_adaptive(
+    sharded = sharded_batch.grow(
         MAX_RUNS, iterations, rule=rule
-    )
+    ).adaptive
 
     assert sharded.stopped_at == serial.stopped_at
     assert sharded.decision.reason == serial.decision.reason

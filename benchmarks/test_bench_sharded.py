@@ -1,6 +1,7 @@
 """Shard-scaling of the multi-process batch executor (PR 7).
 
-The :class:`~repro.runtime.executor.ShardedExecutor` exists to push
+The :class:`~repro.service.supervision.SupervisedShardedExecutor`
+exists to push
 Monte-Carlo verification past one core: paper-realistic LRC levels
 (0.999+) need 10^6+ runs, so the batch path must scale with worker
 processes.  This bench runs the large 3TS batch serially and with 4
@@ -27,12 +28,8 @@ from repro.experiments import (
     three_tank_architecture,
     three_tank_spec,
 )
-from repro.runtime import (
-    BatchSimulator,
-    BernoulliFaults,
-    SerialExecutor,
-    ShardedExecutor,
-)
+from repro.runtime import BatchSimulator, BernoulliFaults, SerialExecutor
+from repro.service.supervision import SupervisedShardedExecutor
 
 RUNS = 64
 ITERATIONS = 1250
@@ -55,7 +52,7 @@ def test_bench_sharded_scaling(benchmark, report, bench_scale):
     iterations = bench_scale(ITERATIONS)
     runs = max(WORKERS, bench_scale(RUNS))
 
-    sharded_simulator = _simulator(ShardedExecutor(WORKERS))
+    sharded_simulator = _simulator(SupervisedShardedExecutor(WORKERS))
     sharded = benchmark.pedantic(
         lambda: sharded_simulator.run_batch(runs, iterations),
         rounds=1, iterations=1,

@@ -300,9 +300,11 @@ def run_chaos(
     """Run one seeded storm and check the fleet's guarantees.
 
     Starts a real HTTP service with chaos-wrapped supervised
-    executors, floods it (unique + duplicate jobs, a doomed-deadline
-    job, a cancelled job), corrupts cache and ledger files between
-    waves, waits for quiescence, and verifies:
+    executors, floods it (unique + duplicate jobs, from the second
+    wave on ``runs`` upgrades of the previous wave's seeds whose tails
+    run sharded, a doomed-deadline job, a cancelled job), corrupts
+    cache and ledger files between waves, waits for quiescence, and
+    verifies:
 
     ``terminal-states``
         Every submitted job reached a terminal state.
@@ -429,6 +431,17 @@ def run_chaos(
                             ),
                         )
                     )
+                if wave:
+                    # Upgrade the previous wave's seeds: cache
+                    # partials whose tails run sharded under fire.
+                    for k in range(config.unique_jobs):
+                        docs.append(
+                            _simulate_document(
+                                config, design,
+                                seed=100 * (wave - 1) + k,
+                                runs=2 * config.runs,
+                            )
+                        )
                 # Flood concurrently so the bounded queue pushes back.
                 threads = [
                     threading.Thread(target=submit, args=(doc,))

@@ -719,15 +719,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
         executor = None
         if args.jobs > 1:
-            from repro.runtime.executor import ShardedExecutor
+            from repro.service.supervision import (
+                SupervisedShardedExecutor,
+            )
 
-            executor = ShardedExecutor(args.jobs)
+            executor = SupervisedShardedExecutor(args.jobs)
         batch = BatchSimulator(
             spec, arch, implementation, faults=faults, seed=args.seed,
             profiler=profiler, executor=executor,
         )
         started = time.perf_counter()
-        adaptive = None
+        rule = None
         if args.adaptive:
             from repro.telemetry.convergence import StoppingRule
 
@@ -736,16 +738,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 min_runs=min(args.min_runs, args.runs),
                 indifference=args.indifference,
             )
-            adaptive = batch.run_adaptive(
-                args.runs, args.iterations, rule=rule,
-                monitor=monitor_config,
-                on_checkpoint=lambda snap: print("  " + snap.summary()),
-            )
-            batch_result = adaptive.result
-        else:
-            batch_result = batch.run_batch(
-                args.runs, args.iterations, monitor=monitor_config
-            )
+        growth = batch.grow(
+            args.runs, args.iterations, rule=rule,
+            monitor=monitor_config,
+            on_snapshot=lambda snap, _: print("  " + snap.summary()),
+        )
+        batch_result, adaptive = growth.result, growth.adaptive
         elapsed = time.perf_counter() - started
         if adaptive is not None:
             print(
@@ -1308,8 +1306,9 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="shard a batch (--runs > 1) over N worker processes; "
-        "results are bit-identical to --jobs 1",
+        help="shard a batch (--runs > 1) over N supervised worker "
+        "processes (a failed shard is retried twice); results are "
+        "bit-identical to --jobs 1",
     )
     simulate.add_argument("--slack", type=float, default=0.01,
                           help="LRC slack for finite-sample noise")

@@ -13,8 +13,15 @@ test, not a comparison.  This module provides the standard machinery:
   communicator, used by the Monte-Carlo tooling when it reports
   runtime compliance.
 
-The per-access reliability events of the Bernoulli fault model are
-i.i.d., which is exactly the regime these tests assume.
+These tests assume i.i.d. Bernoulli samples, and per-access
+reliability events are *not* i.i.d., even under the Bernoulli fault
+model: a communicator accessed several times per period observes the
+same write several times, so the reads within one run are positively
+correlated (the measured per-run design effect on the three-tank
+baseline is about 4.9).  Fed pooled read counts, the intervals here
+are too narrow and the verdicts overconfident.  Independent runs (or
+writes) are the honest unit of evidence; moving the Monte-Carlo
+tooling to run-level statistics is ROADMAP's first open item.
 """
 
 from __future__ import annotations

@@ -36,7 +36,6 @@ from repro.runtime.batch import BatchResult, BatchSimulator
 from repro.runtime.executor import (
     BatchExecutor,
     SerialExecutor,
-    ShardedExecutor,
     merge_batch_results,
     shard_slices,
     slice_batch_result,
@@ -62,7 +61,6 @@ __all__ = [
     "PrecomputedFaults",
     "ScriptedFaults",
     "SerialExecutor",
-    "ShardedExecutor",
     "SimulationPlan",
     "SimulationResult",
     "Simulator",

@@ -25,9 +25,18 @@ else was spawned), any *contiguous slice* of a batch can be computed
 in isolation: :meth:`BatchSimulator.run_slice` executes an explicit
 child list, and the pluggable executors of
 :mod:`repro.runtime.executor` exploit that to shard one batch across
-worker processes with bit-identical results
-(``SerialExecutor`` / ``ShardedExecutor`` /
-``merge_batch_results``).
+worker processes with bit-identical results.
+
+Growing a batch
+---------------
+:meth:`BatchSimulator.grow` is the one method that grows a batch: it
+extends an optional already-computed prefix chunk by chunk along a
+schedule of run-count boundaries (one boundary for a fixed-size batch,
+a stopping rule's checkpoint schedule for an adaptive one), executing
+each chunk through the simulator's executor and merging it on.  A
+fixed batch, a cache hit (a prefix already long enough), a cache
+upgrade (only the missing tail is simulated), and an adaptive batch
+are all the same call, so the service and the CLI share it.
 
 Fallback rules
 --------------
@@ -44,9 +53,10 @@ additionally requires task functions to be bound.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, ContextManager, Sequence
 
 import numpy as np
 
@@ -65,6 +75,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.events import ResilienceEvent
     from repro.resilience.monitor import MonitorConfig
     from repro.runtime.executor import BatchExecutor
+    from repro.telemetry.convergence import (
+        AdaptiveResult,
+        ConvergenceSnapshot,
+        StopDecision,
+        StoppingRule,
+    )
 
 
 @dataclass
@@ -104,8 +120,14 @@ class BatchResult:
     def pooled_counts(self) -> dict[str, tuple[int, int]]:
         """Return pooled ``(successes, samples)`` per communicator.
 
-        The per-access reliability events of all runs are i.i.d.
-        (independent seeds), so pooling them is statistically sound.
+        Runs are independent (independent seeds), but the accesses
+        *within* a run are not: a communicator read several times per
+        period observes the same write several times, so its reads are
+        positively correlated (the measured per-run design effect on
+        the three-tank baseline is about 4.9).  Binomial statistics
+        over these counts (``lrc_tests``, convergence snapshots, the
+        SPRT) therefore overstate the evidence; counting writes or
+        using run-level statistics is an open ROADMAP item.
         """
         return {
             name: (
@@ -123,8 +145,9 @@ class BatchResult:
         Under the spawn contract the first *runs* runs of a larger
         batch are exactly the runs of a ``runs``-sized batch, so this
         is the pooled statistic a truncated batch would report —
-        which is how the convergence layer replays checkpoint
-        trajectories over cached results without re-simulating.
+        which is how :meth:`BatchSimulator.grow` takes checkpoint
+        snapshots, including over a cached prefix, without
+        re-simulating.
         """
         if runs < 0 or runs > self.runs:
             raise RuntimeSimulationError(
@@ -200,6 +223,25 @@ class BatchResult:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class Growth:
+    """What one :meth:`BatchSimulator.grow` call produced.
+
+    ``result`` is the answer: the first ``runs`` runs, or, with a
+    stopping rule, the first ``adaptive.stopped_at`` runs — either way
+    bit-identical to ``run_batch`` of that size and seed.  ``batch`` is
+    everything known afterwards (the prefix plus every simulated
+    chunk), which may run past a stop that fell inside the prefix; a
+    cache keeps it.  ``simulated`` counts the runs this call actually
+    executed.
+    """
+
+    result: BatchResult
+    batch: BatchResult
+    simulated: int
+    adaptive: "AdaptiveResult | None" = None
+
+
 class BatchSimulator:
     """Vectorized Monte-Carlo executor over a compiled simulation plan.
 
@@ -227,11 +269,12 @@ class BatchSimulator:
         per-stage cost is one no-op context manager.
     executor:
         :class:`~repro.runtime.executor.BatchExecutor` strategy
-        :meth:`run_batch` delegates to.  Defaults to the in-process
-        :class:`~repro.runtime.executor.SerialExecutor`; pass a
-        :class:`~repro.runtime.executor.ShardedExecutor` to fan the
-        batch out across worker processes (bit-identical results
-        under the spawn-key contract).
+        :meth:`grow` executes every chunk through.  Defaults to the
+        in-process :class:`~repro.runtime.executor.SerialExecutor`;
+        pass a
+        :class:`~repro.service.supervision.SupervisedShardedExecutor`
+        to fan each chunk out across worker processes (bit-identical
+        results under the spawn-key contract).
     """
 
     def __init__(
@@ -269,8 +312,6 @@ class BatchSimulator:
         iterations: int,
         seed: "int | None" = None,
         monitor: "MonitorConfig | None" = None,
-        checkpoints: "Sequence[int] | None" = None,
-        on_checkpoint: "Callable[..., None] | None" = None,
     ) -> BatchResult:
         """Execute *runs* independent simulations of *iterations* periods.
 
@@ -285,17 +326,54 @@ class BatchSimulator:
         scalar monitor per run on the fallback path.  The resulting
         alarm/clear events land in ``BatchResult.monitor_events``.
 
-        With *checkpoints* (global run-count boundaries) and/or
-        *on_checkpoint*, the executor emits globally-pooled
-        :class:`~repro.telemetry.convergence.CheckpointEvent` records
-        at the boundaries — observer-only convergence telemetry that
-        never changes the batch result.  ``on_checkpoint`` without an
-        explicit schedule uses the default geometric
-        :func:`~repro.telemetry.convergence.checkpoint_schedule`.
-        Both arguments are forwarded to the executor only when set,
-        so custom executors without checkpoint support keep working
-        until checkpoints are actually requested.
+        This is :meth:`grow` with no prefix and no stopping rule.
         """
+        return self.grow(
+            runs, iterations, monitor=monitor, seed=seed
+        ).result
+
+    def grow(
+        self,
+        runs: int,
+        iterations: int,
+        *,
+        prefix: "BatchResult | None" = None,
+        rule: "StoppingRule | None" = None,
+        monitor: "MonitorConfig | None" = None,
+        seed: "int | None" = None,
+        on_chunk: "Callable[[int, int], ContextManager] | None" = None,
+        on_snapshot: (
+            "Callable[[ConvergenceSnapshot, StopDecision], None] | None"
+        ) = None,
+    ) -> Growth:
+        """Grow a batch of *runs* runs, starting from *prefix*.
+
+        The schedule is ``rule.schedule(runs)`` or, without a rule, the
+        single boundary ``(runs,)``.  For every boundary past the runs
+        already known, the spawn-key children of the missing runs
+        ``[have, boundary)`` are executed through :attr:`executor` and
+        merged onto the batch; *prefix* (the first ``prefix.runs`` runs
+        of this very batch, e.g. from a cache) is never re-simulated.
+        With a *rule*, a convergence snapshot of the pooled counts of
+        the first ``boundary`` runs is taken at every boundary and the
+        rule decides whether to stop.  Decisions are pure functions of
+        pooled counts, so the stop point does not depend on the
+        executor or on how much of the batch was cached, and the
+        result is bit-identical to ``run_batch(stopped_at)``.
+
+        *on_chunk(start, stop)* returns a context manager wrapped
+        around the execution of each chunk (progress events, timing);
+        *on_snapshot(snapshot, decision)* observes every snapshot.
+        """
+        from repro.runtime.executor import (
+            merge_batch_results,
+            slice_batch_result,
+        )
+        from repro.telemetry.convergence import (
+            AdaptiveResult,
+            snapshot_from_counts,
+        )
+
         if runs <= 0:
             raise RuntimeSimulationError(
                 f"runs must be positive, got {runs}"
@@ -304,118 +382,72 @@ class BatchSimulator:
             raise RuntimeSimulationError(
                 f"iterations must be positive, got {iterations}"
             )
-        children = np.random.SeedSequence(
-            self.seed if seed is None else seed
-        ).spawn(runs)
-        if checkpoints is None and on_checkpoint is None:
-            return self.executor.execute(
-                self, children, iterations, monitor
-            )
-        if checkpoints is None:
-            from repro.telemetry.convergence import checkpoint_schedule
-
-            checkpoints = checkpoint_schedule(runs)
-        return self.executor.execute(
-            self,
-            children,
-            iterations,
-            monitor,
-            checkpoints=checkpoints,
-            on_checkpoint=on_checkpoint,
-        )
-
-    def run_adaptive(
-        self,
-        max_runs: int,
-        iterations: int,
-        rule: "object | None" = None,
-        seed: "int | None" = None,
-        monitor: "MonitorConfig | None" = None,
-        on_checkpoint: "Callable[..., None] | None" = None,
-    ):
-        """Run until a stopping rule fires, within a *max_runs* budget.
-
-        Simulates the batch chunk by chunk along the rule's checkpoint
-        schedule and, at every boundary, evaluates a convergence
-        snapshot of the pooled counts and asks the
-        :class:`~repro.telemetry.convergence.StoppingRule` whether the
-        evidence suffices.  Because chunks are contiguous slices of
-        the one spawned run sequence and decisions are pure functions
-        of pooled counts, the result is **bit-identical** to
-        ``run_batch(stopped_at, iterations)`` of the same seed, and
-        the stop point does not depend on the executor.
-
-        *on_checkpoint* observes each
-        :class:`~repro.telemetry.convergence.ConvergenceSnapshot` as
-        it is taken.  Returns an
-        :class:`~repro.telemetry.convergence.AdaptiveResult`.
-        """
-        from repro.runtime.executor import merge_batch_results
-        from repro.telemetry.convergence import (
-            AdaptiveResult,
-            StoppingRule,
-            snapshot_from_counts,
-        )
-
-        if rule is None:
-            rule = StoppingRule()
-        if not isinstance(rule, StoppingRule):
-            raise RuntimeSimulationError(
-                f"rule must be a StoppingRule, got {type(rule).__name__}"
-            )
-        if max_runs <= 0:
-            raise RuntimeSimulationError(
-                f"max_runs must be positive, got {max_runs}"
-            )
-        if iterations <= 0:
-            raise RuntimeSimulationError(
-                f"iterations must be positive, got {iterations}"
-            )
-        seed_value = self.seed if seed is None else seed
-        schedule = rule.schedule(max_runs)
+        root = np.random.SeedSequence(self.seed if seed is None else seed)
+        schedule = (runs,) if rule is None else rule.schedule(runs)
         lrcs = {
-            name: comm.lrc
-            for name, comm in self.spec.communicators.items()
+            name: comm.lrc for name, comm in self.spec.communicators.items()
         }
-        merged: BatchResult | None = None
+        merged = prefix
+        simulated = 0
         snapshots = []
         decision = None
-        previous = 0
         for boundary in schedule:
-            children = [
-                np.random.SeedSequence(seed_value, spawn_key=(k,))
-                for k in range(previous, boundary)
-            ]
-            chunk = self.executor.execute(
-                self, children, iterations, monitor,
-                run_offset=previous,
-            )
-            merged = (
-                chunk if merged is None
-                else merge_batch_results([merged, chunk])
-            )
+            have = 0 if merged is None else merged.runs
+            if boundary > have:
+                # Exactly root.spawn(runs)[have:boundary], built alone.
+                children = [
+                    np.random.SeedSequence(
+                        root.entropy,
+                        spawn_key=(*root.spawn_key, k),
+                        pool_size=root.pool_size,
+                    )
+                    for k in range(have, boundary)
+                ]
+                with (
+                    contextlib.nullcontext() if on_chunk is None
+                    else on_chunk(have, boundary)
+                ):
+                    chunk = self.executor.execute(
+                        self, children, iterations, monitor,
+                        run_offset=have,
+                    )
+                simulated += chunk.runs
+                merged = (
+                    chunk if merged is None
+                    else merge_batch_results([merged, chunk])
+                )
+            if rule is None:
+                break
             snapshot = snapshot_from_counts(
                 boundary,
-                merged.pooled_counts(),
+                merged.prefix_pooled_counts(boundary),
                 lrcs,
                 confidence=rule.confidence,
                 indifference=rule.indifference,
             )
             snapshots.append(snapshot)
-            if on_checkpoint is not None:
-                on_checkpoint(snapshot)
-            decision = rule.decide(snapshot, max_runs)
-            previous = boundary
+            decision = rule.decide(snapshot, runs)
+            if on_snapshot is not None:
+                on_snapshot(snapshot, decision)
             if decision.stop:
                 break
-        assert merged is not None and decision is not None
-        return AdaptiveResult(
-            result=merged,
-            stopped_at=decision.run,
-            max_runs=max_runs,
-            schedule=schedule,
-            snapshots=tuple(snapshots),
-            decision=decision,
+        assert merged is not None
+        stopped = runs if decision is None else decision.run
+        result = slice_batch_result(merged, stopped)
+        adaptive = None
+        if rule is not None:
+            assert decision is not None
+            adaptive = AdaptiveResult(
+                result=result,
+                stopped_at=stopped,
+                max_runs=runs,
+                schedule=schedule,
+                snapshots=tuple(snapshots),
+                decision=decision,
+            )
+        return Growth(
+            result=result, batch=merged, simulated=simulated,
+            adaptive=adaptive,
         )
 
     def run_slice(
@@ -424,8 +456,6 @@ class BatchSimulator:
         iterations: int,
         monitor: "MonitorConfig | None" = None,
         run_offset: int = 0,
-        checkpoints: "Sequence[int] | None" = None,
-        on_checkpoint: "Callable[..., None] | None" = None,
     ) -> BatchResult:
         """Execute an explicit list of spawned per-run seeds.
 
@@ -435,15 +465,6 @@ class BatchSimulator:
         *global* indices, so disjoint slices of one batch merge (via
         :func:`~repro.runtime.executor.merge_batch_results`) into
         exactly the unsharded result.
-
-        With *checkpoints* (**global** run-count boundaries) and/or
-        *on_checkpoint*, the slice's
-        :class:`~repro.telemetry.convergence.CheckpointEvent` records
-        — counts cumulative within the slice, per the
-        :func:`~repro.telemetry.convergence.merge_checkpoint_events`
-        contract — are delivered to the callback after the result is
-        computed.  Checkpoint emission is observer-only: it reads the
-        finished count arrays and never touches the simulation draws.
         """
         runs = len(children)
         if runs == 0:
@@ -459,23 +480,12 @@ class BatchSimulator:
             # A declining precompute may have consumed draws; the
             # fallback rebuilds every generator from its spawn key.
             with self.profiler.stage("scalar-fallback"):
-                result = self._run_scalar(
+                return self._run_scalar(
                     children, iterations, monitor, run_offset
                 )
-        else:
-            result = self._run_vectorized(
-                masks, runs, iterations, monitor, run_offset
-            )
-        if on_checkpoint is not None:
-            from repro.telemetry.convergence import (
-                checkpoint_events_for_slice,
-            )
-
-            for event in checkpoint_events_for_slice(
-                result, run_offset, checkpoints or ()
-            ):
-                on_checkpoint(event)
-        return result
+        return self._run_vectorized(
+            masks, runs, iterations, monitor, run_offset
+        )
 
     def _empty_result(self, iterations: int) -> BatchResult:
         """The zero-run result (identity element of a merge)."""
@@ -614,60 +624,6 @@ class BatchSimulator:
             monitor_events=monitor_events,
         )
 
-    def _access_status(
-        self,
-        ci: int,
-        task_ok: "Sequence[np.ndarray | None]",
-        delivered: Sequence[np.ndarray],
-        runs: int,
-        iterations: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-access reliability of one communicator, in access order.
-
-        Returns ``(status, times)``: ``status[k, s]`` is the
-        reliability of access ``s`` of communicator ``ci`` in run
-        ``k`` — exactly the abstraction of the value the scalar
-        executor records (and feeds its monitor) at ``times[s]``.
-        Access ``s = i * n_acc + j`` happens at
-        ``i * period + j * pi_c``; a written communicator observes the
-        current iteration's write from offsets at or past the write
-        time and the previous iteration's write (or the initial value)
-        before it, while an input communicator observes its own
-        sensor event at every access offset.
-        """
-        plan = self.plan
-        pi = int(plan.comm_periods[ci])
-        n_acc = int(plan.accesses_per_period[ci])
-        status = np.empty((runs, n_acc * iterations), dtype=bool)
-        offsets = np.arange(0, plan.period, pi)
-        times = (
-            np.arange(iterations, dtype=np.int64)[:, None] * plan.period
-            + offsets[None, :]
-        ).ravel()
-        writer = int(plan.writer_event[ci])
-        if writer >= 0:
-            write_time = plan.releases[writer].write_time
-            ok = task_ok[writer]
-            assert ok is not None
-            shifted = np.empty_like(ok)
-            shifted[:, 0] = bool(plan.init_reliable[ci])
-            shifted[:, 1:] = ok[:, :-1]
-            for j, offset in enumerate(offsets):
-                status[:, j::n_acc] = (
-                    ok if offset >= write_time else shifted
-                )
-            return status, times
-        events = sorted(
-            (e for e in plan.sensor_events if e.comm_index == ci),
-            key=lambda e: e.offset,
-        )
-        if events:
-            for j, event in enumerate(events):
-                status[:, j::n_acc] = delivered[event.index]
-            return status, times
-        status[:, :] = bool(plan.init_reliable[ci])
-        return status, times
-
     def _access_failures(
         self,
         ci: int,
@@ -678,8 +634,13 @@ class BatchSimulator:
     ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
         """Positions of the *unreliable* accesses of one communicator.
 
-        The sparse complement of :meth:`_access_status`: instead of the
-        full ``(runs, samples)`` status tensor it returns
+        Access ``s = i * n_acc + j`` of communicator ``ci`` happens at
+        ``times[s] = i * period + j * pi_c``; a written communicator
+        observes the current iteration's write from offsets at or past
+        the write time and the previous iteration's write (or the
+        initial value) before it, while an input communicator observes
+        its own sensor event at every access offset.  Instead of the
+        full ``(runs, samples)`` status tensor this returns
         ``(fail_runs, fail_steps, samples, times)`` where the paired
         arrays list every access that observes BOTTOM, sorted by
         ``(run, step)``.  Failures are rare, so this is what the

@@ -1,52 +1,36 @@
-"""Pluggable batch executors: serial reference and sharded fan-out.
+"""Batch executors: the serial reference and the shard/merge algebra.
 
-PR 7 extracts the execution *strategy* out of
-:class:`~repro.runtime.batch.BatchSimulator`:
-``run_batch(runs, iterations, seed)`` now only spawns the per-run
-seed-sequence children and delegates to a :class:`BatchExecutor`.
+:meth:`~repro.runtime.batch.BatchSimulator.grow` builds the spawn-key
+children of each chunk of a batch and hands them to a
+:class:`BatchExecutor`; the executor decides how (and where) the
+per-run work happens.
 
 * :class:`SerialExecutor` is the in-process reference: one
   :meth:`~repro.runtime.batch.BatchSimulator.run_slice` call over the
-  whole child list — byte-for-byte the pre-refactor behaviour.
-* :class:`ShardedExecutor` partitions the children into contiguous
-  per-worker shards (:func:`shard_slices`) and executes them in
-  forked worker processes.  The ``SeedSequence.spawn`` contract makes
-  this safe: spawn keys partition deterministically, every injector's
-  ``precompute`` consumes randomness strictly per run, and every
-  count/monitor derivation in the vectorized kernel is per-run along
-  axis 0 — so a shard computes exactly its slice of the unsharded
-  tensors, and :func:`merge_batch_results` reassembles the
-  bit-identical whole (pooled counts, per-run arrays in run order,
-  monitor-event streams re-sequenced by run index).  The differential
-  suite in ``tests/test_executor.py`` holds sharded output to exact
-  equality with serial output over Hypothesis-generated systems.
+  whole child list.
+* :class:`~repro.service.supervision.SupervisedShardedExecutor`
+  partitions the children into contiguous per-worker shards
+  (:func:`shard_slices`), executes them in forked worker processes
+  that are retried on crash, hang, or error, and reassembles them with
+  :func:`merge_batch_results`.  The ``SeedSequence.spawn`` contract
+  makes this safe: spawn keys partition deterministically, every
+  injector's ``precompute`` consumes randomness strictly per run, and
+  every count/monitor derivation in the vectorized kernel is per-run
+  along axis 0 — so a shard computes exactly its slice of the
+  unsharded tensors, and the merge is the bit-identical whole (per-run
+  arrays in run order, monitor-event streams re-sequenced by run
+  index).  The differential suite in ``tests/test_executor.py`` holds
+  sharded output to exact equality with serial output over
+  Hypothesis-generated systems.
 
-Workers ship a reduced picklable payload (count arrays + monitor
-events) back over a pipe; the specification — which may hold
-unpicklable task lambdas — never crosses the process boundary
-(workers inherit it via ``fork``).  Platforms without ``fork`` (or
-``jobs=1`` slices) fall back to executing the shards inline in the
-parent, through the identical slice/merge path.
-
-Monitor events cross back through per-shard
-:class:`~repro.telemetry.shardbuffer.ShardEventBuffer` instances and,
-when a :class:`~repro.telemetry.bus.TelemetryBus` is attached, are
-replayed onto it in deterministic run order — traces, metrics, and
-provenance subscribers observe the same stream an unsharded run
-would have produced.
+:func:`slice_batch_result` is the inverse of a merge: the first ``n``
+runs of a batch are exactly a batch of ``n`` runs, which is how a
+cached prefix answers a smaller query without simulating.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Protocol,
-    Sequence,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -56,28 +40,19 @@ from repro.runtime.batch import BatchResult
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.monitor import MonitorConfig
     from repro.runtime.batch import BatchSimulator
-    from repro.telemetry.bus import TelemetryBus
 
 
 @runtime_checkable
 class BatchExecutor(Protocol):
-    """Strategy that executes one batch over spawned per-run seeds.
+    """Strategy that executes one contiguous chunk of a batch.
 
-    *children* is the full ``SeedSequence(seed).spawn(runs)`` list;
-    the executor owns how (and where) the per-run work happens but
-    must return exactly the result of
-    ``simulator.run_slice(children, iterations, monitor)`` — the
-    bit-identity contract every implementation is tested against.
-
-    The keyword-only extras are optional capabilities:
-    ``run_offset`` declares the global run index of ``children[0]``
-    (the adaptive driver executes contiguous chunks of one spawned
-    sequence), and ``checkpoints``/``on_checkpoint`` request pooled
-    :class:`~repro.telemetry.convergence.CheckpointEvent` emission at
-    global run-count boundaries.  Callers forward them only when
-    used, so minimal executors (tests, third-party strategies) that
-    accept the positional form keep working until those features are
-    actually requested.
+    *children* are the spawn-key children of global runs
+    ``run_offset``, ``run_offset + 1``, ...; the executor owns how (and
+    where) the per-run work happens but must return exactly the result
+    of ``simulator.run_slice(children, iterations, monitor,
+    run_offset=run_offset)`` — the bit-identity contract every
+    implementation is tested against.
+    :meth:`~repro.runtime.batch.BatchSimulator.grow` is the one caller.
     """
 
     def execute(
@@ -88,8 +63,6 @@ class BatchExecutor(Protocol):
         monitor: "MonitorConfig | None" = None,
         *,
         run_offset: int = 0,
-        checkpoints: "Sequence[int] | None" = None,
-        on_checkpoint: "Any | None" = None,
     ) -> BatchResult:
         ...
 
@@ -134,7 +107,7 @@ def merge_batch_results(
     alive = [shard for shard in shards if shard.runs]
     if not alive:
         first = shards[0]
-        return dataclasses_replace_runs(first, 0)
+        return slice_batch_result(first, 0)
     first = alive[0]
     for shard in alive[1:]:
         if shard.iterations != first.iterations:
@@ -180,9 +153,7 @@ def merge_batch_results(
     )
 
 
-def dataclasses_replace_runs(
-    result: BatchResult, runs: int
-) -> BatchResult:
+def slice_batch_result(result: BatchResult, runs: int) -> BatchResult:
     """Prefix-slice a batch result down to its first *runs* runs.
 
     Under the spawn contract the first *runs* children of a larger
@@ -215,49 +186,11 @@ def dataclasses_replace_runs(
     )
 
 
-#: Public alias — the service and tests read better with this name.
-slice_batch_result = dataclasses_replace_runs
-
-
-def fold_shard_checkpoints(
-    mark_lists: "Sequence[tuple]",
-) -> list:
-    """Fold per-shard checkpoint streams into the global trajectory.
-
-    Each shard's slice-local events pass through a
-    :class:`~repro.telemetry.shardbuffer.ShardEventBuffer` (which
-    stamps the shard index), then
-    :func:`~repro.telemetry.convergence.merge_checkpoint_events`
-    rebases them into the one globally-pooled trajectory a serial
-    execution would have emitted — shared by every sharded executor.
-    """
-    if not any(mark_lists):
-        return []
-    from repro.telemetry.convergence import merge_checkpoint_events
-    from repro.telemetry.shardbuffer import ShardEventBuffer
-
-    stamped: list = []
-    for index, marks in enumerate(mark_lists):
-        buffer = ShardEventBuffer(shard=index)
-        buffer.extend(marks)
-        stamped.extend(buffer.events)
-    return merge_checkpoint_events(stamped)
-
-
 class SerialExecutor:
-    """The in-process reference executor (the pre-refactor loop).
-
-    After an :meth:`execute` that requested checkpoints, the folded
-    global trajectory is left on :attr:`checkpoint_events` — the same
-    attribute the sharded executors expose, so callers read one
-    surface regardless of strategy.
-    """
+    """The in-process reference executor (the pre-refactor loop)."""
 
     name = "serial"
 
-    def __init__(self) -> None:
-        self.checkpoint_events: list = []
-
     def execute(
         self,
         simulator: "BatchSimulator",
@@ -266,296 +199,7 @@ class SerialExecutor:
         monitor: "MonitorConfig | None" = None,
         *,
         run_offset: int = 0,
-        checkpoints: "Sequence[int] | None" = None,
-        on_checkpoint: "Any | None" = None,
     ) -> BatchResult:
-        self.checkpoint_events = []
-        if checkpoints is None and on_checkpoint is None:
-            return simulator.run_slice(
-                children, iterations, monitor, run_offset=run_offset
-            )
-        from repro.telemetry.convergence import merge_checkpoint_events
-
-        raw: list = []
-        result = simulator.run_slice(
-            children, iterations, monitor,
-            run_offset=run_offset,
-            checkpoints=checkpoints,
-            on_checkpoint=raw.append,
+        return simulator.run_slice(
+            children, iterations, monitor, run_offset=run_offset
         )
-        self.checkpoint_events = merge_checkpoint_events(raw)
-        if on_checkpoint is not None:
-            for event in self.checkpoint_events:
-                on_checkpoint(event)
-        return result
-
-
-@dataclass
-class _ShardPayload:
-    """The picklable slice result a worker ships back to the parent.
-
-    Deliberately *not* a :class:`BatchResult`: the specification may
-    hold task lambdas that cannot cross a pipe.  Everything here is
-    plain arrays, ints, and frozen event dataclasses.
-    """
-
-    runs: int
-    reliable_counts: dict[str, np.ndarray]
-    samples_per_run: dict[str, int]
-    executor: str
-    monitor_events: tuple
-    #: Distributed-tracing span dicts recorded by the worker.  They
-    #: ride NEXT TO the batch data, never inside it, so merge — and
-    #: therefore the bit-identity contract — is unaffected by tracing.
-    spans: tuple = ()
-    #: Slice-local convergence checkpoint events
-    #: (:class:`~repro.telemetry.convergence.CheckpointEvent`).  Like
-    #: spans they are observer-only cargo outside the batch result;
-    #: the parent folds them into the global trajectory.
-    checkpoints: tuple = ()
-
-
-def _payload_of(
-    result: BatchResult,
-    spans: tuple = (),
-    checkpoints: tuple = (),
-) -> _ShardPayload:
-    return _ShardPayload(
-        runs=result.runs,
-        reliable_counts=result.reliable_counts,
-        samples_per_run=result.samples_per_run,
-        executor=result.executor,
-        monitor_events=result.monitor_events,
-        spans=spans,
-        checkpoints=checkpoints,
-    )
-
-
-def _result_of(payload: _ShardPayload, simulator: "BatchSimulator",
-               iterations: int) -> BatchResult:
-    return BatchResult(
-        spec=simulator.spec,
-        runs=payload.runs,
-        iterations=iterations,
-        reliable_counts=payload.reliable_counts,
-        samples_per_run=payload.samples_per_run,
-        executor=payload.executor,
-        monitor_events=tuple(payload.monitor_events),
-    )
-
-
-def _shard_worker(
-    simulator, children, iterations, monitor, offset, conn,
-    trace=None, checkpoints=None,
-):
-    """Entry point of one forked shard worker."""
-    from repro.telemetry.distributed import shard_span
-
-    try:
-        marks: list = []
-        with shard_span(
-            trace, offset, offset + len(children)
-        ) as recorder:
-            result = simulator.run_slice(
-                children, iterations, monitor, run_offset=offset,
-                checkpoints=checkpoints,
-                on_checkpoint=(
-                    marks.append if checkpoints is not None else None
-                ),
-            )
-        conn.send(
-            (
-                "ok",
-                _payload_of(
-                    result, tuple(recorder.spans), tuple(marks)
-                ),
-            )
-        )
-    except BaseException as error:  # ship the failure to the parent
-        conn.send(("error", f"{type(error).__name__}: {error}"))
-    finally:
-        conn.close()
-
-
-def _fork_context() -> "Any | None":
-    """The fork multiprocessing context, or ``None`` when unsupported."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return None
-
-
-class ShardedExecutor:
-    """Fan one batch out over *jobs* forked worker processes.
-
-    Parameters
-    ----------
-    jobs:
-        Number of worker shards (>= 1).  ``jobs=1`` degenerates to the
-        serial path without forking.
-    processes:
-        ``False`` executes the shards inline in the parent — the same
-        slice/merge arithmetic without process overhead (also the
-        automatic fallback where ``fork`` is unavailable).
-    telemetry:
-        Optional :class:`~repro.telemetry.bus.TelemetryBus`; the
-        merged monitor-event stream is replayed onto it in
-        deterministic run order after the shards complete.
-    trace:
-        Optional :class:`~repro.telemetry.distributed.TraceContext`.
-        When set, every shard (forked or inline) records one
-        epoch-stamped span; the merged, run-ordered span list is left
-        on :attr:`shard_spans` after :meth:`execute` for the service's
-        distributed job trace.  Tracing is observer-only — it rides
-        outside the batch payload and never changes results.
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        jobs: int,
-        processes: bool = True,
-        telemetry: "TelemetryBus | None" = None,
-        trace: "Any | None" = None,
-    ) -> None:
-        if jobs < 1:
-            raise RuntimeSimulationError(
-                f"jobs must be >= 1, got {jobs}"
-            )
-        self.jobs = jobs
-        self.processes = processes
-        self.telemetry = telemetry
-        self.trace_context = trace
-        self.shard_spans: list[dict] = []
-        self.checkpoint_events: list = []
-
-    def execute(
-        self,
-        simulator: "BatchSimulator",
-        children: "Sequence[np.random.SeedSequence]",
-        iterations: int,
-        monitor: "MonitorConfig | None" = None,
-        *,
-        run_offset: int = 0,
-        checkpoints: "Sequence[int] | None" = None,
-        on_checkpoint: "Any | None" = None,
-    ) -> BatchResult:
-        from repro.telemetry.distributed import shard_span
-
-        self.shard_spans = []
-        self.checkpoint_events = []
-        slices = shard_slices(len(children), self.jobs)
-        context = _fork_context() if self.processes else None
-        span_lists: list[tuple] = []
-        mark_lists: list[tuple] = []
-        want_marks = (
-            checkpoints is not None or on_checkpoint is not None
-        )
-        if len(slices) <= 1 or context is None:
-            shards = []
-            for start, stop in slices:
-                marks: list = []
-                with shard_span(
-                    self.trace_context,
-                    run_offset + start,
-                    run_offset + stop,
-                ) as recorder:
-                    shards.append(
-                        simulator.run_slice(
-                            children[start:stop], iterations, monitor,
-                            run_offset=run_offset + start,
-                            checkpoints=checkpoints,
-                            on_checkpoint=(
-                                marks.append if want_marks else None
-                            ),
-                        )
-                    )
-                span_lists.append(tuple(recorder.spans))
-                mark_lists.append(tuple(marks))
-        else:
-            shards, span_lists, mark_lists = self._execute_processes(
-                context, simulator, children, iterations, monitor,
-                slices, run_offset, checkpoints if want_marks else None,
-            )
-        merged = merge_batch_results(shards) if shards else (
-            simulator.run_slice(
-                children, iterations, monitor, run_offset=run_offset
-            )
-        )
-        self._deliver_checkpoints(mark_lists, on_checkpoint)
-        if self.telemetry is not None or self.trace_context is not None:
-            from repro.telemetry.shardbuffer import (
-                ShardEventBuffer,
-                collect_spans,
-                replay_sharded,
-            )
-
-            buffers = []
-            for index, shard in enumerate(shards):
-                buffer = ShardEventBuffer(shard=index)
-                for event in shard.monitor_events:
-                    buffer.on_event(event)
-                if index < len(span_lists):
-                    for span in span_lists[index]:
-                        buffer.on_span(span)
-                buffers.append(buffer)
-            if self.telemetry is not None:
-                replay_sharded(buffers, self.telemetry)
-                if self.checkpoint_events:
-                    self.telemetry.extend(self.checkpoint_events)
-            self.shard_spans = collect_spans(buffers)
-        return merged
-
-    def _deliver_checkpoints(
-        self, mark_lists: "Sequence[tuple]", on_checkpoint
-    ) -> None:
-        """Fold per-shard checkpoint streams and notify the observer."""
-        self.checkpoint_events = fold_shard_checkpoints(mark_lists)
-        if on_checkpoint is not None:
-            for event in self.checkpoint_events:
-                on_checkpoint(event)
-
-    def _execute_processes(
-        self, context, simulator, children, iterations, monitor,
-        slices, run_offset=0, checkpoints=None,
-    ) -> tuple[list[BatchResult], list[tuple], list[tuple]]:
-        workers = []
-        for start, stop in slices:
-            parent_conn, child_conn = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_shard_worker,
-                args=(
-                    simulator, children[start:stop], iterations,
-                    monitor, run_offset + start, child_conn,
-                    self.trace_context, checkpoints,
-                ),
-            )
-            process.start()
-            child_conn.close()
-            workers.append((process, parent_conn))
-        shards: list[BatchResult] = []
-        span_lists: list[tuple] = []
-        mark_lists: list[tuple] = []
-        failures: list[str] = []
-        for process, conn in workers:
-            try:
-                status, payload = conn.recv()
-            except EOFError:
-                status, payload = "error", "worker died before replying"
-            finally:
-                conn.close()
-            process.join()
-            if status == "ok":
-                shards.append(
-                    _result_of(payload, simulator, iterations)
-                )
-                span_lists.append(tuple(payload.spans))
-                mark_lists.append(tuple(payload.checkpoints))
-            else:
-                failures.append(str(payload))
-        if failures:
-            raise RuntimeSimulationError(
-                f"sharded batch worker failed: {failures[0]}"
-            )
-        return shards, span_lists, mark_lists

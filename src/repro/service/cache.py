@@ -70,7 +70,10 @@ class McKey:
 #: Legacy flat counter name → (registry metric name, labels, help).
 #: The flat names are the service's stable JSON contract (`/metrics`
 #: default shape, chaos invariants, acceptance tests); the registry
-#: names are what Prometheus scrapes see.
+#: names are what Prometheus scrapes see.  The flat shape is kept,
+#: although Prometheus text is the source of truth, because
+#: ``ServiceClient.metrics()`` and the service benchmark's
+#: cache-outcome check (``perfbench/run.py``) read it.
 _LEGACY_COUNTERS: dict[str, tuple[str, tuple, str]] = {
     **{
         f"jobs_{event}": (

@@ -26,7 +26,9 @@ simulates only the tail ``cached.runs..runs-1`` — seeded by
 ``SeedSequence(seed, spawn_key=(k,))``, which equals
 ``SeedSequence(seed).spawn(runs)[k]`` — and merges, so the reply is
 bit-identical to a fresh full batch.  Both facts are asserted through
-the :class:`~repro.service.cache.ServiceMetrics` counters.
+the :class:`~repro.service.cache.ServiceMetrics` counters.  Hits,
+upgrades, misses, and adaptive jobs all run through the one method
+:meth:`~repro.runtime.batch.BatchSimulator.grow`.
 
 Robustness (PR 8): every submitted job reaches a **terminal state** —
 ``done``, ``failed``, ``timed_out``, or ``cancelled``.  A per-job
@@ -38,7 +40,7 @@ discarded, never resurrected); the queue is bounded
 rejecting new submissions (:class:`ServiceDraining` → 503), and
 :meth:`ReliabilityService.stop` cancels still-queued jobs so waiters
 return promptly instead of blocking out their full timeout.  Sharded
-cache misses run under the
+simulations — cache misses and upgrade tails alike — run under the
 :class:`~repro.service.supervision.SupervisedShardedExecutor`, so a
 crashed or hung shard worker is retried (bit-identically) instead of
 failing the job.
@@ -61,13 +63,12 @@ simulation state.
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import threading
 import time
 import traceback
 from typing import Any, Callable, Mapping
-
-import numpy as np
 
 from repro.errors import ReproError
 from repro.service.cache import McKey, ResultCache, ServiceMetrics
@@ -78,6 +79,13 @@ from repro.telemetry.distributed import (
     build_job_trace,
     mint_trace_id,
 )
+
+#: Cache outcome of a simulate job -> the ``/metrics`` counter it bumps.
+_OUTCOME_COUNTERS = {
+    "hit": "mc_cache_hits",
+    "partial": "mc_cache_partial",
+    "miss": "mc_cache_misses",
+}
 
 #: States a job can never leave.
 TERMINAL_STATES = frozenset(
@@ -298,7 +306,7 @@ class ReliabilityService:
         :meth:`submit` raises :class:`ServiceQueueFull` (429).
         ``None`` keeps the PR 7 unbounded queue.
     shard_retries / shard_deadline_s:
-        Supervision knobs for sharded cache misses: re-executions
+        Supervision knobs for sharded simulations: re-executions
         allowed per failed shard worker, and the per-shard hang
         deadline (``None`` disables hang detection).
     cache_entries / cache_bytes / cache_dir:
@@ -308,7 +316,7 @@ class ReliabilityService:
         Deadline applied to jobs that do not carry ``timeout_s``.
     executor_factory:
         Testing/chaos hook: ``factory(shards) -> BatchExecutor``
-        overriding the supervised default for sharded misses.
+        overriding the supervised default for sharded simulations.
     log:
         Structured JSONL service log: a
         :class:`~repro.service.slog.ServiceLog`, a path to append to,
@@ -667,11 +675,6 @@ class ReliabilityService:
                 )
             ]
 
-    def queue_depth(self) -> int:
-        """Accepted jobs not yet picked up by a worker."""
-        with self._lock:
-            return self._queued
-
     def uptime_seconds(self) -> float:
         """Monotonic seconds since this service object was created."""
         return time.monotonic() - self._started_monotonic
@@ -944,7 +947,7 @@ class ReliabilityService:
         return doc
 
     def _executor(self, shards: int):
-        """The batch executor of a sharded cache miss."""
+        """The batch executor of a sharded simulate job."""
         if self.executor_factory is not None:
             return self.executor_factory(shards)
         from repro.service.supervision import (
@@ -970,13 +973,31 @@ class ReliabilityService:
         job.spans.extend(getattr(executor, "shard_spans", None) or ())
 
     def _simulate(self, job: Job) -> dict:
+        """The simulate pipeline: plan, grow, store, persist, reply.
+
+        :meth:`ResultCache.plan` finds the longest cached prefix of the
+        requested batch, and one
+        :meth:`~repro.runtime.batch.BatchSimulator.grow` call does the
+        rest: a prefix already long enough is sliced (a hit), a shorter
+        one is extended by its missing tail only (a partial), and no
+        prefix simulates everything (a miss).  Every simulated chunk
+        runs through the job's executor, so sharded tails are
+        supervised and traced exactly like sharded misses.
+
+        With ``adaptive: true``, ``runs`` is a budget: the batch grows
+        along the stopping rule's checkpoint schedule, a convergence
+        snapshot is taken at every boundary (and surfaced on the job
+        event stream, the job document, and the metrics gauges), and
+        the rule decides — from pooled counts only — whether to stop.
+        Cached runs replay through the identical snapshot sequence, so
+        a cache hit stops at exactly the run count a cold execution
+        would have chosen, and the stored batch makes any later
+        fixed-run request with ``runs <= stopped_at`` a prefix hit.
+        """
         from repro.analysis import Verifier
         from repro.runtime.batch import BatchSimulator
-        from repro.runtime.executor import (
-            merge_batch_results,
-            slice_batch_result,
-        )
         from repro.runtime.faults import BernoulliFaults
+        from repro.telemetry.convergence import StoppingRule
 
         doc = job.document
         spec, arch, impl = self._design(doc, need_impl=True)
@@ -992,6 +1013,15 @@ class ReliabilityService:
             from repro.resilience import MonitorConfig
 
             monitor = MonitorConfig(window=int(window))
+        rule = None
+        if doc.get("adaptive"):
+            rule = StoppingRule(
+                target_rel_half_width=doc.get("target_rel_half_width"),
+                sequential=bool(doc.get("sequential", True)),
+                confidence=float(doc.get("stop_confidence", 0.99)),
+                indifference=float(doc.get("indifference", 0.002)),
+                min_runs=int(doc.get("min_runs", 64)),
+            )
         fingerprint = Verifier.design_fingerprint(spec, arch, impl)
         key = McKey(
             spec_hash=fingerprint[0],
@@ -1010,256 +1040,91 @@ class ReliabilityService:
                 job.trace_id, job.id
             )
 
-        def simulator() -> BatchSimulator:
-            return BatchSimulator(
-                spec, arch, impl,
-                faults=BernoulliFaults(arch) if bernoulli else None,
-                seed=seed,
-                executor=executor,
-            )
-
-        if doc.get("adaptive"):
-            return self._simulate_adaptive(
-                job, doc, spec, arch, impl, key, simulator, executor,
-                runs, iterations, seed, monitor, slack,
-            )
-
         stage_t0 = time.perf_counter()
         kind, cached = self.cache.plan(key, runs, spec=spec)
         self.metrics.observe_stage(
             "cache-lookup", time.perf_counter() - stage_t0
         )
-        simulated = 0
-        if kind == "hit":
-            self.metrics.add("mc_cache_hits")
-            job.emit("cache", cache="hit", cached_runs=cached.runs)
-            result = slice_batch_result(cached, runs)
-        elif kind == "partial":
-            simulated = runs - cached.runs
-            self.metrics.add("mc_cache_partial")
-            self.metrics.add("runs_simulated_total", simulated)
-            job.emit(
-                "cache", cache="partial",
-                cached_runs=cached.runs, delta=simulated,
-            )
-            # Tail children: spawn(runs)[k] == SeedSequence(seed,
-            # spawn_key=(k,)), so only the missing suffix is built.
-            children = [
-                np.random.SeedSequence(seed, spawn_key=(k,))
-                for k in range(cached.runs, runs)
-            ]
-            job.emit("simulating", runs=simulated, offset=cached.runs)
-            stage_t0 = time.perf_counter()
-            tail = simulator().run_slice(
-                children, iterations, monitor,
-                run_offset=cached.runs,
-            )
-            self.metrics.observe_stage(
-                "simulate", time.perf_counter() - stage_t0
-            )
-            if executor is not None:
-                self._note_shard_retries(job, executor)
-            job.emit(
-                "merging", cached_runs=cached.runs,
-                tail_runs=tail.runs,
-            )
-            stage_t0 = time.perf_counter()
-            result = merge_batch_results([cached, tail])
-            self.metrics.observe_stage(
-                "merge", time.perf_counter() - stage_t0
-            )
-            self.cache.store(key, result)
-        else:
-            simulated = runs
-            self.metrics.add("mc_cache_misses")
-            self.metrics.add("runs_simulated_total", runs)
-            job.emit("cache", cache="miss")
-            job.emit("simulating", runs=runs, offset=0)
-            stage_t0 = time.perf_counter()
-            result = simulator().run_batch(
-                runs, iterations, monitor=monitor
-            )
-            self.metrics.observe_stage(
-                "simulate", time.perf_counter() - stage_t0
-            )
-            if executor is not None:
-                self._note_shard_retries(job, executor)
-            self.cache.store(key, result)
-        stage_t0 = time.perf_counter()
-        entry = self._persist(job, spec, arch, impl, result, seed, runs)
-        self.metrics.observe_stage(
-            "persist", time.perf_counter() - stage_t0
-        )
-        averages = result.limit_averages()
-        rates = {
-            name: float(averages[name].mean())
-            for name in sorted(averages)
-        }
-        return {
-            "kind": "simulate",
-            "spec_hash": key.spec_hash,
-            "arch_hash": key.arch_hash,
-            "impl_hash": key.impl_hash,
-            "seed": seed,
-            "runs": runs,
-            "iterations": iterations,
-            "executor": result.executor,
-            "cache": kind,
-            "simulated_runs": simulated,
-            "rates": rates,
-            "lrcs": {
-                name: comm.lrc
-                for name, comm in sorted(spec.communicators.items())
-            },
-            "satisfied": bool(result.satisfies_lrcs(slack=slack)),
-            "monitor_events": len(result.monitor_events),
-            "ledger_entry": entry,
-        }
-
-    def _simulate_adaptive(
-        self, job: Job, doc, spec, arch, impl, key, simulator,
-        executor, max_runs: int, iterations: int, seed: int,
-        monitor, slack: float,
-    ) -> dict:
-        """The adaptive-stopping simulate pipeline.
-
-        ``runs`` is the budget; the batch grows chunk by chunk along
-        the stopping rule's checkpoint schedule, a convergence
-        snapshot is evaluated at every boundary (and surfaced on the
-        job event stream, the job document, and the metrics gauges),
-        and the rule decides — from pooled counts only — whether to
-        stop.  Cached runs replay through the identical snapshot
-        sequence via ``prefix_pooled_counts``, so a cache hit stops at
-        exactly the run count a cold execution would have chosen, and
-        the stored batch makes any later fixed-run request with
-        ``runs <= stopped_at`` a prefix hit.
-        """
-        from repro.runtime.executor import (
-            merge_batch_results,
-            slice_batch_result,
-        )
-        from repro.telemetry.convergence import (
-            AdaptiveResult,
-            StoppingRule,
-            snapshot_from_counts,
-        )
-
-        rule = StoppingRule(
-            target_rel_half_width=doc.get("target_rel_half_width"),
-            sequential=bool(doc.get("sequential", True)),
-            confidence=float(doc.get("stop_confidence", 0.99)),
-            indifference=float(doc.get("indifference", 0.002)),
-            min_runs=int(doc.get("min_runs", 64)),
-        )
-        schedule = rule.schedule(max_runs)
-        lrcs = {
-            name: comm.lrc
-            for name, comm in spec.communicators.items()
-        }
-        stage_t0 = time.perf_counter()
-        plan_kind, cached = self.cache.plan(key, max_runs, spec=spec)
-        self.metrics.observe_stage(
-            "cache-lookup", time.perf_counter() - stage_t0
-        )
         job.emit(
-            "cache", cache=plan_kind,
+            "cache", cache=kind,
             cached_runs=0 if cached is None else cached.runs,
         )
-        sim = None
-        merged = cached
-        simulated = 0
-        snapshots = []
-        decision = None
-        for boundary in schedule:
-            have = 0 if merged is None else merged.runs
-            if boundary > have:
-                children = [
-                    np.random.SeedSequence(seed, spawn_key=(k,))
-                    for k in range(have, boundary)
-                ]
-                job.emit(
-                    "simulating", runs=len(children), offset=have,
-                )
-                if sim is None:
-                    sim = simulator()
-                stage_t0 = time.perf_counter()
-                chunk = sim.executor.execute(
-                    sim, children, iterations, monitor,
-                    run_offset=have,
-                )
-                self.metrics.observe_stage(
-                    "simulate", time.perf_counter() - stage_t0
-                )
-                simulated += chunk.runs
-                if executor is not None:
-                    self._note_shard_retries(job, executor)
-                merged = (
-                    chunk if merged is None
-                    else merge_batch_results([merged, chunk])
-                )
-            snapshot = snapshot_from_counts(
-                boundary,
-                merged.prefix_pooled_counts(boundary),
-                lrcs,
-                confidence=rule.confidence,
-                indifference=rule.indifference,
+        merge_t0 = None
+
+        @contextlib.contextmanager
+        def on_chunk(start: int, stop: int):
+            nonlocal merge_t0
+            job.emit("simulating", runs=stop - start, offset=start)
+            stage_t0 = time.perf_counter()
+            yield
+            self.metrics.observe_stage(
+                "simulate", time.perf_counter() - stage_t0
             )
-            snapshots.append(snapshot)
+            if executor is not None:
+                self._note_shard_retries(job, executor)
+            if rule is None and cached is not None:
+                # A fixed upgrade merges its one tail onto the prefix
+                # right after this; grow returns when the merge is done.
+                job.emit(
+                    "merging", cached_runs=start, tail_runs=stop - start
+                )
+                merge_t0 = time.perf_counter()
+
+        def on_snapshot(snapshot, decision) -> None:
             job.convergence = snapshot.to_dict()
-            decision = rule.decide(snapshot, max_runs)
             job.emit(
                 "checkpoint",
-                run=boundary,
+                run=snapshot.run,
                 decided=snapshot.decided(),
                 max_rel_half_width=snapshot.max_rel_half_width(),
                 stop=decision.stop,
             )
             self._record_convergence_gauges(snapshot)
-            if decision.stop:
-                break
-        assert merged is not None and decision is not None
-        stopped = decision.run
-        adaptive = AdaptiveResult(
-            result=merged,
-            stopped_at=stopped,
-            max_runs=max_runs,
-            schedule=schedule,
-            snapshots=tuple(snapshots),
-            decision=decision,
+
+        growth = BatchSimulator(
+            spec, arch, impl,
+            faults=BernoulliFaults(arch) if bernoulli else None,
+            seed=seed,
+            executor=executor,
+        ).grow(
+            runs, iterations, prefix=cached, rule=rule,
+            monitor=monitor, on_chunk=on_chunk, on_snapshot=on_snapshot,
         )
-        if stopped < max_runs:
-            self.metrics.add("adaptive_stops")
-            self.metrics.add(
-                "adaptive_runs_saved", max_runs - stopped
+        if merge_t0 is not None:
+            self.metrics.observe_stage(
+                "merge", time.perf_counter() - merge_t0
             )
-        job.emit(
-            "stopping",
-            run=stopped,
-            reason=decision.reason,
-            runs_saved=adaptive.runs_saved,
-        )
-        # The cache keeps the longest computed batch: any later
-        # fixed-run request with runs <= merged.runs is a prefix hit.
-        if simulated:
-            self.metrics.add("runs_simulated_total", simulated)
-            self.cache.store(key, merged)
-        if simulated == 0:
-            kind = "hit"
-            self.metrics.add("mc_cache_hits")
+        adaptive = growth.adaptive
+        if adaptive is not None:
+            if adaptive.runs_saved:
+                self.metrics.add("adaptive_stops")
+                self.metrics.add("adaptive_runs_saved", adaptive.runs_saved)
+            job.emit(
+                "stopping",
+                run=adaptive.stopped_at,
+                reason=adaptive.decision.reason,
+                runs_saved=adaptive.runs_saved,
+            )
+        if not growth.simulated:
+            outcome = "hit"
         elif cached is not None:
-            kind = "partial"
-            self.metrics.add("mc_cache_partial")
+            outcome = "partial"
         else:
-            kind = "miss"
-            self.metrics.add("mc_cache_misses")
-        result = (
-            slice_batch_result(merged, stopped)
-            if merged.runs > stopped else merged
+            outcome = "miss"
+        self.metrics.add(_OUTCOME_COUNTERS[outcome])
+        if growth.simulated:
+            self.metrics.add("runs_simulated_total", growth.simulated)
+            # The cache keeps the longest computed batch: any later
+            # request with runs <= growth.batch.runs is a prefix hit.
+            self.cache.store(key, growth.batch)
+        result = growth.result
+        # Adaptive stopping metadata rides in the ledger and the reply.
+        metrics = (
+            None if adaptive is None else {"adaptive": adaptive.to_dict()}
         )
         stage_t0 = time.perf_counter()
         entry = self._persist(
-            job, spec, arch, impl, result, seed, stopped,
-            metrics={"adaptive": adaptive.to_dict()},
+            job, spec, arch, impl, result, seed, metrics=metrics
         )
         self.metrics.observe_stage(
             "persist", time.perf_counter() - stage_t0
@@ -1275,12 +1140,12 @@ class ReliabilityService:
             "arch_hash": key.arch_hash,
             "impl_hash": key.impl_hash,
             "seed": seed,
-            "runs": stopped,
+            "runs": result.runs,
             "iterations": iterations,
             "executor": result.executor,
-            "cache": kind,
-            "simulated_runs": simulated,
-            "adaptive": adaptive.to_dict(),
+            "cache": outcome,
+            "simulated_runs": growth.simulated,
+            **(metrics or {}),
             "rates": rates,
             "lrcs": {
                 name: comm.lrc
@@ -1324,7 +1189,7 @@ class ReliabilityService:
             )
 
     def _persist(
-        self, job: Job, spec, arch, impl, result, seed: int, runs: int,
+        self, job: Job, spec, arch, impl, result, seed: int,
         metrics: "dict | None" = None,
     ) -> "int | None":
         if self.ledger_dir is None:
@@ -1340,7 +1205,7 @@ class ReliabilityService:
             run_id=derive_run_id(seed),
             command="batch",
             seed=seed,
-            runs=runs,
+            runs=result.runs,
             metrics=metrics,
         )
         index = RunLedger(self.ledger_dir).append(record)

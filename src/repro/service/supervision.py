@@ -1,9 +1,20 @@
 """Supervised shard execution: crash/hang detection and bounded retry.
 
-PR 7's :class:`~repro.runtime.executor.ShardedExecutor` is fail-silent:
-a crashed worker aborts the whole batch, and a hung worker blocks the
-parent forever.  :class:`SupervisedShardedExecutor` wraps the same
-fork/slice/merge arithmetic in a supervision loop that
+:class:`SupervisedShardedExecutor` is the one sharded
+:class:`~repro.runtime.executor.BatchExecutor`: it partitions a chunk
+of a batch into contiguous shards
+(:func:`~repro.runtime.executor.shard_slices`), executes them in
+forked worker processes, and merges them back
+(:func:`~repro.runtime.executor.merge_batch_results`).  Workers ship a
+reduced picklable payload (count arrays + monitor events) back over a
+pipe; the specification — which may hold unpicklable task lambdas —
+never crosses the process boundary (workers inherit it via ``fork``).
+Platforms without ``fork`` (or single-shard chunks) execute the shards
+inline in the parent, through the identical slice/merge path.
+
+A bare fork/merge would be fail-silent: a crashed worker aborts the
+whole batch, and a hung worker blocks the parent forever.  The
+executor therefore runs its shards in a supervision loop that
 
 * detects worker *crash* (process death, pipe EOF), worker-reported
   *error*, and worker *hang* (a per-shard wall-clock deadline), and
@@ -34,6 +45,7 @@ the determinism-lint allowlist; clocks never reach simulation state.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -43,14 +55,7 @@ import numpy as np
 
 from repro.errors import RuntimeSimulationError
 from repro.runtime.batch import BatchResult
-from repro.runtime.executor import (
-    _fork_context,
-    _payload_of,
-    _result_of,
-    fold_shard_checkpoints,
-    merge_batch_results,
-    shard_slices,
-)
+from repro.runtime.executor import merge_batch_results, shard_slices
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.monitor import MonitorConfig
@@ -168,17 +173,68 @@ def _unit_noise(shard: int, attempt: int) -> float:
     return int.from_bytes(digest[:8], "big") / float(2**64)
 
 
+@dataclass
+class _ShardPayload:
+    """The picklable slice result a worker ships back to the parent.
+
+    Deliberately *not* a :class:`BatchResult`: the specification may
+    hold task lambdas that cannot cross a pipe.  Everything here is
+    plain arrays, ints, and frozen event dataclasses.
+    """
+
+    runs: int
+    reliable_counts: dict[str, np.ndarray]
+    samples_per_run: dict[str, int]
+    executor: str
+    monitor_events: tuple
+    #: Distributed-tracing span dicts recorded by the worker.  They
+    #: ride NEXT TO the batch data, never inside it, so merge — and
+    #: therefore the bit-identity contract — is unaffected by tracing.
+    spans: tuple = ()
+
+
+def _payload_of(result: BatchResult, spans: tuple = ()) -> _ShardPayload:
+    return _ShardPayload(
+        runs=result.runs,
+        reliable_counts=result.reliable_counts,
+        samples_per_run=result.samples_per_run,
+        executor=result.executor,
+        monitor_events=result.monitor_events,
+        spans=spans,
+    )
+
+
+def _result_of(payload: _ShardPayload, simulator: "BatchSimulator",
+               iterations: int) -> BatchResult:
+    return BatchResult(
+        spec=simulator.spec,
+        runs=payload.runs,
+        iterations=iterations,
+        reliable_counts=payload.reliable_counts,
+        samples_per_run=payload.samples_per_run,
+        executor=payload.executor,
+        monitor_events=tuple(payload.monitor_events),
+    )
+
+
+def _fork_context() -> "Any | None":
+    """The fork multiprocessing context, or ``None`` when unsupported."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return None
+
+
 def _supervised_worker(
     simulator, children, iterations, monitor, offset, conn, action,
-    trace=None, checkpoints=None,
+    trace=None,
 ):
     """Entry point of one supervised shard worker.
 
-    Identical to the unsupervised worker except for the optional
-    injected *action*, applied before (or instead of) the real work.
-    A failed attempt ships no span and no checkpoint events: only the
-    attempt that succeeds records them, so a retried shard still
-    yields exactly one span and one slice-local checkpoint stream.
+    Applies the optional injected *action* before (or instead of) the
+    real work.  A failed attempt ships no span: only the attempt that
+    succeeds records one, so a retried shard still yields exactly one
+    span.
     """
     from repro.telemetry.distributed import shard_span
 
@@ -198,25 +254,13 @@ def _supervised_worker(
                 raise RuntimeSimulationError(
                     "chaos: injected worker error"
                 )
-        marks: list = []
         with shard_span(
             trace, offset, offset + len(children)
         ) as recorder:
             result = simulator.run_slice(
                 children, iterations, monitor, run_offset=offset,
-                checkpoints=checkpoints,
-                on_checkpoint=(
-                    marks.append if checkpoints is not None else None
-                ),
             )
-        conn.send(
-            (
-                "ok",
-                _payload_of(
-                    result, tuple(recorder.spans), tuple(marks)
-                ),
-            )
-        )
+        conn.send(("ok", _payload_of(result, tuple(recorder.spans))))
     except BaseException as error:  # ship the failure to the parent
         try:
             conn.send(("error", f"{type(error).__name__}: {error}"))
@@ -235,8 +279,8 @@ class _ShardState:
         self.index = index
         self.start = start
         self.stop = stop
-        #: Global run index of the whole batch's first run (nonzero
-        #: when the adaptive driver executes a chunk mid-sequence);
+        #: Global run index of the chunk's first run (nonzero for a
+        #: cache-upgrade tail or a later adaptive chunk);
         #: ``offset + start`` is this shard's global first run.
         self.offset = offset
         self.attempt = 0
@@ -245,7 +289,6 @@ class _ShardState:
         self.deadline_at: "float | None" = None
         self.result: "BatchResult | None" = None
         self.spans: tuple = ()
-        self.checkpoints: tuple = ()
 
     def kill(self) -> None:
         """Best-effort terminate of a live worker."""
@@ -265,13 +308,14 @@ class _ShardState:
 
 
 class SupervisedShardedExecutor:
-    """A :class:`~repro.runtime.executor.ShardedExecutor` that survives
-    worker crash, hang, and transient error.
+    """Fan one batch chunk out over forked workers that survive crash,
+    hang, and transient error.
 
     Parameters
     ----------
     jobs:
-        Worker shard count (>= 1).
+        Worker shard count (>= 1).  ``jobs=1`` degenerates to the
+        serial path without forking.
     policy:
         :class:`RetryPolicy` bounding re-executions and backoff.
     deadline_s:
@@ -284,8 +328,8 @@ class SupervisedShardedExecutor:
     telemetry:
         Optional bus; :class:`ShardRetryEvent` instances are appended
         live, and the merged monitor-event stream is replayed in run
-        order after completion — exactly like the unsupervised
-        executor.
+        order after completion, so subscribers observe the stream an
+        unsharded run would have produced.
     chaos:
         Optional :class:`WorkerFaults` plan (testing/chaos only).
     trace:
@@ -328,12 +372,6 @@ class SupervisedShardedExecutor:
         self.retry_events: list[ShardRetryEvent] = []
         #: Merged tracing spans of the most recent :meth:`execute`.
         self.shard_spans: list[dict] = []
-        #: Globally-pooled convergence trajectory of the most recent
-        #: :meth:`execute` call that requested checkpoints.
-        self.checkpoint_events: list = []
-        #: The checkpoint schedule of the in-flight :meth:`execute`
-        #: (read by `_launch`, including relaunches after a retry).
-        self._chunk_checkpoints: "Sequence[int] | None" = None
 
     # -- the BatchExecutor protocol -------------------------------------
 
@@ -345,45 +383,30 @@ class SupervisedShardedExecutor:
         monitor: "MonitorConfig | None" = None,
         *,
         run_offset: int = 0,
-        checkpoints: "Sequence[int] | None" = None,
-        on_checkpoint: "Any | None" = None,
     ) -> BatchResult:
         self.retry_events = []
         self.shard_spans = []
-        self.checkpoint_events = []
-        self._chunk_checkpoints = checkpoints
-        want_marks = (
-            checkpoints is not None or on_checkpoint is not None
-        )
         slices = shard_slices(len(children), self.jobs)
         context = _fork_context() if self.processes else None
         if not slices:
             return simulator.run_slice(
                 children, iterations, monitor, run_offset=run_offset
             )
-        span_lists: list[tuple] = []
-        mark_lists: list[tuple] = []
         if len(slices) <= 1 or context is None:
-            shards = []
+            shards, span_lists = [], []
             for index, (start, stop) in enumerate(slices):
-                result, spans, marks = self._execute_inline(
+                result, spans = self._execute_inline(
                     simulator, children, iterations, monitor,
                     index, start, stop, run_offset,
-                    collect_marks=want_marks,
                 )
                 shards.append(result)
                 span_lists.append(spans)
-                mark_lists.append(marks)
         else:
-            shards, span_lists, mark_lists = self._supervise(
+            shards, span_lists = self._supervise(
                 context, simulator, children, iterations, monitor,
                 slices, run_offset,
             )
         merged = merge_batch_results(shards)
-        self.checkpoint_events = fold_shard_checkpoints(mark_lists)
-        if on_checkpoint is not None:
-            for event in self.checkpoint_events:
-                on_checkpoint(event)
         if self.telemetry is not None or self.trace_context is not None:
             from repro.telemetry.shardbuffer import (
                 ShardEventBuffer,
@@ -396,14 +419,11 @@ class SupervisedShardedExecutor:
                 buffer = ShardEventBuffer(shard=index)
                 for event in shard.monitor_events:
                     buffer.on_event(event)
-                if index < len(span_lists):
-                    for span in span_lists[index]:
-                        buffer.on_span(span)
+                for span in span_lists[index]:
+                    buffer.on_span(span)
                 buffers.append(buffer)
             if self.telemetry is not None:
                 replay_sharded(buffers, self.telemetry)
-                if self.checkpoint_events:
-                    self.telemetry.extend(self.checkpoint_events)
             self.shard_spans = collect_spans(buffers)
         return merged
 
@@ -428,8 +448,10 @@ class SupervisedShardedExecutor:
             self.telemetry.append(event)
 
     def _give_up(self, state: _ShardState, detail: str) -> None:
+        first = state.offset + state.start
+        last = state.offset + state.stop - 1
         raise RuntimeSimulationError(
-            f"shard {state.index} (runs {state.start}..{state.stop - 1})"
+            f"shard {state.index} (runs {first}..{last})"
             f" failed after {state.attempt + 1} attempt(s): {detail}"
         )
 
@@ -437,8 +459,8 @@ class SupervisedShardedExecutor:
 
     def _execute_inline(
         self, simulator, children, iterations, monitor,
-        index, start, stop, run_offset=0, collect_marks=False,
-    ) -> tuple[BatchResult, tuple, tuple]:
+        index, start, stop, run_offset=0,
+    ) -> tuple[BatchResult, tuple]:
         from repro.telemetry.distributed import shard_span
 
         state = _ShardState(index, start, stop, offset=run_offset)
@@ -458,7 +480,6 @@ class SupervisedShardedExecutor:
                     )
                 if action is not None and action.kind == "slow":
                     time.sleep(action.delay_s)
-                marks: list = []
                 with shard_span(
                     self.trace_context,
                     run_offset + start, run_offset + stop,
@@ -467,12 +488,8 @@ class SupervisedShardedExecutor:
                     result = simulator.run_slice(
                         children[start:stop], iterations, monitor,
                         run_offset=run_offset + start,
-                        checkpoints=self._chunk_checkpoints,
-                        on_checkpoint=(
-                            marks.append if collect_marks else None
-                        ),
                     )
-                return result, tuple(recorder.spans), tuple(marks)
+                return result, tuple(recorder.spans)
             except RuntimeSimulationError as error:
                 if state.attempt >= self.policy.retries:
                     self._give_up(state, str(error))
@@ -499,7 +516,6 @@ class SupervisedShardedExecutor:
                 simulator, children[state.start:state.stop],
                 iterations, monitor, state.offset + state.start,
                 child_conn, action, self.trace_context,
-                self._chunk_checkpoints,
             ),
         )
         process.start()
@@ -514,7 +530,7 @@ class SupervisedShardedExecutor:
     def _supervise(
         self, context, simulator, children, iterations, monitor,
         slices, run_offset=0,
-    ) -> tuple[list[BatchResult], list[tuple], list[tuple]]:
+    ) -> tuple[list[BatchResult], list[tuple]]:
         from multiprocessing.connection import wait as conn_wait
 
         states = [
@@ -589,7 +605,6 @@ class SupervisedShardedExecutor:
                             {**span, "attempt": state.attempt}
                             for span in payload.spans
                         )
-                        state.checkpoints = tuple(payload.checkpoints)
                         conn.close()
                         state.conn = None
                         state.process.join()
@@ -617,7 +632,6 @@ class SupervisedShardedExecutor:
         return (
             [state.result for state in states],
             [state.spans for state in states],
-            [state.checkpoints for state in states],
         )
 
     def _retire(

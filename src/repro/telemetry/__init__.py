@@ -39,16 +39,12 @@ simulation draws (the PR 2 seed contract is regression-tested in
 from repro.telemetry.bus import TelemetryBus
 from repro.telemetry.convergence import (
     AdaptiveResult,
-    CheckpointEvent,
     CommunicatorDiagnostics,
     ConvergenceSnapshot,
     StopDecision,
     StoppingRule,
-    checkpoint_events_for_slice,
     checkpoint_schedule,
-    merge_checkpoint_events,
     snapshot_from_counts,
-    snapshot_from_event,
 )
 from repro.telemetry.distributed import (
     TRACE_ENV,
@@ -129,7 +125,6 @@ __all__ = [
     "AdaptiveResult",
     "BlameEntry",
     "CausalChain",
-    "CheckpointEvent",
     "CommunicatorDiagnostics",
     "ConvergenceSnapshot",
     "Counter",
@@ -169,7 +164,6 @@ __all__ = [
     "blame_scores",
     "build_job_trace",
     "check_regression",
-    "checkpoint_events_for_slice",
     "checkpoint_schedule",
     "client_span_record",
     "collect_spans",
@@ -179,7 +173,6 @@ __all__ = [
     "diff_records",
     "load_forensics_file",
     "load_trace_file",
-    "merge_checkpoint_events",
     "merge_client_events",
     "mint_trace_id",
     "postmortem_to_dict",
@@ -192,7 +185,6 @@ __all__ = [
     "shard_span",
     "sinks_for_hook",
     "snapshot_from_counts",
-    "snapshot_from_event",
     "summarize_trace",
     "tracing_enabled",
 ]

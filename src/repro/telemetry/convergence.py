@@ -11,13 +11,6 @@ stop itself — without touching the seed contract:
   default).  Because the boundaries depend only on the budget, every
   statistic evaluated at them is a pure function of pooled counts;
   no clock, no RNG, no executor-dependent state.
-* **Checkpoint events** — :func:`checkpoint_events_for_slice` turns
-  one executed slice into :class:`CheckpointEvent` records (counts
-  cumulative *within* the slice), and
-  :func:`merge_checkpoint_events` folds the per-slice streams of a
-  sharded batch into the single global trajectory a serial execution
-  would have produced — the convergence half of the executor
-  bit-identity contract.
 * **Diagnostics** — :func:`snapshot_from_counts` evaluates, per
   communicator, the running reliable-write rate, Clopper–Pearson
   half-width, relative half-width, LRC margin, and a Wald SPRT
@@ -30,17 +23,26 @@ stop itself — without touching the seed contract:
   identical serial vs sharded, and the truncated result is
   bit-identical to a fixed-run batch of the same length.
 
+:meth:`~repro.runtime.batch.BatchSimulator.grow` drives all of this:
+it grows the batch chunk by chunk along the rule's schedule and takes
+each snapshot from the merged batch's
+:meth:`~repro.runtime.batch.BatchResult.prefix_pooled_counts`.
+
+The pooled counts are counts of *reads*, which are correlated within
+a run (see :meth:`~repro.runtime.batch.BatchResult.pooled_counts`), so
+the binomial intervals and the SPRT computed here overstate the
+evidence; moving them to run-level statistics is an open ROADMAP item.
+
 The module is import-light: :mod:`scipy` is reached lazily through
-:mod:`repro.reliability.stats` only when a snapshot is computed, so
-attaching checkpoint telemetry costs nothing until a boundary fires.
+:mod:`repro.reliability.stats` only when a snapshot is computed, so a
+fixed-run batch, which takes no snapshots, never pays for it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import AnalysisError
 
@@ -50,46 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 # ----------------------------------------------------------------------
-# Checkpoint events
-
-
-@dataclass(frozen=True)
-class CheckpointEvent:
-    """Pooled reliable-access counts at one run-count boundary.
-
-    ``counts`` holds ``(communicator, successes, samples)`` triples
-    cumulative over runs ``[run_start, run)`` — i.e. *within the
-    emitting slice*.  :func:`merge_checkpoint_events` rebases them to
-    global totals.  ``scheduled`` distinguishes boundaries of the
-    checkpoint schedule from the slice-end events every slice emits
-    so the merge can carry totals across shard boundaries.
-    """
-
-    run: int
-    counts: tuple[tuple[str, int, int], ...]
-    run_start: int = 0
-    scheduled: bool = True
-    shard: "int | None" = None
-    kind: str = field(default="checkpoint", repr=False)
-
-    def to_dict(self) -> dict:
-        document = {
-            "kind": self.kind,
-            "run": self.run,
-            "run_start": self.run_start,
-            "scheduled": self.scheduled,
-            "counts": [
-                {
-                    "communicator": name,
-                    "successes": successes,
-                    "samples": samples,
-                }
-                for name, successes, samples in self.counts
-            ],
-        }
-        if self.shard is not None:
-            document["shard"] = self.shard
-        return document
+# Checkpoint schedule
 
 
 def checkpoint_schedule(
@@ -118,112 +81,6 @@ def checkpoint_schedule(
         boundary = max(boundary + 1, math.ceil(boundary * growth))
     boundaries.append(max_runs)
     return tuple(boundaries)
-
-
-def checkpoint_events_for_slice(
-    result: "BatchResult",
-    run_offset: int,
-    checkpoints: Sequence[int],
-) -> list[CheckpointEvent]:
-    """Checkpoint events of one executed slice.
-
-    *result* covers global runs ``[run_offset, run_offset +
-    result.runs)``; an event is emitted at every schedule boundary
-    inside that range plus, unconditionally, at the slice end (with
-    ``scheduled=False`` when the end is not itself a boundary) so
-    :func:`merge_checkpoint_events` can accumulate totals across
-    slices.  Counts are cumulative within the slice.
-    """
-    if result.runs == 0:
-        return []
-    end = run_offset + result.runs
-    scheduled = {int(n) for n in checkpoints}
-    wanted = sorted(
-        n for n in scheduled if run_offset < n <= end
-    )
-    if not wanted or wanted[-1] != end:
-        wanted.append(end)
-    names = sorted(result.reliable_counts)
-    events = []
-    for boundary in wanted:
-        local = boundary - run_offset
-        counts = tuple(
-            (
-                name,
-                int(result.reliable_counts[name][:local].sum()),
-                result.samples_per_run[name] * local,
-            )
-            for name in names
-        )
-        events.append(
-            CheckpointEvent(
-                run=boundary,
-                counts=counts,
-                run_start=run_offset,
-                scheduled=boundary in scheduled,
-            )
-        )
-    return events
-
-
-def merge_checkpoint_events(
-    events: Iterable[CheckpointEvent],
-) -> list[CheckpointEvent]:
-    """Fold per-slice checkpoint streams into the global trajectory.
-
-    Groups events by their emitting slice (``run_start``), walks the
-    slices in run order carrying each slice's final totals into the
-    next, and emits globally-pooled events — exactly the stream one
-    serial slice over the whole batch would have produced.  Slice-end
-    events that are not schedule boundaries are consumed by the fold
-    (they only exist to carry totals), except the final global
-    boundary, which is always kept.  Raises when the slices do not
-    tile a contiguous run range.
-    """
-    batch = list(events)
-    if not batch:
-        return []
-    slices: dict[int, list[CheckpointEvent]] = {}
-    for event in batch:
-        slices.setdefault(event.run_start, []).append(event)
-    origin = min(slices)
-    expected = origin
-    base: dict[str, tuple[int, int]] = {}
-    pooled: list[CheckpointEvent] = []
-    for start in sorted(slices):
-        if start != expected:
-            raise AnalysisError(
-                f"checkpoint slices are not contiguous: expected a "
-                f"slice starting at run {expected}, got {start}"
-            )
-        ordered = sorted(slices[start], key=lambda e: e.run)
-        for event in ordered:
-            counts = tuple(
-                (
-                    name,
-                    base.get(name, (0, 0))[0] + successes,
-                    base.get(name, (0, 0))[1] + samples,
-                )
-                for name, successes, samples in event.counts
-            )
-            pooled.append(
-                dataclasses.replace(
-                    event,
-                    counts=counts,
-                    run_start=origin,
-                    shard=None,
-                )
-            )
-        final = pooled[-1]
-        base = {
-            name: (successes, samples)
-            for name, successes, samples in final.counts
-        }
-        expected = ordered[-1].run
-    kept = [event for event in pooled if event.scheduled]
-    if not pooled[-1].scheduled:
-        kept.append(pooled[-1])
-    return kept
 
 
 # ----------------------------------------------------------------------
@@ -401,22 +258,6 @@ def snapshot_from_counts(
     )
 
 
-def snapshot_from_event(
-    event: CheckpointEvent,
-    lrcs: Mapping[str, float],
-    confidence: float = 0.99,
-    indifference: float = 0.002,
-) -> ConvergenceSnapshot:
-    """Diagnostics of one globally-pooled checkpoint event."""
-    pooled = {
-        name: (successes, samples)
-        for name, successes, samples in event.counts
-    }
-    return snapshot_from_counts(
-        event.run, pooled, lrcs, confidence, indifference
-    )
-
-
 # ----------------------------------------------------------------------
 # Stopping
 
@@ -550,8 +391,9 @@ class AdaptiveResult:
     """A batch stopped early by a :class:`StoppingRule`.
 
     ``result`` is bit-identical to ``run_batch(stopped_at, ...)`` of
-    the same seed — the adaptive driver only ever truncates the run
-    sequence at a checkpoint boundary, never reorders or reseeds it.
+    the same seed — :meth:`~repro.runtime.batch.BatchSimulator.grow`
+    only ever truncates the run sequence at a checkpoint boundary,
+    never reorders or reseeds it.
     """
 
     result: "BatchResult"

@@ -25,10 +25,6 @@ from typing import Any, Iterable, Sequence
 from repro.telemetry.bus import TelemetryBus
 from repro.telemetry.sink import InstrumentationSink
 
-#: Sentinel distinguishing "no shard field" from "shard field unset".
-_UNSET = object()
-
-
 class ShardEventBuffer(InstrumentationSink):
     """Buffers one shard's typed events for deterministic replay.
 
@@ -54,26 +50,12 @@ class ShardEventBuffer(InstrumentationSink):
     # hook, so it can stand wherever either protocol is expected.
 
     def append(self, event: Any) -> None:
-        updates: dict[str, Any] = {}
-        if self.run_offset:
-            if getattr(event, "run", None) is not None:
-                updates["run"] = event.run + self.run_offset
-            if getattr(event, "run_start", None) is not None:
-                updates["run_start"] = (
-                    event.run_start + self.run_offset
-                )
-        # Events that carry a shard field (convergence checkpoints)
-        # but were recorded before their shard index was known get it
-        # stamped here, mirroring the span convention of `on_span`.
-        if (
-            getattr(event, "shard", _UNSET) is None
-            and "shard" not in updates
-        ):
-            updates["shard"] = self.shard
-        if updates:
+        if self.run_offset and getattr(event, "run", None) is not None:
             import dataclasses
 
-            event = dataclasses.replace(event, **updates)
+            event = dataclasses.replace(
+                event, run=event.run + self.run_offset
+            )
         self.events.append(event)
 
     def extend(self, events: Iterable[Any]) -> None:
@@ -100,12 +82,6 @@ class ShardEventBuffer(InstrumentationSink):
                 if key in span:
                     span[key] = int(span[key]) + self.run_offset
         self.spans.append(span)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
 
 
 def replay_sharded(

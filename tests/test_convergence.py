@@ -10,14 +10,13 @@ Hypothesis-generated systems:
 * **stop parity**: the stop point is a function of pooled counts at
   global checkpoint boundaries only, so serial, inline-sharded, and
   supervised-with-injected-kill executions stop at the same run;
-* **stream sanity**: merged checkpoint event streams are run-monotone
-  with non-decreasing counts — one global convergence trajectory
-  regardless of how the batch was sharded.
+* **stream sanity**: the snapshot stream of a sharded growth is
+  run-monotone with non-decreasing counts — one global convergence
+  trajectory regardless of how the batch was sharded.
 
+All three run through :meth:`~repro.runtime.batch.BatchSimulator.grow`.
 The unit tests pin down the checkpoint schedule, the sequential
-(SPRT) verdicts, the stopping rule's decision table, the slice/merge
-event algebra, and the shard-stamping rebase in
-:class:`~repro.telemetry.shardbuffer.ShardEventBuffer`.
+(SPRT) verdicts, and the stopping rule's decision table.
 """
 
 import math
@@ -41,20 +40,11 @@ from repro.reliability.stats import (
     sprt_log_likelihood,
     sprt_verdict,
 )
-from repro.runtime import (
-    BatchSimulator,
-    BernoulliFaults,
-    SerialExecutor,
-    ShardedExecutor,
-)
+from repro.runtime import BatchSimulator, BernoulliFaults, SerialExecutor
 from repro.service.supervision import ChaosAction, SupervisedShardedExecutor
-from repro.telemetry import ShardEventBuffer
 from repro.telemetry.convergence import (
-    CheckpointEvent,
     StoppingRule,
-    checkpoint_events_for_slice,
     checkpoint_schedule,
-    merge_checkpoint_events,
     snapshot_from_counts,
 )
 
@@ -238,66 +228,6 @@ def test_stopping_rule_rejects_nonsense():
 
 
 # ----------------------------------------------------------------------
-# The slice/merge event algebra.
-# ----------------------------------------------------------------------
-
-
-def test_slice_events_cover_boundaries_and_slice_end():
-    _, batch = three_tank_batch()
-    result = batch.executor.execute(
-        batch,
-        [np.random.SeedSequence(7, spawn_key=(k,)) for k in range(5)],
-        6, None,
-    )
-    events = checkpoint_events_for_slice(result, 10, (4, 12, 20))
-    # Boundaries inside (10, 15] plus the unconditional slice end.
-    assert [(e.run, e.scheduled) for e in events] == [
-        (12, True), (15, False),
-    ]
-    assert all(event.run_start == 10 for event in events)
-
-
-def test_merge_rejects_non_contiguous_slices():
-    left = CheckpointEvent(run=4, counts=(("c", 4, 4),), run_start=0)
-    gap = CheckpointEvent(run=9, counts=(("c", 4, 4),), run_start=6)
-    with pytest.raises(AnalysisError, match="contiguous"):
-        merge_checkpoint_events([left, gap])
-
-
-def test_merged_stream_equals_serial_stream():
-    checkpoints = (3, 6, 9, 12)
-    _, batch = three_tank_batch()
-
-    def slice_events(start, stop):
-        children = [
-            np.random.SeedSequence(7, spawn_key=(k,))
-            for k in range(start, stop)
-        ]
-        result = SerialExecutor().execute(batch, children, 6, None)
-        return checkpoint_events_for_slice(result, start, checkpoints)
-
-    serial = merge_checkpoint_events(slice_events(0, 12))
-    sharded = merge_checkpoint_events(
-        slice_events(0, 5) + slice_events(5, 12)
-    )
-    assert [e.to_dict() for e in sharded] == [
-        e.to_dict() for e in serial
-    ]
-    assert [e.run for e in serial] == list(checkpoints)
-
-
-def test_shard_buffer_stamps_and_rebases_checkpoint_events():
-    buffer = ShardEventBuffer(shard=3, run_offset=10)
-    buffer.append(
-        CheckpointEvent(run=4, counts=(("c", 3, 4),), run_start=0)
-    )
-    event = buffer.events[0]
-    assert event.shard == 3
-    assert event.run == 14
-    assert event.run_start == 10
-
-
-# ----------------------------------------------------------------------
 # Differential claim (a): adaptive == fixed-run truncation.
 # ----------------------------------------------------------------------
 
@@ -317,7 +247,7 @@ def test_adaptive_equals_fixed_batch_truncated_at_stop(system, seed):
             faults=BernoulliFaults(arch), seed=seed,
         )
 
-    adaptive = batch().run_adaptive(12, 6, rule=rule)
+    adaptive = batch().grow(12, 6, rule=rule).adaptive
     fixed = batch().run_batch(adaptive.stopped_at, 6)
     assert adaptive.result.runs == adaptive.stopped_at
     assert_identical(adaptive.result, fixed)
@@ -343,10 +273,10 @@ def test_stop_point_identical_serial_vs_sharded(system, seed, jobs):
             spec, arch, impl,
             faults=BernoulliFaults(arch), seed=seed,
             executor=executor,
-        ).run_adaptive(12, 6, rule=rule)
+        ).grow(12, 6, rule=rule).adaptive
 
     serial = run(SerialExecutor())
-    sharded = run(ShardedExecutor(jobs, processes=False))
+    sharded = run(SupervisedShardedExecutor(jobs, processes=False))
     assert sharded.stopped_at == serial.stopped_at
     assert sharded.decision.to_dict() == serial.decision.to_dict()
     assert_identical(serial.result, sharded.result)
@@ -365,10 +295,10 @@ class KillFirstAttempt:
 def test_stop_point_survives_supervised_worker_kills():
     rule = StoppingRule(min_runs=8)
     _, serial_batch = three_tank_batch()
-    serial = serial_batch.run_adaptive(320, 20, rule=rule)
+    serial = serial_batch.grow(320, 20, rule=rule).adaptive
     executor = SupervisedShardedExecutor(2, chaos=KillFirstAttempt())
     _, supervised_batch = three_tank_batch(executor=executor)
-    supervised = supervised_batch.run_adaptive(320, 20, rule=rule)
+    supervised = supervised_batch.grow(320, 20, rule=rule).adaptive
 
     assert executor.retry_events, "no kill was injected"
     assert supervised.stopped_at == serial.stopped_at
@@ -377,7 +307,7 @@ def test_stop_point_survives_supervised_worker_kills():
 
 
 # ----------------------------------------------------------------------
-# Differential claim (c): merged streams are monotone.
+# Differential claim (c): sharded snapshot streams are monotone.
 # ----------------------------------------------------------------------
 
 
@@ -389,24 +319,26 @@ def test_stop_point_survives_supervised_worker_kills():
 )
 def test_merged_checkpoint_stream_is_monotone(system, seed, jobs):
     spec, arch, impl = system
-    checkpoints = checkpoint_schedule(12, first=2)
-    marks: list = []
+    # Width target unreachable: never stops before the budget.
+    rule = StoppingRule(
+        sequential=False, target_rel_half_width=1e-12, min_runs=2
+    )
+    snapshots: list = []
     BatchSimulator(
         spec, arch, impl,
         faults=BernoulliFaults(arch), seed=seed,
-        executor=ShardedExecutor(jobs, processes=False),
-    ).run_batch(
-        12, 6, checkpoints=checkpoints, on_checkpoint=marks.append
+        executor=SupervisedShardedExecutor(jobs, processes=False),
+    ).grow(
+        12, 6, rule=rule,
+        on_snapshot=lambda snapshot, _: snapshots.append(snapshot),
     )
-    runs = [event.run for event in marks]
-    assert runs == sorted(runs) and len(set(runs)) == len(runs)
-    assert runs == list(checkpoints)
-    for earlier, later in zip(marks, marks[1:]):
-        previous = dict(
-            (name, (successes, samples))
-            for name, successes, samples in earlier.counts
-        )
-        for name, successes, samples in later.counts:
-            assert successes >= previous[name][0]
-            assert samples >= previous[name][1]
-            assert 0 <= successes <= samples
+    runs = [snapshot.run for snapshot in snapshots]
+    assert runs == list(checkpoint_schedule(12, first=2))
+    for earlier, later in zip(snapshots, snapshots[1:]):
+        previous = {
+            diag.communicator: diag for diag in earlier.diagnostics
+        }
+        for diag in later.diagnostics:
+            assert diag.successes >= previous[diag.communicator].successes
+            assert diag.samples >= previous[diag.communicator].samples
+            assert 0 <= diag.successes <= diag.samples

@@ -1,7 +1,8 @@
 """The pluggable batch executors: sharded must equal serial, bitwise.
 
-The tentpole claim of the executor refactor is that
-:class:`~repro.runtime.executor.ShardedExecutor` is *unobservable*:
+The tentpole claim of the executor refactor is that sharding (the
+:class:`~repro.service.supervision.SupervisedShardedExecutor`) is
+*unobservable*:
 for every (seed, runs, jobs) the sharded batch result — counts,
 per-run arrays, monitor events, ledger record — is bit-identical to
 the serial one, because spawn keys partition deterministically and
@@ -29,11 +30,11 @@ from repro.runtime import (
     BatchSimulator,
     BernoulliFaults,
     SerialExecutor,
-    ShardedExecutor,
     merge_batch_results,
     shard_slices,
     slice_batch_result,
 )
+from repro.service.supervision import SupervisedShardedExecutor
 from repro.telemetry import (
     ShardEventBuffer,
     TelemetryBus,
@@ -111,9 +112,9 @@ def test_shard_slices_rejects_bad_inputs():
 
 def test_executors_satisfy_protocol():
     assert isinstance(SerialExecutor(), BatchExecutor)
-    assert isinstance(ShardedExecutor(2), BatchExecutor)
+    assert isinstance(SupervisedShardedExecutor(2), BatchExecutor)
     with pytest.raises(RuntimeSimulationError):
-        ShardedExecutor(0)
+        SupervisedShardedExecutor(0)
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +164,7 @@ def test_sharded_is_bit_identical_on_generated_systems(
     serial = run(SerialExecutor())
     # Inline shards exercise the slice/merge arithmetic on every
     # example; the fork path is covered by the process tests below.
-    sharded = run(ShardedExecutor(jobs, processes=False))
+    sharded = run(SupervisedShardedExecutor(jobs, processes=False))
     assert_identical(serial, sharded)
 
 
@@ -174,7 +175,7 @@ def test_sharded_processes_match_serial_three_tank(jobs):
         23, 30, monitor=MonitorConfig(window=5)
     )
     _, _, sharded_sim = three_tank_simulator(
-        executor=ShardedExecutor(jobs)
+        executor=SupervisedShardedExecutor(jobs)
     )
     sharded = sharded_sim.run_batch(
         23, 30, monitor=MonitorConfig(window=5)
@@ -187,7 +188,7 @@ def test_sharded_ledger_record_matches_serial():
     spec = serial_sim.spec
     serial = serial_sim.run_batch(12, 25)
     _, _, sharded_sim = three_tank_simulator(
-        executor=ShardedExecutor(3)
+        executor=SupervisedShardedExecutor(3)
     )
     sharded = sharded_sim.run_batch(12, 25)
 
@@ -221,10 +222,10 @@ def test_worker_failure_propagates():
     simulator = BatchSimulator(
         spec, arch, baseline_implementation(),
         faults=_ExplodingFaults(arch), seed=7,
-        executor=ShardedExecutor(2),
+        executor=SupervisedShardedExecutor(2),
     )
     with pytest.raises(
-        RuntimeSimulationError, match="sharded batch worker failed"
+        RuntimeSimulationError, match="failed after 3 attempt.*boom"
     ):
         simulator.run_batch(4, 10)
 
@@ -366,7 +367,7 @@ def test_shard_buffer_rebases_local_run_indices():
 def test_sharded_executor_feeds_telemetry_bus():
     bus = TelemetryBus(run_id="s7")
     _, _, simulator = three_tank_simulator(
-        executor=ShardedExecutor(3, telemetry=bus)
+        executor=SupervisedShardedExecutor(3, telemetry=bus)
     )
     result = simulator.run_batch(
         10, 30, monitor=MonitorConfig(window=3)

@@ -33,6 +33,11 @@ from repro.service import ReliabilityService
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.jobs import ServiceError
 from repro.service.server import make_server
+from repro.service.supervision import (
+    ChaosAction,
+    RetryPolicy,
+    SupervisedShardedExecutor,
+)
 from repro.telemetry import RunLedger
 
 FUNCTIONS = bind_control_functions()
@@ -157,6 +162,58 @@ def test_runs_upgrade_is_bit_identical_to_fresh_full_batch():
             cached.reliable_counts[name], fresh.reliable_counts[name]
         )
     assert cached.monitor_events == fresh.monitor_events
+
+
+class KillShardZeroOnce:
+    """Chaos plan: kill shard 0's first attempt, then behave."""
+
+    def action(self, shard, attempt):
+        if shard == 0 and attempt == 0:
+            return ChaosAction("kill")
+        return None
+
+
+def test_sharded_upgrade_tail_is_supervised_and_traced():
+    service = make_service(
+        executor_factory=lambda shards: SupervisedShardedExecutor(
+            shards,
+            policy=RetryPolicy(
+                retries=2, base_delay_s=0.01, max_delay_s=0.05
+            ),
+            chaos=KillShardZeroOnce(),
+        ),
+    )
+    run_job(service, simulate_document(runs=6))
+    upgraded = run_job(service, simulate_document(runs=17, jobs=2))
+    assert upgraded.result["cache"] == "partial"
+    assert upgraded.result["simulated_runs"] == 11
+
+    # The tail [6, 17) ran sharded: one span per shard, tiling it.
+    trace = service.job_trace(upgraded.id)
+    shard_spans = sorted(
+        (event["args"]["run_start"], event["args"]["run_stop"])
+        for event in trace["traceEvents"]
+        if event.get("cat") == "shard"
+    )
+    assert shard_spans == [(6, 12), (12, 17)]
+    # ... and supervised: the killed shard was retried exactly once.
+    retries = [
+        event for event in upgraded.events
+        if event["state"] == "shard-retry"
+    ]
+    assert [(e["shard"], e["reason"]) for e in retries] == [(0, "crash")]
+    assert service.metrics.get("shard_retries") == 1
+
+    spec = three_tank_spec(lrc_u=0.99, functions=FUNCTIONS)
+    arch = three_tank_architecture()
+    fresh = BatchSimulator(
+        spec, arch, baseline_implementation(),
+        faults=BernoulliFaults(arch), seed=5,
+    ).run_batch(17, 20)
+    averages = fresh.limit_averages()
+    assert upgraded.result["rates"] == {
+        name: float(averages[name].mean()) for name in sorted(averages)
+    }
 
 
 def test_runs_downgrade_is_served_from_cache():
@@ -517,11 +574,16 @@ class SlowExecutor:
     def __init__(self, delay_s):
         self.delay_s = delay_s
 
-    def execute(self, simulator, children, iterations, monitor=None):
+    def execute(
+        self, simulator, children, iterations, monitor=None, *,
+        run_offset=0,
+    ):
         import time as _time
 
         _time.sleep(self.delay_s)
-        return simulator.run_slice(children, iterations, monitor)
+        return simulator.run_slice(
+            children, iterations, monitor, run_offset=run_offset
+        )
 
 
 def test_running_job_times_out_and_late_result_is_discarded():

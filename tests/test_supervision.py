@@ -2,7 +2,7 @@
 
 The tentpole claim: :class:`SupervisedShardedExecutor` can lose a
 worker to a crash, a hang, or an injected error and still return a
-result **bit-identical** to the unsupervised (and serial) execution,
+result **bit-identical** to the serial execution,
 because a shard's work is a pure function of its
 ``SeedSequence.spawn`` slice.  The differential suite drives that
 over Hypothesis-generated systems with hash-scheduled faults; the
@@ -27,7 +27,6 @@ from repro.runtime import (
     BatchSimulator,
     BernoulliFaults,
     SerialExecutor,
-    ShardedExecutor,
 )
 from repro.service.supervision import (
     ChaosAction,
@@ -185,7 +184,7 @@ def test_supervised_processes_survive_kill_hang_error(seed):
 
 def test_supervised_matches_unsupervised_fault_free():
     plain = three_tank_simulator(
-        executor=ShardedExecutor(2)
+        executor=SerialExecutor()
     ).run_batch(8, 10)
     supervised = three_tank_simulator(
         executor=SupervisedShardedExecutor(2)
