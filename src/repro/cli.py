@@ -431,24 +431,32 @@ def _write_events(events, path: "str | None") -> None:
 
 
 def _build_telemetry(args: argparse.Namespace, spec) -> tuple:
-    """Resolve --trace/--metrics into (tracer, metrics_sink, sinks)."""
-    from repro.telemetry import MetricsSink, Tracer, derive_run_id
+    """Resolve --trace/--metrics/--postmortem into sinks on one bus.
 
-    tracer = (
-        Tracer(run_id=derive_run_id(args.seed)) if args.trace else None
+    Returns ``(tracer, metrics_sink, recorder, bus)``; the bus fans
+    every resilience event out to the sinks that were asked for.
+    """
+    from repro.telemetry import (
+        MetricsSink,
+        ProvenanceRecorder,
+        TelemetryBus,
+        Tracer,
+        derive_run_id,
     )
+
+    run_id = derive_run_id(args.seed)
+    tracer = Tracer(run_id=run_id) if args.trace else None
     metrics_sink = MetricsSink() if args.metrics else None
-    sinks = tuple(s for s in (tracer, metrics_sink) if s is not None)
-    return tracer, metrics_sink, sinks
-
-
-def _build_forensics(args: argparse.Namespace, spec):
-    """Resolve --postmortem into a ProvenanceRecorder (or None)."""
-    if not getattr(args, "postmortem", None):
-        return None
-    from repro.telemetry import ProvenanceRecorder, derive_run_id
-
-    return ProvenanceRecorder(spec, run_id=derive_run_id(args.seed))
+    recorder = (
+        ProvenanceRecorder(spec, run_id=run_id) if args.postmortem else None
+    )
+    bus = TelemetryBus(
+        run_id=run_id,
+        sinks=(
+            s for s in (tracer, metrics_sink, recorder) if s is not None
+        ),
+    )
+    return tracer, metrics_sink, recorder, bus
 
 
 def _write_forensics(recorder, path: str) -> None:
@@ -548,6 +556,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ReproError(
             "--jobs shards the Monte-Carlo batch; use --runs > 1"
         )
+    if args.jobs > 1 and args.recover:
+        raise ReproError(
+            "--jobs shards the vectorized batch; the resilient batch "
+            "runs serially, drop --jobs"
+        )
+    if args.trace and args.runs > 1:
+        raise ReproError("--trace needs a single run; use --runs 1")
     functions, conditions = _load_bindings(args.bindings)
     spec = _load_specification(args, functions, conditions)
     arch = architecture_from_dict(load_json(args.arch))
@@ -597,24 +612,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     elif args.target_width is not None:
         raise ReproError("--target-width needs --adaptive")
 
-    if args.recover:
-        # The detect->decide->recover loop runs on the scalar
-        # resilient executive (one run, or looped over spawned seeds).
-        from repro.resilience import (
-            ResilientSimulator,
-            WatchdogConfig,
-            resilient_batch,
-        )
+    # Produce the result: a batch (vectorized, or the resilient
+    # executive looped over spawned seeds) or one scalar run (plain or
+    # resilient); either way every resilience event passes through
+    # the bus.
+    tracer, metrics_sink, recorder, bus = _build_telemetry(args, spec)
+    adaptive = None
+    if args.runs > 1:
+        import time
 
-        policies = _build_recovery_policies(args)
-        watchdog = WatchdogConfig()
-        if args.runs > 1:
-            if args.trace:
-                raise ReproError(
-                    "--trace needs a single run; use --runs 1"
-                )
-            with profiler.stage("resilient-batch"):
-                batch_result = resilient_batch(
+        from repro.telemetry import record_batch_result
+
+        if args.recover:
+            from repro.resilience import WatchdogConfig, resilient_batch
+
+            command = "resilient-batch"
+            started = time.perf_counter()
+            with profiler.stage(command):
+                result = resilient_batch(
                     spec,
                     arch,
                     implementation,
@@ -623,218 +638,118 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     seed=args.seed,
                     faults=faults,
                     monitor=monitor_config,
-                    watchdog=watchdog,
-                    policies=policies,
+                    watchdog=WatchdogConfig(),
+                    policies=_build_recovery_policies(args),
                 )
-            recovering = int((batch_result.recovery_counts > 0).sum())
-            print(
-                f"resilient batch of {args.runs} runs x "
-                f"{args.iterations} iterations "
-                f"({len(batch_result.events)} events, recovery in "
-                f"{recovering} runs)"
+        else:
+            from repro.runtime.batch import BatchSimulator
+
+            executor = None
+            if args.jobs > 1:
+                from repro.service.supervision import (
+                    SupervisedShardedExecutor,
+                )
+
+                executor = SupervisedShardedExecutor(args.jobs)
+            batch = BatchSimulator(
+                spec, arch, implementation, faults=faults,
+                seed=args.seed, profiler=profiler, executor=executor,
             )
-            averages = batch_result.limit_averages()
-            ok = True
-            for name in sorted(spec.communicators):
-                mean = float(averages[name].mean())
-                lrc = spec.communicators[name].lrc
-                mark = "ok " if mean >= lrc - args.slack else "LOW"
-                ok = ok and mean >= lrc - args.slack
+            rule = None
+            if args.adaptive:
+                from repro.telemetry.convergence import StoppingRule
+
+                rule = StoppingRule(
+                    target_rel_half_width=args.target_width,
+                    min_runs=min(args.min_runs, args.runs),
+                    indifference=args.indifference,
+                )
+            command = "batch"
+            started = time.perf_counter()
+            growth = batch.grow(
+                args.runs, args.iterations, rule=rule,
+                monitor=monitor_config,
+                on_snapshot=lambda snap, _: print("  " + snap.summary()),
+            )
+            result, adaptive = growth.result, growth.adaptive
+            if adaptive is not None:
                 print(
-                    f"  [{mark}] {name}: mean observed {mean:.6f} "
-                    f"(LRC {lrc:.6f})"
+                    f"adaptive stop at run {adaptive.stopped_at}"
+                    f"/{adaptive.max_runs} ({adaptive.decision.reason}; "
+                    f"saved {adaptive.runs_saved} runs, "
+                    f"{adaptive.savings_factor:.1f}x)"
                 )
-            _write_events(batch_result.events, args.events)
-            _record_ledger(
-                args, spec, arch, implementation, batch_result,
-                "resilient-batch",
-            )
-            if args.metrics:
-                from repro.telemetry import MetricsSink
-
-                sink = MetricsSink()
-                for event in batch_result.events:
-                    sink.on_event(event)
-                _finish_metrics(
-                    sink.registry, srgs, spec, args.metrics
-                )
-            if args.profile:
-                print()
-                print(profiler.render())
-            return 0 if ok else 1
-        tracer, metrics_sink, sinks = _build_telemetry(args, spec)
-        telemetry = None
-        if sinks:
-            from repro.telemetry import TelemetryBus, derive_run_id
-
-            telemetry = TelemetryBus(
-                run_id=derive_run_id(args.seed), sinks=sinks
-            )
-        recorder = _build_forensics(args, spec)
-        resilient = ResilientSimulator(
-            spec,
-            arch,
-            implementation,
-            faults=faults,
-            seed=args.seed,
-            monitor=monitor_config,
-            watchdog=watchdog,
-            policies=policies,
-            telemetry=telemetry,
-            sinks=(recorder,) if recorder is not None else (),
-        )
-        with profiler.stage("resilient-run"):
-            result = resilient.run(args.iterations)
-        print(result.summary())
-        for event in result.events:
-            print(f"  event: {json.dumps(event.to_dict())}")
-        _write_events(result.events, args.events)
-        if recorder is not None:
-            _write_forensics(recorder, args.postmortem)
-        _record_ledger(
-            args, spec, arch, implementation, result, "resilient"
-        )
-        if tracer is not None:
-            tracer.close()
-            _write_trace(tracer, args.trace)
         if metrics_sink is not None:
-            _finish_metrics(
-                metrics_sink.registry, srgs, spec, args.metrics
+            record_batch_result(
+                metrics_sink.registry, result,
+                time.perf_counter() - started,
             )
-        if args.profile:
-            print()
-            print(profiler.render())
-        return 0 if result.satisfies_lrcs(slack=args.slack) else 1
+        bus.extend(result.monitor_events)
+        observed = result.srg_estimates()
+    elif args.recover:
+        from repro.resilience import ResilientSimulator, WatchdogConfig
 
-    if args.runs > 1:
-        # Batched Monte-Carlo: runs x iterations periods through the
-        # vectorized executor (per-run seeds spawned from --seed).
-        import time
-
-        from repro.runtime.batch import BatchSimulator
-
-        if args.trace:
-            raise ReproError(
-                "--trace needs a single run; use --runs 1"
-            )
-        executor = None
-        if args.jobs > 1:
-            from repro.service.supervision import (
-                SupervisedShardedExecutor,
-            )
-
-            executor = SupervisedShardedExecutor(args.jobs)
-        batch = BatchSimulator(
-            spec, arch, implementation, faults=faults, seed=args.seed,
-            profiler=profiler, executor=executor,
-        )
-        started = time.perf_counter()
-        rule = None
-        if args.adaptive:
-            from repro.telemetry.convergence import StoppingRule
-
-            rule = StoppingRule(
-                target_rel_half_width=args.target_width,
-                min_runs=min(args.min_runs, args.runs),
-                indifference=args.indifference,
-            )
-        growth = batch.grow(
-            args.runs, args.iterations, rule=rule,
-            monitor=monitor_config,
-            on_snapshot=lambda snap, _: print("  " + snap.summary()),
-        )
-        batch_result, adaptive = growth.result, growth.adaptive
-        elapsed = time.perf_counter() - started
-        if adaptive is not None:
-            print(
-                f"adaptive stop at run {adaptive.stopped_at}"
-                f"/{adaptive.max_runs} ({adaptive.decision.reason}; "
-                f"saved {adaptive.runs_saved} runs, "
-                f"{adaptive.savings_factor:.1f}x)"
-            )
-        print(batch_result.summary())
-        estimates = batch_result.srg_estimates()
-        print("\nobserved vs analytic SRG:")
-        for name in sorted(spec.communicators):
-            print(
-                f"  {name}: observed {estimates[name]:.6f}  "
-                f"SRG {srgs[name]:.6f}"
-            )
+        command = "resilient"
+        with profiler.stage("resilient-run"):
+            result = ResilientSimulator(
+                spec,
+                arch,
+                implementation,
+                faults=faults,
+                seed=args.seed,
+                monitor=monitor_config,
+                watchdog=WatchdogConfig(),
+                policies=_build_recovery_policies(args),
+                telemetry=bus,
+            ).run(args.iterations)
+        observed = result.limit_averages()
+    else:
+        monitor = None
         if monitor_config is not None:
-            print(
-                f"\nonline monitor: {len(batch_result.monitor_events)} "
-                f"alarm/clear events across {batch_result.runs} runs"
-            )
-            _write_events(batch_result.monitor_events, args.events)
-        _record_ledger(
-            args, spec, arch, implementation, batch_result, "batch",
-            runs=None if adaptive is None else adaptive.stopped_at,
-            metrics=(
-                None if adaptive is None
-                else {"adaptive": adaptive.to_dict()}
-            ),
+            from repro.resilience import LrcMonitor
+
+            monitor = LrcMonitor(spec, monitor_config, sink=bus)
+        simulator = Simulator(
+            spec, arch, implementation, faults=faults, seed=args.seed,
+            monitor=monitor, sinks=bus.sinks,
         )
-        if args.metrics:
-            from repro.telemetry import MetricsSink, record_batch_result
+        command = "scalar"
+        with profiler.stage("scalar-run"):
+            result = simulator.run(args.iterations)
+        observed = result.limit_averages()
 
-            sink = MetricsSink()
-            record_batch_result(sink.registry, batch_result, elapsed)
-            for event in batch_result.monitor_events:
-                sink.on_event(event)
-            _finish_metrics(sink.registry, srgs, spec, args.metrics)
-        if args.profile:
-            print()
-            print(profiler.render())
-        return 0 if batch_result.satisfies_lrcs(slack=args.slack) else 1
-
-    monitor = None
-    if monitor_config is not None:
-        from repro.resilience import LrcMonitor
-
-        monitor = LrcMonitor(spec, monitor_config)
-    tracer, metrics_sink, sinks = _build_telemetry(args, spec)
-    recorder = _build_forensics(args, spec)
-    if recorder is not None:
-        sinks = sinks + (recorder,)
-    simulator = Simulator(
-        spec, arch, implementation, faults=faults, seed=args.seed,
-        monitor=monitor, sinks=sinks,
-    )
-    with profiler.stage("scalar-run"):
-        result = simulator.run(args.iterations)
+    # Report it.
     print(result.summary())
-    averages = result.limit_averages()
     print("\nobserved vs analytic SRG:")
     for name in sorted(spec.communicators):
         print(
-            f"  {name}: observed {averages[name]:.6f}  "
+            f"  {name}: observed {observed[name]:.6f}  "
             f"SRG {srgs[name]:.6f}"
         )
-    if monitor is not None:
-        for event in monitor.events:
-            print(f"  event: {json.dumps(event.to_dict())}")
-        _write_events(monitor.events, args.events)
+    if monitor_config is not None:
+        if args.runs > 1:
+            print(
+                f"\nonline monitor: {len(bus)} events across "
+                f"{result.runs} runs"
+            )
+        else:
+            for event in bus:
+                print(f"  event: {json.dumps(event.to_dict())}")
+        _write_events(bus.events, args.events)
     if recorder is not None:
-        if monitor is not None:
-            # The scalar monitor collects events in its own list;
-            # feed them post-hoc so alarms freeze aggregate chains.
-            for event in monitor.events:
-                recorder.on_event(event)
         _write_forensics(recorder, args.postmortem)
-    _record_ledger(args, spec, arch, implementation, result, "scalar")
+    _record_ledger(
+        args, spec, arch, implementation, result, command,
+        runs=None if adaptive is None else adaptive.stopped_at,
+        metrics=(
+            None if adaptive is None else {"adaptive": adaptive.to_dict()}
+        ),
+    )
     if tracer is not None:
-        if monitor is not None:
-            for event in monitor.events:
-                tracer.on_event(event)
         tracer.close()
         _write_trace(tracer, args.trace)
     if metrics_sink is not None:
-        if monitor is not None:
-            for event in monitor.events:
-                metrics_sink.on_event(event)
-        _finish_metrics(
-            metrics_sink.registry, srgs, spec, args.metrics
-        )
+        _finish_metrics(metrics_sink.registry, srgs, spec, args.metrics)
     if args.profile:
         print()
         print(profiler.render())

@@ -31,7 +31,6 @@ from repro.resilience.events import (
     write_jsonl,
 )
 from repro.resilience.executive import (
-    ResilientBatchResult,
     ResilientResult,
     ResilientSimulator,
     resilient_batch,
@@ -70,7 +69,6 @@ __all__ = [
     "RecoveryPolicy",
     "ReReplicatePolicy",
     "ResilienceEvent",
-    "ResilientBatchResult",
     "ResilientResult",
     "ResilientSimulator",
     "WatchdogConfig",

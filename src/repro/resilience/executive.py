@@ -11,16 +11,17 @@ PR 2 seed contract survives recovery: the same seed produces the same
 fault draws, the same detection instants, the same recovery, and the
 same event stream, run after run.
 
-``resilient_batch`` loops the executive over ``SeedSequence.spawn``
-children — the same spawning the batch executor uses — so run ``k``
-of a resilient batch is bit-identical to a directly constructed
+``resilient_batch`` runs the executive through the batch executor's
+scalar per-run loop over ``SeedSequence.spawn`` children, so it
+returns an ordinary :class:`~repro.runtime.batch.BatchResult` and run
+``k`` is bit-identical to a directly constructed
 :class:`ResilientSimulator` seeded with child ``k``, events included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from repro.arch.architecture import Architecture
 from repro.errors import RuntimeSimulationError
 from repro.mapping.implementation import Implementation
 from repro.model.specification import Specification
-from repro.reliability.traces import AbstractTrace
 from repro.resilience.detector import (
     HostFailureDetector,
     WatchdogConfig,
@@ -48,7 +48,8 @@ from repro.resilience.policies import (
     RecoveryPolicy,
     first_applicable,
 )
-from repro.runtime.engine import SimulationResult, Simulator
+from repro.runtime.batch import BatchResult, run_scalar_batch
+from repro.runtime.engine import SimulationResult, Simulator, run_chained
 from repro.runtime.environment import Environment
 from repro.runtime.faults import FaultInjector, NoFaults
 from repro.runtime.voting import Voter, first_non_bottom
@@ -89,28 +90,12 @@ class _EventRelay:
             sink.on_event(event)
 
 
-def _implementation_key(
-    implementation: Implementation,
-) -> tuple:
-    """Hashable identity of a static mapping (for the simulator cache)."""
-    return (
-        tuple(
-            (task, tuple(sorted(hosts)))
-            for task, hosts in sorted(implementation.assignment.items())
-        ),
-        tuple(
-            (comm, tuple(sorted(sensors)))
-            for comm, sensors in sorted(
-                implementation.sensor_binding.items()
-            )
-        ),
-    )
-
-
-@dataclass
-class ResilientResult:
+@dataclass(kw_only=True)
+class ResilientResult(SimulationResult):
     """Outcome of one resilient run: traces, events, and provenance.
 
+    The trace statistics are those of any
+    :class:`~repro.runtime.engine.SimulationResult`;
     ``implementation_log`` records ``(period, implementation)`` for
     the initial mapping and every committed recovery; ``events`` is
     the full resilience stream (monitor, watchdog, recovery) in
@@ -118,45 +103,11 @@ class ResilientResult:
     events_to_jsonl`.
     """
 
-    spec: Specification
-    iterations: int
-    values: dict[str, list[Any]]
     events: tuple[ResilienceEvent, ...]
     implementation_log: tuple[tuple[int, Implementation], ...]
     recoveries: tuple[RecoveryOutcome, ...]
     monitor: "LrcMonitor | None"
     detector: "HostFailureDetector | None"
-    replica_attempts: dict[tuple[str, str], int] = field(
-        default_factory=dict
-    )
-    replica_failures: dict[tuple[str, str], int] = field(
-        default_factory=dict
-    )
-    final_store: dict[str, Any] = field(default_factory=dict)
-
-    # -- trace statistics ----------------------------------------------
-
-    def abstract(self) -> dict[str, AbstractTrace]:
-        """Return the reliability-based abstract trace per communicator."""
-        return {
-            name: AbstractTrace.from_values(name, values)
-            for name, values in self.values.items()
-        }
-
-    def limit_averages(self) -> dict[str, float]:
-        """Return the observed reliable fraction per communicator."""
-        return {
-            name: trace.limit_average()
-            for name, trace in self.abstract().items()
-        }
-
-    def satisfies_lrcs(self, slack: float = 0.0) -> bool:
-        """Check every LRC against the observed limit averages."""
-        averages = self.limit_averages()
-        return all(
-            averages[name] >= comm.lrc - slack
-            for name, comm in self.spec.communicators.items()
-        )
 
     # -- event queries --------------------------------------------------
 
@@ -343,10 +294,6 @@ class ResilientSimulator:
 
     def run(self, iterations: int) -> ResilientResult:
         """Execute *iterations* periods with monitoring and recovery."""
-        if iterations <= 0:
-            raise RuntimeSimulationError(
-                f"iterations must be positive, got {iterations}"
-            )
         rng = (
             self.seed
             if isinstance(self.seed, np.random.Generator)
@@ -356,9 +303,7 @@ class ResilientSimulator:
             self.run_id if self.run_id is not None else derive_run_id(rng)
         )
         telemetry_sinks: "tuple[InstrumentationSink, ...]" = (
-            self.telemetry.engine_sinks()
-            if self.telemetry is not None
-            else ()
+            self.telemetry.sinks if self.telemetry is not None else ()
         ) + self.sinks
         relay = _EventRelay(run_id, telemetry_sinks)
         events = relay.events
@@ -374,87 +319,57 @@ class ResilientSimulator:
             if self.watchdog_config is not None
             else None
         )
-
-        simulators: dict[tuple, Simulator] = {}
-
-        def simulator_for(implementation: Implementation) -> Simulator:
-            key = _implementation_key(implementation)
-            if key not in simulators:
-                simulators[key] = Simulator(
-                    self.spec,
-                    self.arch,
-                    implementation,
-                    environment=self.environment,
-                    faults=self.faults,
-                    voter=self.voter,
-                    actuator_communicators=self.actuators,
-                    seed=rng,
-                    monitor=monitor,
-                    sinks=telemetry_sinks,
-                )
-            return simulators[key]
-
         current = self.implementation
-        period = simulator_for(current).period
-        self.faults.begin_run(rng, iterations * period)
-
-        store: "dict[str, Any] | None" = None
-        values: dict[str, list[Any]] = {
-            name: [] for name in self.spec.communicators
-        }
-        attempts: dict[tuple[str, str], int] = {}
-        failures: dict[tuple[str, str], int] = {}
         implementation_log: list[tuple[int, Implementation]] = [
             (0, current)
         ]
         recoveries: list[RecoveryOutcome] = []
         acted_on: frozenset[str] = frozenset()
 
-        for index in range(iterations):
-            simulator = simulator_for(current)
-            result = simulator.run(
-                1,
-                start_time=index * period,
-                initial_store=store,
-                flush_final_commits=True,
-                reset_faults=False,
+        def build(key: int) -> Simulator:
+            return Simulator(
+                self.spec,
+                self.arch,
+                current,
+                environment=self.environment,
+                faults=self.faults,
+                voter=self.voter,
+                actuator_communicators=self.actuators,
+                seed=rng,
+                monitor=monitor,
+                sinks=telemetry_sinks,
             )
-            store = result.final_store
-            for name, trace in result.values.items():
-                values[name].extend(trace)
-            for key, count in result.replica_attempts.items():
-                attempts[key] = attempts.get(key, 0) + count
-            for key, count in result.replica_failures.items():
-                failures[key] = failures.get(key, 0) + count
 
-            boundary = (index + 1) * period
+        def boundary(
+            index: int, time: int, result: SimulationResult
+        ) -> None:
+            nonlocal current, acted_on
             if detector is None:
-                continue
+                return
             for host, heard in sorted(
                 self._heard_hosts(current, result).items()
             ):
-                detector.observe(host, boundary, heard)
-
+                detector.observe(host, time, heard)
             dead = detector.dead_hosts()
             if (
                 not (dead - acted_on)
                 or not self.policies
                 or len(recoveries) >= self.max_recoveries
             ):
-                continue
+                return
             acted_on = dead
             context = RecoveryContext(
                 spec=self.spec,
                 arch=self.arch,
                 implementation=current,
                 dead_hosts=dead,
-                time=boundary,
+                time=time,
             )
             outcome = first_applicable(self.policies, context)
             if outcome is None:
                 relay.append(
                     RecoveryFailed(
-                        time=boundary,
+                        time=time,
                         dead_hosts=tuple(sorted(dead)),
                         reason=(
                             "no policy produced a configuration whose "
@@ -462,10 +377,10 @@ class ResilientSimulator:
                         ),
                     )
                 )
-                continue
+                return
             relay.append(
                 RecoveryCommitted(
-                    time=boundary,
+                    time=time,
                     policy=outcome.policy,
                     dead_hosts=tuple(sorted(dead)),
                     assignment={
@@ -481,49 +396,23 @@ class ResilientSimulator:
             current = outcome.implementation
             implementation_log.append((index + 1, current))
 
+        # The configuration in force is the latest committed mapping.
+        chained = run_chained(
+            iterations, lambda: len(implementation_log), build, boundary
+        )
         if self.telemetry is not None:
             # The sinks saw each event live (via the relay); the bus
             # list just collects the stamped stream for export.
             self.telemetry.events.extend(events)
 
         return ResilientResult(
-            spec=self.spec,
-            iterations=iterations,
-            values=values,
+            **vars(chained),
             events=tuple(events),
             implementation_log=tuple(implementation_log),
             recoveries=tuple(recoveries),
             monitor=monitor,
             detector=detector,
-            replica_attempts=attempts,
-            replica_failures=failures,
-            final_store=store or {},
         )
-
-
-@dataclass
-class ResilientBatchResult:
-    """Per-run reliable-access counts and events of a resilient batch."""
-
-    spec: Specification
-    runs: int
-    iterations: int
-    reliable_counts: dict[str, np.ndarray]
-    samples_per_run: dict[str, int]
-    events: tuple[ResilienceEvent, ...]
-    recovery_counts: np.ndarray
-    executor: str = "scalar-resilient"
-
-    def limit_averages(self) -> dict[str, np.ndarray]:
-        """Return the per-run reliable fraction per communicator."""
-        return {
-            name: counts / self.samples_per_run[name]
-            for name, counts in self.reliable_counts.items()
-        }
-
-    def events_for_run(self, run: int) -> list[ResilienceEvent]:
-        """Return run *run*'s slice of the event stream, in order."""
-        return [e for e in self.events if e.run == run]
 
 
 def resilient_batch(
@@ -542,36 +431,32 @@ def resilient_batch(
     watchdog: "WatchdogConfig | None" = None,
     policies: Sequence[RecoveryPolicy] = (),
     max_recoveries: int = 4,
-) -> ResilientBatchResult:
+) -> BatchResult:
     """Run *runs* independent resilient simulations on spawned seeds.
 
     Recovery decisions depend on each run's own fault draws, so the
     detect→decide→recover loop is inherently per-run; this helper
-    preserves the batch seed contract by looping the scalar resilient
-    executive over the same ``SeedSequence.spawn`` children the
-    vectorized executor uses.  Run ``k`` (counts and events alike) is
-    bit-identical to ``ResilientSimulator(...,
-    seed=np.random.default_rng(children[k]))``.
+    preserves the batch seed contract by running the scalar resilient
+    executive through :func:`~repro.runtime.batch.run_scalar_batch`
+    over the same ``SeedSequence.spawn`` children the vectorized
+    executor uses.  The result is a
+    :class:`~repro.runtime.batch.BatchResult` with executor
+    ``"scalar-resilient"`` whose ``monitor_events`` hold every run's
+    resilience stream (monitor, watchdog, recovery), tagged with its
+    run index.  Run ``k`` (counts and events alike) is bit-identical
+    to ``ResilientSimulator(...,
+    seed=np.random.default_rng(children[k]))``; its recoveries are its
+    :class:`~repro.resilience.events.RecoveryCommitted` events.
     """
     if runs <= 0:
         raise RuntimeSimulationError(
             f"runs must be positive, got {runs}"
         )
-    children = np.random.SeedSequence(seed).spawn(runs)
-    counts = {
-        name: np.zeros(runs, dtype=np.int64)
-        for name in spec.communicators
-    }
-    samples: dict[str, int] = {}
-    events: list[ResilienceEvent] = []
-    recovery_counts = np.zeros(runs, dtype=np.int64)
-    for k, child in enumerate(children):
-        environment = (
-            environment_factory()
-            if environment_factory is not None
-            else None
-        )
-        simulator = ResilientSimulator(
+
+    def run(
+        environment: Environment | None, rng: np.random.Generator
+    ) -> tuple[SimulationResult, Sequence[ResilienceEvent]]:
+        result = ResilientSimulator(
             spec,
             arch,
             implementation,
@@ -579,33 +464,19 @@ def resilient_batch(
             faults=faults,
             voter=voter,
             actuator_communicators=actuator_communicators,
-            seed=np.random.default_rng(child),
+            seed=rng,
             monitor=monitor,
             watchdog=watchdog,
             policies=policies,
             max_recoveries=max_recoveries,
-        )
-        result = simulator.run(iterations)
-        for name, trace in result.abstract().items():
-            counts[name][k] = trace.reliable_count()
-            samples[name] = len(trace)
-        events.extend(
-            _with_run(event, k) for event in result.events
-        )
-        recovery_counts[k] = len(result.recoveries)
-    return ResilientBatchResult(
-        spec=spec,
-        runs=runs,
-        iterations=iterations,
-        reliable_counts=counts,
-        samples_per_run=samples,
-        events=tuple(events),
-        recovery_counts=recovery_counts,
+        ).run(iterations)
+        return result, result.events
+
+    return run_scalar_batch(
+        spec,
+        np.random.SeedSequence(seed).spawn(runs),
+        iterations,
+        run,
+        environment_factory=environment_factory,
+        executor="scalar-resilient",
     )
-
-
-def _with_run(event: ResilienceEvent, run: int) -> ResilienceEvent:
-    """Return *event* tagged with the batch run index."""
-    import dataclasses
-
-    return dataclasses.replace(event, run=run)

@@ -47,7 +47,8 @@ don't), and (b) a specification whose communicator cycles, if any,
 are broken by independent-model tasks (otherwise reliability
 propagation is a genuine per-iteration recurrence).  When either
 fails, :meth:`run_batch` transparently loops the scalar simulator
-over the same spawned seeds — same counts, scalar speed — which
+over the same spawned seeds (:func:`run_scalar_batch`, the per-run
+loop the resilient batch shares) — same counts, scalar speed — which
 additionally requires task functions to be bound.
 """
 
@@ -74,6 +75,7 @@ from repro.telemetry.profiler import NULL_PROFILER, StageProfiler
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.events import ResilienceEvent
     from repro.resilience.monitor import MonitorConfig
+    from repro.runtime.engine import SimulationResult
     from repro.runtime.executor import BatchExecutor
     from repro.telemetry.convergence import (
         AdaptiveResult,
@@ -95,7 +97,9 @@ class BatchResult:
     period).  ``monitor_events`` holds the online monitor's alarm and
     clear events (empty unless a monitor config was passed), each
     tagged with its batch run index — per run and per communicator
-    exactly the events the scalar monitor would emit.
+    exactly the events the scalar monitor would emit.  A resilient
+    batch (executor ``"scalar-resilient"``) holds each run's whole
+    resilience stream there: monitor, watchdog and recovery events.
     """
 
     spec: Specification
@@ -103,7 +107,7 @@ class BatchResult:
     iterations: int
     reliable_counts: dict[str, np.ndarray]
     samples_per_run: dict[str, int]
-    executor: str  # "vectorized" | "scalar-fallback"
+    executor: str  # "vectorized" | "scalar-fallback" | "scalar-resilient"
     monitor_events: "tuple[ResilienceEvent, ...]" = field(default=())
 
     def monitor_events_for_run(self, run: int) -> "list[ResilienceEvent]":
@@ -799,48 +803,91 @@ class BatchSimulator:
         """Loop the scalar reference executor over the spawned seeds."""
         from repro.runtime.engine import Simulator
 
-        runs = len(children)
-        counts = {
-            name: np.zeros(runs, dtype=np.int64)
-            for name in self.spec.communicators
-        }
-        samples: dict[str, int] = {}
-        monitor_events: "list[ResilienceEvent]" = []
-        for k, child in enumerate(children):
-            environment = (
-                self.environment_factory()
-                if self.environment_factory is not None
-                else None
-            )
+        def run(
+            environment: Environment | None, rng: np.random.Generator
+        ) -> tuple[SimulationResult, Sequence[ResilienceEvent]]:
             run_monitor = None
             if monitor is not None:
                 from repro.resilience.monitor import LrcMonitor
 
                 run_monitor = LrcMonitor(self.spec, monitor)
-            simulator = Simulator(
+            result = Simulator(
                 self.spec,
                 self.arch,
                 self.plan.implementation,
                 environment=environment,
                 faults=self.faults,
-                seed=np.random.default_rng(child),
+                seed=rng,
                 monitor=run_monitor,
+            ).run(iterations)
+            return result, (
+                run_monitor.events if run_monitor is not None else ()
             )
-            result = simulator.run(iterations)
-            for name, trace in result.abstract().items():
-                counts[name][k] = trace.reliable_count()
-                samples[name] = len(trace)
-            if run_monitor is not None:
-                monitor_events.extend(
-                    dataclasses.replace(event, run=k + run_offset)
-                    for event in run_monitor.events
-                )
-        return BatchResult(
-            spec=self.spec,
-            runs=runs,
-            iterations=iterations,
-            reliable_counts=counts,
-            samples_per_run=samples,
+
+        return run_scalar_batch(
+            self.spec,
+            children,
+            iterations,
+            run,
+            environment_factory=self.environment_factory,
             executor="scalar-fallback",
-            monitor_events=tuple(monitor_events),
+            run_offset=run_offset,
         )
+
+
+def run_scalar_batch(
+    spec: Specification,
+    children: Sequence[np.random.SeedSequence],
+    iterations: int,
+    run: Callable[
+        [Environment | None, np.random.Generator],
+        tuple[SimulationResult, Sequence[ResilienceEvent]],
+    ],
+    *,
+    environment_factory: "Callable[[], Environment] | None" = None,
+    executor: str,
+    run_offset: int = 0,
+) -> BatchResult:
+    """Loop a scalar executive over explicit spawned per-run seeds.
+
+    The one per-run loop behind every batch the vectorized kernel
+    cannot take: the batch executor's scalar fallback and the
+    resilient batch.  For child ``k`` it builds a fresh environment
+    (``environment_factory()``, or ``None``), calls ``run(environment,
+    np.random.default_rng(child))`` — which returns the run's result
+    and its resilience events — and records
+    ``result.abstract()[c].reliable_count()`` as run ``k``'s count,
+    and the events tagged with ``run=k + run_offset``.
+    """
+    runs = len(children)
+    counts = {
+        name: np.zeros(runs, dtype=np.int64)
+        for name in spec.communicators
+    }
+    samples: dict[str, int] = {}
+    events: "list[ResilienceEvent]" = []
+    for k, child in enumerate(children):
+        environment = (
+            environment_factory()
+            if environment_factory is not None
+            else None
+        )
+        result, run_events = run(
+            environment, np.random.default_rng(child)
+        )
+        for name, trace in result.abstract().items():
+            counts[name][k] = trace.reliable_count()
+            samples[name] = len(trace)
+        events.extend(
+            dataclasses.replace(event, run=k + run_offset)
+            for event in run_events
+        )
+    return BatchResult(
+        spec=spec,
+        runs=runs,
+        iterations=iterations,
+        reliable_counts=counts,
+        samples_per_run=samples,
+        executor=executor,
+        monitor_events=tuple(events),
+    )

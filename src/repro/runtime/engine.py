@@ -26,7 +26,7 @@ failure injection, which is where fail-silence bites.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Hashable, Iterable, Mapping, TypeVar
 
 import numpy as np
 
@@ -45,6 +45,9 @@ from repro.telemetry.sink import HookSinks, InstrumentationSink
 
 #: Shared empty dispatch table for un-instrumented helper calls.
 _NO_HOOKS = HookSinks()
+
+#: Configuration key of a chained run (see :func:`run_chained`).
+K = TypeVar("K", bound=Hashable)
 
 
 @dataclass
@@ -212,16 +215,7 @@ class Simulator:
                 f"simulating"
             )
         self.plan: SimulationPlan = compile_plan(spec, arch, implementation)
-        # Aliases into the compiled plan, kept for callers that poke at
-        # the simulator's timetable directly.
-        self.periods = spec.periods()
         self.period = self.plan.period
-        self.tick = self.plan.tick
-        self.input_comms = list(self.plan.input_comms)
-        self.write_times = self.plan.write_times
-        self.snap_plan = self.plan.snap_plan
-        self.release_plan = self.plan.release_plan
-        self.commit_plan = self.plan.commit_plan
 
     # ------------------------------------------------------------------
 
@@ -235,8 +229,8 @@ class Simulator:
     ) -> SimulationResult:
         """Execute *iterations* specification periods and record traces.
 
-        The keyword arguments support *chained* runs (used by the
-        mode-switching executive): *start_time* offsets the simulated
+        The keyword arguments support *chained* runs (used by
+        :func:`run_chained`): *start_time* offsets the simulated
         clock (a multiple of the specification period, so scripted
         fault times and time-dependent phases stay absolute),
         *initial_store* carries communicator values over from a
@@ -255,8 +249,9 @@ class Simulator:
                 f"iterations must be positive, got {iterations}"
             )
         spec = self.spec
+        plan = self.plan
         period = self.period
-        tick = self.tick
+        tick = plan.tick
         if start_time % period:
             raise RuntimeSimulationError(
                 f"start_time {start_time} must be a multiple of the "
@@ -315,7 +310,7 @@ class Simulator:
             # before this run's first one belong to the previous
             # (already flushed) run and are skipped.
             start_iteration = start_time // period
-            for write_time, tasks in self.commit_plan.items():
+            for write_time, tasks in plan.commit_plan.items():
                 if now < write_time or (now - write_time) % period:
                     continue
                 commit_iteration = (now - write_time) // period
@@ -332,8 +327,8 @@ class Simulator:
             # uniform per sensor unconditionally, which is what lets
             # the batch executor reproduce this stream from one flat
             # sample per run.
-            for name in self.plan.sensor_plan.get(offset, ()):
-                sensors = self.plan.sensors_of(name, iteration)
+            for name in plan.sensor_plan.get(offset, ()):
+                sensors = plan.sensors_of(name, iteration)
                 physical = self.environment.sense(name, now)
                 failed = [
                     self.faults.sensor_fails(sensor, now, self.rng)
@@ -364,7 +359,7 @@ class Simulator:
                             sink.on_access(name, now, reliable)
 
             # 4. Snapshot input ports whose instance time is due.
-            for task_name, index, comm in self.snap_plan.get(offset, ()):
+            for task_name, index, comm in plan.snap_plan.get(offset, ()):
                 task = spec.tasks[task_name]
                 key = (task_name, iteration)
                 if key not in snapshots:
@@ -373,7 +368,7 @@ class Simulator:
 
             # 5. Release invocations whose read time is due: every
             # replication computes on the identical snapshot.
-            for task_name in self.release_plan.get(offset, ()):
+            for task_name in plan.release_plan.get(offset, ()):
                 self._release(
                     task_name,
                     iteration,
@@ -392,7 +387,7 @@ class Simulator:
             # boundary (write time == period); they are not recorded in
             # this run's trace — a subsequent chained run records the
             # committed values at its first instant.
-            for write_time, tasks in self.commit_plan.items():
+            for write_time, tasks in plan.commit_plan.items():
                 if (horizon - write_time) % period or horizon < write_time:
                     continue
                 commit_iteration = (horizon - write_time) // period
@@ -468,7 +463,7 @@ class Simulator:
         replica_sinks = hooks.on_replica
         for sink in hooks.on_release_start:
             sink.on_release_start(task_name, iteration, now)
-        deadline = iteration * self.period + self.write_times[task_name]
+        deadline = iteration * self.period + self.plan.write_times[task_name]
         result_cache: tuple[Any, ...] | None | str = "unset"
         # Both fault draws are taken unconditionally (the invocation
         # draw, then the broadcast draw): the canonical order must not
@@ -506,3 +501,77 @@ class Simulator:
             )
         for sink in hooks.on_release_end:
             sink.on_release_end(task_name, iteration, now)
+
+
+def run_chained(
+    iterations: int,
+    configuration: Callable[[], K],
+    build: Callable[[K], Simulator],
+    boundary: Callable[[int, int, SimulationResult], None],
+) -> SimulationResult:
+    """Run *iterations* single-period runs back to back as one run.
+
+    The executives that reconfigure a running design at period
+    boundaries (mode switching, recovery) are this loop plus their
+    boundary step.  Before each period, ``configuration()`` names the
+    configuration in force; ``build(key)`` constructs its simulator
+    once, and later periods under the same key reuse it.  Every
+    simulator must share one fault injector, one generator and one
+    period: the first simulator's injector is reset once, for the
+    whole horizon, and each period runs with the store and clock
+    carried over and its boundary commits flushed.  After period
+    ``index``, ``boundary(index, time, result)`` sees that period's
+    result and its end *time*, and may change the configuration of
+    the next period.  The returned result concatenates the periods.
+    """
+    if iterations <= 0:
+        raise RuntimeSimulationError(
+            f"iterations must be positive, got {iterations}"
+        )
+    simulators: dict[K, Simulator] = {}
+
+    def simulator_in_force() -> tuple[K, Simulator]:
+        key = configuration()
+        if key not in simulators:
+            simulators[key] = build(key)
+        return key, simulators[key]
+
+    _, first = simulator_in_force()
+    period = first.period
+    first.faults.begin_run(first.rng, iterations * period)
+    store: dict[str, Any] | None = None
+    values: dict[str, list[Any]] = {
+        name: [] for name in first.spec.communicators
+    }
+    attempts: dict[tuple[str, str], int] = {}
+    failures: dict[tuple[str, str], int] = {}
+    for index in range(iterations):
+        key, simulator = simulator_in_force()
+        if simulator.period != period:
+            raise RuntimeSimulationError(
+                f"configuration {key} has period {simulator.period}, "
+                f"expected {period}; a chained run needs one period"
+            )
+        result = simulator.run(
+            1,
+            start_time=index * period,
+            initial_store=store,
+            flush_final_commits=True,
+            reset_faults=False,
+        )
+        store = result.final_store
+        for name, trace in result.values.items():
+            values[name].extend(trace)
+        for pair, count in result.replica_attempts.items():
+            attempts[pair] = attempts.get(pair, 0) + count
+        for pair, count in result.replica_failures.items():
+            failures[pair] = failures.get(pair, 0) + count
+        boundary(index, (index + 1) * period, result)
+    return SimulationResult(
+        spec=first.spec,
+        iterations=iterations,
+        values=values,
+        replica_attempts=attempts,
+        replica_failures=failures,
+        final_store=store or {},
+    )

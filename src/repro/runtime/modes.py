@@ -10,15 +10,16 @@ reliability analysis of Section 3 applies").
 
 :class:`ModeSwitchingExecutive` runs a compiled program one period at
 a time: each period executes the flattened specification of the
-current mode selection on the reference simulator (with the
-communicator store, clock, fault scripts, and RNG carried across
-periods), then evaluates the switch statements of every module in
+current mode selection on the reference simulator (chained by
+:func:`~repro.runtime.engine.run_chained`, which carries the
+communicator store, clock, fault scripts, and RNG across periods),
+then evaluates the switch statements of every module in
 declaration order — the first condition that returns true wins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -28,32 +29,27 @@ from repro.errors import RuntimeSimulationError
 from repro.htl.compiler import CompiledProgram
 from repro.mapping.implementation import Implementation
 from repro.model.specification import Specification
-from repro.runtime.engine import SimulationResult, Simulator
+from repro.runtime.engine import SimulationResult, Simulator, run_chained
 from repro.runtime.environment import Environment
 from repro.runtime.faults import FaultInjector
 from repro.runtime.voting import Voter, first_non_bottom
 
 
-@dataclass
-class ModeSwitchingResult:
+@dataclass(kw_only=True)
+class ModeSwitchingResult(SimulationResult):
     """Aggregated outcome of a mode-switching run.
 
-    ``values`` concatenates the per-period traces (identical layout to
-    :class:`~repro.runtime.engine.SimulationResult`); ``mode_log[k]``
-    is the mode selection that governed period ``k``; ``switch_log``
-    records every switch as ``(period, module, source, target)``.
+    A :class:`~repro.runtime.engine.SimulationResult` whose ``values``
+    concatenate the per-period traces and whose ``spec`` is the
+    flattened specification of the start selection (every mode shares
+    the program's communicators and their LRCs, so the trace
+    statistics are program-wide); ``mode_log[k]`` is the mode
+    selection that governed period ``k``; ``switch_log`` records every
+    switch as ``(period, module, source, target)``.
     """
 
-    values: dict[str, list[Any]]
     mode_log: list[dict[str, str]]
     switch_log: list[tuple[int, str, str, str]]
-    replica_attempts: dict[tuple[str, str], int] = field(
-        default_factory=dict
-    )
-    replica_failures: dict[tuple[str, str], int] = field(
-        default_factory=dict
-    )
-    final_store: dict[str, Any] = field(default_factory=dict)
 
     def modes_visited(self, module: str) -> list[str]:
         """Return the distinct modes *module* passed through, in order."""
@@ -104,9 +100,6 @@ class ModeSwitchingExecutive:
         self.voter = voter
         self.actuators = actuator_communicators
         self.rng = np.random.default_rng(seed)
-        self._simulators: dict[
-            frozenset[tuple[str, str]], tuple[Specification, Simulator]
-        ] = {}
         self._pending: dict[str, str] = {}
         # Validate all conditions up front so a typo fails fast.
         for module in compiled.program.modules:
@@ -125,23 +118,19 @@ class ModeSwitchingExecutive:
         return Implementation(assignment, binding)
 
     def _simulator_for(
-        self, selection: Mapping[str, str]
-    ) -> tuple[Specification, Simulator]:
-        key = frozenset(selection.items())
-        if key not in self._simulators:
-            spec = self.compiled.specification(selection)
-            simulator = Simulator(
-                spec,
-                self.arch,
-                self._project(spec),
-                environment=self.environment,
-                faults=self.faults,
-                voter=self.voter,
-                actuator_communicators=self.actuators,
-                seed=self.rng,
-            )
-            self._simulators[key] = (spec, simulator)
-        return self._simulators[key]
+        self, selection: tuple[tuple[str, str], ...]
+    ) -> Simulator:
+        spec = self.compiled.specification(dict(selection))
+        return Simulator(
+            spec,
+            self.arch,
+            self._project(spec),
+            environment=self.environment,
+            faults=self.faults,
+            voter=self.voter,
+            actuator_communicators=self.actuators,
+            seed=self.rng,
+        )
 
     def request_switch(self, module: str, target: str) -> None:
         """Request an external mode switch, applied at the next boundary.
@@ -199,63 +188,23 @@ class ModeSwitchingExecutive:
 
     def run(self, iterations: int) -> ModeSwitchingResult:
         """Execute *iterations* periods with live mode switching."""
-        if iterations <= 0:
-            raise RuntimeSimulationError(
-                f"iterations must be positive, got {iterations}"
-            )
         selection = self.compiled.start_selection()
-        store: dict[str, Any] | None = None
-        values: dict[str, list[Any]] = {
-            name: [] for name in self.compiled.communicators
-        }
-        attempts: dict[tuple[str, str], int] = {}
-        failures: dict[tuple[str, str], int] = {}
         mode_log: list[dict[str, str]] = []
         switch_log: list[tuple[int, str, str, str]] = []
-        period = None
-        # Stateful injectors are reset once for the whole chained run
-        # (full horizon), not once per period — each per-period run
-        # below passes reset_faults=False.
-        _, first = self._simulator_for(selection)
-        if self.faults is not None:
-            self.faults.begin_run(
-                self.rng, iterations * first.period
-            )
 
-        for index in range(iterations):
+        def boundary(index: int, time: int, result: SimulationResult) -> None:
+            nonlocal selection
             mode_log.append(dict(selection))
-            spec, simulator = self._simulator_for(selection)
-            if period is None:
-                period = simulator.period
-            elif simulator.period != period:
-                raise RuntimeSimulationError(
-                    f"mode selection {selection} has period "
-                    f"{simulator.period}, expected {period}; mode "
-                    f"switching needs one program-wide period"
-                )
-            result: SimulationResult = simulator.run(
-                1,
-                start_time=index * period,
-                initial_store=store,
-                flush_final_commits=True,
-                reset_faults=False,
-            )
-            store = result.final_store
-            for name, trace in result.values.items():
-                values[name].extend(trace)
-            for key, count in result.replica_attempts.items():
-                attempts[key] = attempts.get(key, 0) + count
-            for key, count in result.replica_failures.items():
-                failures[key] = failures.get(key, 0) + count
             selection = self._evaluate_switches(
-                selection, store, index, switch_log
+                selection, result.final_store, index, switch_log
             )
 
+        chained = run_chained(
+            iterations,
+            lambda: tuple(sorted(selection.items())),
+            self._simulator_for,
+            boundary,
+        )
         return ModeSwitchingResult(
-            values=values,
-            mode_log=mode_log,
-            switch_log=switch_log,
-            replica_attempts=attempts,
-            replica_failures=failures,
-            final_store=store or {},
+            **vars(chained), mode_log=mode_log, switch_log=switch_log
         )

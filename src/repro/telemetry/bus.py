@@ -30,7 +30,7 @@ class TelemetryBus:
         :func:`~repro.telemetry.runid.derive_run_id`).
     sinks:
         Instrumentation sinks that should also see engine hooks; the
-        executors receive them via :meth:`engine_sinks`.
+        executors subscribe them via :attr:`sinks`.
     """
 
     def __init__(
@@ -54,18 +54,8 @@ class TelemetryBus:
         for event in events:
             self.append(event)
 
-    def record_events(self, events: Iterable[Any]) -> None:
-        """Alias of :meth:`extend` for post-hoc event feeding."""
-        self.extend(events)
-
     def __iter__(self) -> Iterator[Any]:
         return iter(self.events)
 
     def __len__(self) -> int:
         return len(self.events)
-
-    # -- executor wiring ------------------------------------------------
-
-    def engine_sinks(self) -> tuple[InstrumentationSink, ...]:
-        """The sinks an executor should call hooks on."""
-        return self.sinks

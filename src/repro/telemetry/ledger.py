@@ -274,11 +274,13 @@ def record_from_result(
     """Build a :class:`RunRecord` from any simulation result.
 
     *result* is duck-typed: anything with ``iterations`` and
-    ``limit_averages()`` (``SimulationResult``, ``ResilientResult``,
-    ``BatchResult``, ``ResilientBatchResult``).  Batch results return
-    per-run arrays from ``limit_averages``; these are pooled by the
-    mean, matching ``srg_estimates`` (all runs share the sample
-    count).
+    ``limit_averages()`` (``SimulationResult`` and its
+    ``ResilientResult`` subclass, or ``BatchResult``, which a
+    resilient batch also returns).  Batch results return per-run
+    arrays from ``limit_averages``; these are pooled by the mean,
+    matching ``srg_estimates`` (all runs share the sample count).
+    The event count is ``len(result.events)`` when present, else
+    ``len(result.monitor_events)``.
     """
     from repro.io import (
         architecture_to_dict,

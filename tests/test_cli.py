@@ -797,9 +797,46 @@ def test_resilient_simulate_records_ledger_and_forensics(
     assert "ledger: recorded entry #0" in out
     doc = json.loads(forensics.read_text())
     # The monitor alarm froze an aggregate chain via the event relay.
-    assert any(c["trigger"] == "lrc-alarm" for c in doc["chains"])
+    alarms = [c for c in doc["chains"] if c["trigger"] == "lrc-alarm"]
+    assert alarms
+    # ...live, in the iteration it was raised (3TS period: 500).
+    for alarm in alarms:
+        assert alarm["iteration"] == alarm["time"] // 500
     assert main(["postmortem", str(forensics)]) == 0
     assert "host:h2" in capsys.readouterr().out
+
+
+def test_simulate_resilient_batch_records_ledger_and_events(
+    workspace, tmp_path, capsys
+):
+    ledger = tmp_path / "runs"
+    events = tmp_path / "events.jsonl"
+    status = main([
+        "simulate",
+        "--htl", str(workspace / "three_tank.htl"),
+        "--arch", str(workspace / "arch.json"),
+        "--impl", str(workspace / "scenario1.json"),
+        "--bindings", str(workspace / "bindings.py"),
+        "--iterations", "60",
+        "--unplug", "h2:5000",
+        "--recover", "re-replicate",
+        "--runs", "3",
+        "--ledger", str(ledger),
+        "--events", str(events),
+    ])
+    assert status == 0
+    (record,) = [
+        json.loads(line)
+        for line in (ledger / "ledger.jsonl").read_text().splitlines()
+    ]
+    assert record["command"] == "resilient-batch"
+    assert record["executor"] == "scalar-resilient"
+    lines = [
+        json.loads(line)
+        for line in events.read_text().splitlines() if line
+    ]
+    assert lines and record["events"] == len(lines)
+    assert all(e["run"] in (0, 1, 2) for e in lines)
 
 
 # ----------------------------------------------------------------------
@@ -816,6 +853,10 @@ def test_resilient_simulate_records_ledger_and_forensics(
         (("--runs", "5", "--jobs", "0"), "--jobs must be >= 1"),
         (("--runs", "5", "--jobs", "-2"), "--jobs must be >= 1"),
         (("--runs", "1", "--jobs", "2"), "use --runs > 1"),
+        (
+            ("--recover", "re-replicate", "--runs", "3", "--jobs", "2"),
+            "drop --jobs",
+        ),
     ],
 )
 def test_simulate_input_validation_exits_2(

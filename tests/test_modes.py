@@ -113,6 +113,9 @@ def test_no_switch_means_start_mode_forever():
     )
     result = executive.run(5)
     assert all(sel["M"] == "up" for sel in result.mode_log)
+    # The result carries the trace statistics of any simulation.
+    assert result.iterations == 5
+    assert set(result.limit_averages()) == {"x", "y"}
     assert result.switch_log == []
     # y = x + 1 = 1 at every commit.
     assert result.values["y"][1:] == [1.0] * 4

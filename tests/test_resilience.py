@@ -608,13 +608,14 @@ def test_resilient_batch_matches_child_seeded_runs():
             seed=np.random.default_rng(child),
             **kwargs,
         ).run(iterations)
-        assert batch.recovery_counts[k] == len(direct.recoveries)
+        got = batch.monitor_events_for_run(k)
+        assert len(direct.recoveries) == sum(
+            isinstance(e, RecoveryCommitted) for e in got
+        )
         expected = [
             {**e.to_dict(), "run": k} for e in direct.events
         ]
-        assert [
-            e.to_dict() for e in batch.events_for_run(k)
-        ] == expected
+        assert [e.to_dict() for e in got] == expected
         for name, trace in direct.abstract().items():
             assert batch.reliable_counts[name][k] == (
                 trace.reliable_count()

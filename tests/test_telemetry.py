@@ -383,16 +383,16 @@ def test_resilient_batch_unchanged_by_stamping_contract():
         policies=(ReReplicatePolicy(),),
     )
     for k in range(2):
-        for event in batch.events_for_run(k):
+        for event in batch.monitor_events_for_run(k):
             assert event.run_id == f"s42/{k}"
     # Merged stream sorts deterministically by (run_id, seq).
     ordered = sorted(
-        batch.events, key=lambda e: (e.run_id, e.seq)
+        batch.monitor_events, key=lambda e: (e.run_id, e.seq)
     )
     assert [e.to_dict() for e in ordered] == [
         e.to_dict()
         for k in range(2)
-        for e in batch.events_for_run(k)
+        for e in batch.monitor_events_for_run(k)
     ]
 
 
@@ -660,11 +660,11 @@ def test_bus_fans_events_to_sinks():
     events = sample_events()
     bus.append(events[0])
     bus.extend(events[1:3])
-    bus.record_events(events[3:])
+    bus.extend(events[3:])
     assert len(bus) == len(events)
     assert [e.kind for e in bus] == [e.kind for e in events]
     assert received == [e.kind for e in events]
-    assert len(bus.engine_sinks()) == 1
+    assert len(bus.sinks) == 1
 
 
 # ----------------------------------------------------------------------
@@ -972,7 +972,7 @@ def test_batch_streams_keep_per_run_seq_monotonic():
         monitor=MonitorConfig(window=20, communicators=("u1", "u2")),
         watchdog=WatchdogConfig(),
     )
-    events = list(batch.events)
+    events = list(batch.monitor_events)
     assert events
     by_run = {}
     for event in events:
