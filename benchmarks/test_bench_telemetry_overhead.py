@@ -127,7 +127,7 @@ def test_bench_batch_profiler_overhead(benchmark, report, bench_scale):
         lambda: run(profiler), rounds=1, iterations=1
     )
     assert profiled.executor == "vectorized"
-    stages = {s.name for s in profiler.stats()}
+    stages = {span["name"] for span in profiler.spans}
     assert {"plan-compile", "fault-precompute", "reduce"} <= stages
 
     plain_elapsed = _best_of(lambda: run())

@@ -1291,7 +1291,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--profile", action="store_true",
-        help="time executor stages and print the profile table",
+        help="time executor stages (shard workers' included) and "
+        "print the profile table",
     )
     simulate.add_argument(
         "--postmortem", metavar="FILE",
@@ -1365,7 +1366,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--no-trace", action="store_true",
-        help="disable distributed span collection (jobs still "
+        help="keep recorded spans out of job traces (jobs still "
         "carry trace ids)",
     )
     serve.set_defaults(handler=_cmd_serve)

@@ -28,7 +28,8 @@ restarts crashed or hung shard workers bit-identically.  The
 asserts the guarantees hold.
 
 PR 9 makes the fleet observable end to end: jobs carry distributed
-trace ids from the client header through forked shard workers
+trace ids from the client header, and one span list per job reaches
+down into the forked shard workers
 (:meth:`~repro.service.jobs.ReliabilityService.job_trace` merges one
 Chrome trace per job), :class:`~repro.service.cache.ServiceMetrics`
 is backed by the PR 4 metrics registry with Prometheus exposition and

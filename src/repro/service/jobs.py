@@ -46,13 +46,16 @@ crashed or hung shard worker is retried (bit-identically) instead of
 failing the job.
 
 Observability (PR 9): every job carries a ``trace_id`` (client-minted
-or server-minted), job-lifecycle stages feed latency histograms in
-:class:`ServiceMetrics`, state transitions stream to a structured
-JSONL :class:`~repro.service.slog.ServiceLog`, finished jobs feed a
-rolling :class:`~repro.service.slo.SloTracker` (p99 latency, error
-burn) surfaced in :meth:`ReliabilityService.health`, and
-:meth:`ReliabilityService.job_trace` merges the job's events with the
-shard workers' spans into one Chrome trace spanning every process.
+or server-minted) and one
+:class:`~repro.telemetry.profiler.StageProfiler`, whose spans — the
+service phases, the kernel stages and the shard workers' spans — feed
+the stage latency histogram in :class:`ServiceMetrics`.  State
+transitions stream to a structured JSONL
+:class:`~repro.service.slog.ServiceLog`, finished jobs feed a rolling
+:class:`~repro.service.slo.SloTracker` (p99 latency, error burn)
+surfaced in :meth:`ReliabilityService.health`, and
+:meth:`ReliabilityService.job_trace` merges the job's events with its
+spans into one Chrome trace spanning every process.
 Tracing is observer-only: spans ride outside batch payloads, so
 results stay bit-identical with tracing on or off.
 
@@ -75,10 +78,11 @@ from repro.service.cache import McKey, ResultCache, ServiceMetrics
 from repro.service.slo import SloTracker
 from repro.service.slog import ServiceLog
 from repro.telemetry.distributed import (
-    TraceContext,
+    SERVICE_PHASES,
     build_job_trace,
     mint_trace_id,
 )
+from repro.telemetry.profiler import StageProfiler
 
 #: Cache outcome of a simulate job -> the ``/metrics`` counter it bumps.
 _OUTCOME_COUNTERS = {
@@ -140,7 +144,8 @@ class Job:
         #: Distributed-tracing correlation key: client-minted (sent in
         #: the X-Repro-Trace-Id header) or server-minted here.
         self.trace_id = trace_id or mint_trace_id()
-        #: Worker shard spans collected after a sharded execution.
+        #: The spans the job's profiler records — service phases,
+        #: kernel stages and shards — when the service traces.
         self.spans: list[dict] = []
         #: Latest convergence snapshot of an adaptive simulate job
         #: (updated at every checkpoint boundary while running).
@@ -323,8 +328,10 @@ class ReliabilityService:
         or ``None`` for an in-memory-only log (always on — the ring
         buffer is cheap and the chaos harness reads it).
     tracing:
-        ``False`` disables distributed span collection (jobs still
-        carry trace ids; the benchmark guard compares both modes).
+        ``False`` keeps the job's spans off ``job.spans``, so its trace
+        holds no recorded spans (jobs still carry trace ids, and the
+        ``/metrics`` stage histogram is fed either way; the benchmark
+        guard compares both modes).
     slo_window:
         Finished-job window for the rolling SLO tracker.
     """
@@ -711,8 +718,8 @@ class ReliabilityService:
         """One merged Chrome trace for *job_id* across every process.
 
         Combines the job's daemon-side lifecycle events (including
-        supervised shard-retry events) with the worker shard spans
-        collected after execution; the client merges its own spans in
+        supervised shard-retry events) with the spans its profiler
+        recorded; the client merges its own spans in
         afterwards (``ServiceClient.job_trace``).  Loads directly in
         ``chrome://tracing``/Perfetto and in ``repro trace``.
         """
@@ -809,9 +816,13 @@ class ReliabilityService:
         with self._lock:
             self._queued -= 1
             self._running += 1
+        profiler = StageProfiler()
+        if self.tracing:
+            job.spans = profiler.spans
         try:
-            self.metrics.observe_stage(
-                "queued", max(0.0, time.time() - job.submitted_at)
+            profiler.record(
+                "queued", job.submitted_at,
+                max(0.0, time.time() - job.submitted_at),
             )
             # A job cancelled or timed out while queued is already
             # terminal: never start it.
@@ -824,19 +835,24 @@ class ReliabilityService:
                     self.metrics.add("jobs_timed_out")
                 return
             if job.start_running():
-                self._execute(job)
+                self._execute(job, profiler)
         finally:
+            for span in profiler.spans:
+                if span["name"] in SERVICE_PHASES:
+                    self.metrics.observe_stage(
+                        span["name"], span["duration_s"]
+                    )
             self._record_outcome(job)
             with self._idle:
                 self._running -= 1
                 self._idle.notify_all()
 
-    def _execute(self, job: Job) -> None:
+    def _execute(self, job: Job, profiler: StageProfiler) -> None:
         try:
             if job.document["kind"] == "verify":
                 result = self._verify(job)
             else:
-                result = self._simulate(job)
+                result = self._simulate(job, profiler)
         except Exception as error:
             message = f"{type(error).__name__}: {error}"
             if job.finish("failed", error=message):
@@ -968,11 +984,8 @@ class ReliabilityService:
             job.emit("shard-retry", **event.to_dict())
         if events:
             self.metrics.add("shard_retries", len(events))
-        # Worker shard spans ride on the executor after execution;
-        # collect them onto the job for the merged distributed trace.
-        job.spans.extend(getattr(executor, "shard_spans", None) or ())
 
-    def _simulate(self, job: Job) -> dict:
+    def _simulate(self, job: Job, profiler: StageProfiler) -> dict:
         """The simulate pipeline: plan, grow, store, persist, reply.
 
         :meth:`ResultCache.plan` finds the longest cached prefix of the
@@ -982,7 +995,10 @@ class ReliabilityService:
         one is extended by its missing tail only (a partial), and no
         prefix simulates everything (a miss).  Every simulated chunk
         runs through the job's executor, so sharded tails are
-        supervised and traced exactly like sharded misses.
+        supervised and traced exactly like sharded misses.  The phases
+        (``cache-lookup``, one ``simulate`` per chunk, ``merge``,
+        ``persist``) are spans of *profiler*, the one the simulator's
+        kernel stages and shards record into too.
 
         With ``adaptive: true``, ``runs`` is a budget: the batch grows
         along the stopping rule's checkpoint schedule, a convergence
@@ -1033,33 +1049,20 @@ class ReliabilityService:
             monitor_window=None if window is None else int(window),
         )
         executor = self._executor(shards) if shards > 1 else None
-        if executor is not None and self.tracing:
-            # Plain attribute set so chaos/test executor factories
-            # participate without changing their constructors.
-            executor.trace_context = TraceContext(
-                job.trace_id, job.id
-            )
 
-        stage_t0 = time.perf_counter()
-        kind, cached = self.cache.plan(key, runs, spec=spec)
-        self.metrics.observe_stage(
-            "cache-lookup", time.perf_counter() - stage_t0
-        )
+        with profiler.stage("cache-lookup"):
+            kind, cached = self.cache.plan(key, runs, spec=spec)
         job.emit(
             "cache", cache=kind,
             cached_runs=0 if cached is None else cached.runs,
         )
-        merge_t0 = None
+        merging = contextlib.ExitStack()
 
         @contextlib.contextmanager
         def on_chunk(start: int, stop: int):
-            nonlocal merge_t0
             job.emit("simulating", runs=stop - start, offset=start)
-            stage_t0 = time.perf_counter()
-            yield
-            self.metrics.observe_stage(
-                "simulate", time.perf_counter() - stage_t0
-            )
+            with profiler.stage("simulate", run_start=start, run_stop=stop):
+                yield
             if executor is not None:
                 self._note_shard_retries(job, executor)
             if rule is None and cached is not None:
@@ -1068,7 +1071,7 @@ class ReliabilityService:
                 job.emit(
                     "merging", cached_runs=start, tail_runs=stop - start
                 )
-                merge_t0 = time.perf_counter()
+                merging.enter_context(profiler.stage("merge"))
 
         def on_snapshot(snapshot, decision) -> None:
             job.convergence = snapshot.to_dict()
@@ -1081,18 +1084,17 @@ class ReliabilityService:
             )
             self._record_convergence_gauges(snapshot)
 
-        growth = BatchSimulator(
-            spec, arch, impl,
-            faults=BernoulliFaults(arch) if bernoulli else None,
-            seed=seed,
-            executor=executor,
-        ).grow(
-            runs, iterations, prefix=cached, rule=rule,
-            monitor=monitor, on_chunk=on_chunk, on_snapshot=on_snapshot,
-        )
-        if merge_t0 is not None:
-            self.metrics.observe_stage(
-                "merge", time.perf_counter() - merge_t0
+        with merging:
+            growth = BatchSimulator(
+                spec, arch, impl,
+                faults=BernoulliFaults(arch) if bernoulli else None,
+                seed=seed,
+                profiler=profiler,
+                executor=executor,
+            ).grow(
+                runs, iterations, prefix=cached, rule=rule,
+                monitor=monitor, on_chunk=on_chunk,
+                on_snapshot=on_snapshot,
             )
         adaptive = growth.adaptive
         if adaptive is not None:
@@ -1122,13 +1124,10 @@ class ReliabilityService:
         metrics = (
             None if adaptive is None else {"adaptive": adaptive.to_dict()}
         )
-        stage_t0 = time.perf_counter()
-        entry = self._persist(
-            job, spec, arch, impl, result, seed, metrics=metrics
-        )
-        self.metrics.observe_stage(
-            "persist", time.perf_counter() - stage_t0
-        )
+        with profiler.stage("persist"):
+            entry = self._persist(
+                job, spec, arch, impl, result, seed, metrics=metrics
+            )
         averages = result.limit_averages()
         rates = {
             name: float(averages[name].mean())

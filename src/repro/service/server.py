@@ -22,8 +22,8 @@ request/response bodies.  Endpoints:
 ``GET /jobs/<id>/stream``
     JSON-lines stream of progress events until the job finishes.
 ``GET /jobs/<id>/trace``
-    The job's merged Chrome trace (daemon lifecycle + shard spans),
-    ready for ``chrome://tracing`` / ``repro trace``.
+    The job's merged Chrome trace (service phases, kernel stages and
+    shard spans), ready for ``chrome://tracing`` / ``repro trace``.
 ``GET /jobs/<id>/convergence``
     The latest convergence snapshot of an adaptive simulate job
     (per-communicator rate, interval half-width, LRC margin, and

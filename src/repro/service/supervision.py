@@ -56,6 +56,7 @@ import numpy as np
 from repro.errors import RuntimeSimulationError
 from repro.runtime.batch import BatchResult
 from repro.runtime.executor import merge_batch_results, shard_slices
+from repro.telemetry.profiler import SHARD_SPAN, span_record
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.monitor import MonitorConfig
@@ -187,13 +188,14 @@ class _ShardPayload:
     samples_per_run: dict[str, int]
     executor: str
     monitor_events: tuple
-    #: Distributed-tracing span dicts recorded by the worker.  They
-    #: ride NEXT TO the batch data, never inside it, so merge — and
-    #: therefore the bit-identity contract — is unaffected by tracing.
-    spans: tuple = ()
+    #: The worker's span dicts: its kernel stage spans and its
+    #: ``shard`` span.  They ride NEXT TO the batch data, never inside
+    #: it, so merge — and therefore the bit-identity contract — is
+    #: unaffected by them.
+    spans: list
 
 
-def _payload_of(result: BatchResult, spans: tuple = ()) -> _ShardPayload:
+def _payload_of(result: BatchResult, spans: list) -> _ShardPayload:
     return _ShardPayload(
         runs=result.runs,
         reliable_counts=result.reliable_counts,
@@ -225,19 +227,42 @@ def _fork_context() -> "Any | None":
         return None
 
 
+def _run_shard(simulator, children, iterations, monitor, offset):
+    """Run one shard's slice; return the result and its new spans.
+
+    The spans are those ``simulator.profiler`` recorded during the
+    slice plus one ``shard`` span around it.  The shard span is timed
+    here rather than through ``simulator.profiler.stage``, so a
+    profiler sees the slice's own stages and nothing wrapped around
+    them.
+    """
+    profiler = simulator.profiler
+    first = len(profiler.spans)
+    started_at = time.time()
+    result = simulator.run_slice(
+        children, iterations, monitor, run_offset=offset,
+    )
+    spans = profiler.spans[first:]
+    spans.append(
+        span_record(
+            SHARD_SPAN, started_at, time.time() - started_at,
+            run_start=offset, run_stop=offset + len(children),
+            worker_pid=os.getpid(),
+        )
+    )
+    return result, spans
+
+
 def _supervised_worker(
     simulator, children, iterations, monitor, offset, conn, action,
-    trace=None,
 ):
     """Entry point of one supervised shard worker.
 
     Applies the optional injected *action* before (or instead of) the
-    real work.  A failed attempt ships no span: only the attempt that
-    succeeds records one, so a retried shard still yields exactly one
-    span.
+    real work.  A failed attempt ships no spans: only the attempt that
+    succeeds does, so a retried shard still yields exactly one
+    ``shard`` span and one set of stage spans.
     """
-    from repro.telemetry.distributed import shard_span
-
     try:
         if action is not None:
             if action.kind == "kill":
@@ -254,13 +279,10 @@ def _supervised_worker(
                 raise RuntimeSimulationError(
                     "chaos: injected worker error"
                 )
-        with shard_span(
-            trace, offset, offset + len(children)
-        ) as recorder:
-            result = simulator.run_slice(
-                children, iterations, monitor, run_offset=offset,
-            )
-        conn.send(("ok", _payload_of(result, tuple(recorder.spans))))
+        result, spans = _run_shard(
+            simulator, children, iterations, monitor, offset
+        )
+        conn.send(("ok", _payload_of(result, spans)))
     except BaseException as error:  # ship the failure to the parent
         try:
             conn.send(("error", f"{type(error).__name__}: {error}"))
@@ -288,7 +310,17 @@ class _ShardState:
         self.conn: Any = None
         self.deadline_at: "float | None" = None
         self.result: "BatchResult | None" = None
-        self.spans: tuple = ()
+
+    def stamp(self, spans: list) -> list:
+        """*spans*, stamped with this shard and its current attempt.
+
+        Workers don't know which attempt they are; stamping happens
+        parent-side, so the surviving spans name the rescue attempt.
+        """
+        for span in spans:
+            span["shard"] = self.index
+            span["attempt"] = self.attempt
+        return spans
 
     def kill(self) -> None:
         """Best-effort terminate of a live worker."""
@@ -327,18 +359,18 @@ class SupervisedShardedExecutor:
         inline with the same retry loop around each slice.
     telemetry:
         Optional bus; :class:`ShardRetryEvent` instances are appended
-        live, and the merged monitor-event stream is replayed in run
-        order after completion, so subscribers observe the stream an
-        unsharded run would have produced.
+        live, and the merged result's monitor events, in run order,
+        go to it after completion, so subscribers observe the stream
+        an unsharded run would have produced.
     chaos:
         Optional :class:`WorkerFaults` plan (testing/chaos only).
-    trace:
-        Optional :class:`~repro.telemetry.distributed.TraceContext`.
-        When set, the successful attempt of every shard records one
-        epoch-stamped span (stamped with the attempt number by the
-        supervisor), merged in run order onto :attr:`shard_spans`
-        after :meth:`execute`.  Failed attempts ship no span, so a
-        kill/retry still leaves exactly one span per shard.
+
+    Every shard's successful attempt adds its spans to
+    ``simulator.profiler``, stamped with ``shard`` and ``attempt``:
+    one ``shard`` span around the slice and, from a forked worker, the
+    stage spans its copy of the profiler recorded.  Failed attempts
+    ship nothing, so a kill/retry still leaves exactly one ``shard``
+    span per shard.
     """
 
     name = "supervised"
@@ -351,7 +383,6 @@ class SupervisedShardedExecutor:
         processes: bool = True,
         telemetry: "TelemetryBus | None" = None,
         chaos: "WorkerFaults | None" = None,
-        trace: "Any | None" = None,
     ) -> None:
         if jobs < 1:
             raise RuntimeSimulationError(
@@ -367,11 +398,8 @@ class SupervisedShardedExecutor:
         self.processes = processes
         self.telemetry = telemetry
         self.chaos = chaos
-        self.trace_context = trace
         #: Retry events of the most recent :meth:`execute` call.
         self.retry_events: list[ShardRetryEvent] = []
-        #: Merged tracing spans of the most recent :meth:`execute`.
-        self.shard_spans: list[dict] = []
 
     # -- the BatchExecutor protocol -------------------------------------
 
@@ -385,7 +413,6 @@ class SupervisedShardedExecutor:
         run_offset: int = 0,
     ) -> BatchResult:
         self.retry_events = []
-        self.shard_spans = []
         slices = shard_slices(len(children), self.jobs)
         context = _fork_context() if self.processes else None
         if not slices:
@@ -393,38 +420,21 @@ class SupervisedShardedExecutor:
                 children, iterations, monitor, run_offset=run_offset
             )
         if len(slices) <= 1 or context is None:
-            shards, span_lists = [], []
-            for index, (start, stop) in enumerate(slices):
-                result, spans = self._execute_inline(
+            shards = [
+                self._execute_inline(
                     simulator, children, iterations, monitor,
                     index, start, stop, run_offset,
                 )
-                shards.append(result)
-                span_lists.append(spans)
+                for index, (start, stop) in enumerate(slices)
+            ]
         else:
-            shards, span_lists = self._supervise(
+            shards = self._supervise(
                 context, simulator, children, iterations, monitor,
                 slices, run_offset,
             )
         merged = merge_batch_results(shards)
-        if self.telemetry is not None or self.trace_context is not None:
-            from repro.telemetry.shardbuffer import (
-                ShardEventBuffer,
-                collect_spans,
-                replay_sharded,
-            )
-
-            buffers = []
-            for index, shard in enumerate(shards):
-                buffer = ShardEventBuffer(shard=index)
-                for event in shard.monitor_events:
-                    buffer.on_event(event)
-                for span in span_lists[index]:
-                    buffer.on_span(span)
-                buffers.append(buffer)
-            if self.telemetry is not None:
-                replay_sharded(buffers, self.telemetry)
-            self.shard_spans = collect_spans(buffers)
+        if self.telemetry is not None:
+            self.telemetry.extend(merged.monitor_events)
         return merged
 
     # -- retry bookkeeping ----------------------------------------------
@@ -460,9 +470,7 @@ class SupervisedShardedExecutor:
     def _execute_inline(
         self, simulator, children, iterations, monitor,
         index, start, stop, run_offset=0,
-    ) -> tuple[BatchResult, tuple]:
-        from repro.telemetry.distributed import shard_span
-
+    ) -> BatchResult:
         state = _ShardState(index, start, stop, offset=run_offset)
         while True:
             action = (
@@ -480,16 +488,14 @@ class SupervisedShardedExecutor:
                     )
                 if action is not None and action.kind == "slow":
                     time.sleep(action.delay_s)
-                with shard_span(
-                    self.trace_context,
-                    run_offset + start, run_offset + stop,
-                    attempt=state.attempt,
-                ) as recorder:
-                    result = simulator.run_slice(
-                        children[start:stop], iterations, monitor,
-                        run_offset=run_offset + start,
-                    )
-                return result, tuple(recorder.spans)
+                result, spans = _run_shard(
+                    simulator, children[start:stop], iterations,
+                    monitor, run_offset + start,
+                )
+                # The stage spans are already on the profiler; only
+                # the shard span is new to it.
+                simulator.profiler.extend(state.stamp(spans)[-1:])
+                return result
             except RuntimeSimulationError as error:
                 if state.attempt >= self.policy.retries:
                     self._give_up(state, str(error))
@@ -515,7 +521,7 @@ class SupervisedShardedExecutor:
             args=(
                 simulator, children[state.start:state.stop],
                 iterations, monitor, state.offset + state.start,
-                child_conn, action, self.trace_context,
+                child_conn, action,
             ),
         )
         process.start()
@@ -530,7 +536,7 @@ class SupervisedShardedExecutor:
     def _supervise(
         self, context, simulator, children, iterations, monitor,
         slices, run_offset=0,
-    ) -> tuple[list[BatchResult], list[tuple]]:
+    ) -> list[BatchResult]:
         from multiprocessing.connection import wait as conn_wait
 
         states = [
@@ -598,12 +604,8 @@ class SupervisedShardedExecutor:
                         state.result = _result_of(
                             payload, simulator, iterations
                         )
-                        # Workers don't know which attempt they are;
-                        # the supervisor stamps it parent-side so the
-                        # surviving span names the rescue attempt.
-                        state.spans = tuple(
-                            {**span, "attempt": state.attempt}
-                            for span in payload.spans
+                        simulator.profiler.extend(
+                            state.stamp(payload.spans)
                         )
                         conn.close()
                         state.conn = None
@@ -629,10 +631,7 @@ class SupervisedShardedExecutor:
             for state in states:
                 state.kill()
             raise
-        return (
-            [state.result for state in states],
-            [state.spans for state in states],
-        )
+        return [state.result for state in states]
 
     def _retire(
         self, state: _ShardState, reason: str, detail: str,

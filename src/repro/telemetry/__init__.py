@@ -16,8 +16,14 @@ Three pillars over one subscriber protocol
   :func:`~repro.telemetry.metrics.record_batch_result` /
   :func:`~repro.telemetry.metrics.record_margins`.
 * **Profiling** — :class:`~repro.telemetry.profiler.StageProfiler`
-  stage timers around the batch executor's phases, with
-  :data:`~repro.telemetry.profiler.NULL_PROFILER` as the free default.
+  is the one recorder of timed intervals: it records one epoch-stamped
+  span per batch-kernel stage, supervised shard and service job
+  phase (shard workers ship theirs home next to the result).  The CLI
+  ``--profile`` table, the service's ``/metrics`` stage histogram and
+  the job's Chrome trace
+  (:func:`~repro.telemetry.distributed.build_job_trace`) all read that
+  one span list; :data:`~repro.telemetry.profiler.NULL_PROFILER` is
+  the free default.
 * **Forensics** — :class:`~repro.telemetry.provenance.
   ProvenanceRecorder` keeps a bounded flight recorder and freezes a
   causal chain (fault source → replicas → vote → write → downstream)
@@ -49,13 +55,10 @@ from repro.telemetry.convergence import (
 from repro.telemetry.distributed import (
     TRACE_ENV,
     TRACE_HEADER,
-    ShardSpanRecorder,
-    TraceContext,
     build_job_trace,
     client_span_record,
     merge_client_events,
     mint_trace_id,
-    shard_span,
     tracing_enabled,
 )
 from repro.telemetry.ledger import (
@@ -81,7 +84,6 @@ from repro.telemetry.profiler import (
     NULL_PROFILER,
     NullProfiler,
     StageProfiler,
-    StageStats,
 )
 from repro.telemetry.postmortem import (
     BlameEntry,
@@ -101,11 +103,6 @@ from repro.telemetry.provenance import (
     ProvenanceRecorder,
 )
 from repro.telemetry.runid import derive_run_id
-from repro.telemetry.shardbuffer import (
-    ShardEventBuffer,
-    collect_spans,
-    replay_sharded,
-)
 from repro.telemetry.sink import (
     HOOK_NAMES,
     HookSinks,
@@ -148,16 +145,12 @@ __all__ = [
     "Regression",
     "RunLedger",
     "RunRecord",
-    "ShardEventBuffer",
-    "ShardSpanRecorder",
     "StageProfiler",
-    "StageStats",
     "StopDecision",
     "StoppingRule",
     "TRACE_ENV",
     "TRACE_HEADER",
     "TelemetryBus",
-    "TraceContext",
     "TraceEvent",
     "TraceSummary",
     "Tracer",
@@ -166,7 +159,6 @@ __all__ = [
     "check_regression",
     "checkpoint_schedule",
     "client_span_record",
-    "collect_spans",
     "content_hash",
     "counterfactual",
     "derive_run_id",
@@ -181,8 +173,6 @@ __all__ = [
     "record_margins",
     "render_postmortem",
     "render_summary",
-    "replay_sharded",
-    "shard_span",
     "sinks_for_hook",
     "snapshot_from_counts",
     "summarize_trace",

@@ -7,38 +7,38 @@ job over at least three processes — the submitting client, the daemon
 worker thread, and the forked shard workers — so this module adds the
 Dapper-style glue that stitches them back together:
 
-* a **trace context** (:class:`TraceContext`) minted by the client
-  (:func:`mint_trace_id`), carried over HTTP in the
-  :data:`TRACE_HEADER` header, and forwarded into forked shard
-  workers through the executor payloads;
+* a **trace id** minted by the client (:func:`mint_trace_id`) and
+  carried over HTTP in the :data:`TRACE_HEADER` header;
 * **epoch-stamped span records** — plain picklable dicts holding
   ``started_at`` (epoch seconds) and ``duration_s``, so spans from
   different processes on one host share a comparable clock without
-  sharing a ``perf_counter`` origin (:func:`shard_span`,
-  :func:`client_span_record`);
+  sharing a ``perf_counter`` origin.  The job's
+  :class:`~repro.telemetry.profiler.StageProfiler` records the daemon
+  and shard spans (shard workers ship theirs home next to the
+  result); the client records its own (:func:`client_span_record`);
 * a **trace builder** (:func:`build_job_trace`) that rebases every
-  span — daemon lifecycle stages derived from the job's event stream,
-  worker shard spans, supervised retry/backoff spans, and client-side
-  submit/429 spans — onto one origin and renders a single Chrome
-  trace-event document, one ``pid`` lane per process, every event
-  stamped with the shared ``trace_id``.
+  span — service phases, kernel stages and shard envelopes, the
+  supervised retry/backoff spans, and client-side submit/429 spans —
+  onto one origin and renders a single Chrome trace-event document,
+  one ``pid`` lane per process, every event stamped with the shared
+  ``trace_id``.
 
 The output loads in ``chrome://tracing`` / Perfetto and summarises
 through the existing ``repro trace`` command.  Everything here is
 observer-only: span records ride *next to* batch results, never inside
 them, so traced runs stay bit-identical to untraced ones.
 
-This module reads wall clocks (span timestamps) and is on the
-determinism-lint allowlist; clocks never reach simulation state.
+Span timestamps are wall-clock readings; they never reach simulation
+state.
 """
 
 from __future__ import annotations
 
 import os
-import time
 import uuid
-from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
+
+from repro.telemetry.profiler import SHARD_SPAN, span_record
 
 #: HTTP header carrying the client-minted trace id.
 TRACE_HEADER = "X-Repro-Trace-Id"
@@ -71,93 +71,6 @@ def mint_trace_id() -> str:
     return uuid.uuid4().hex[:16]
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """The picklable span context a job's processes share.
-
-    Shipped into forked shard workers through the executor payload
-    path, so every span any process records carries the same
-    ``trace_id`` / ``job_id`` pair.
-    """
-
-    trace_id: str
-    job_id: str = ""
-
-    def to_dict(self) -> dict:
-        return {"trace_id": self.trace_id, "job_id": self.job_id}
-
-
-class _NullSpanRecorder:
-    """No-op recorder used when no trace context is attached."""
-
-    spans: tuple = ()
-
-    def __enter__(self) -> "_NullSpanRecorder":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        return None
-
-
-class ShardSpanRecorder:
-    """Records one worker-side shard span with epoch timestamps.
-
-    Used as a context manager around ``run_slice`` inside the worker
-    (forked process or inline fallback).  The resulting span dict is
-    plain JSON-able data, shipped back through the picklable
-    ``_ShardPayload`` — it never touches the batch result itself.
-    """
-
-    def __init__(
-        self,
-        context: TraceContext,
-        run_start: int,
-        run_stop: int,
-        attempt: int = 0,
-    ) -> None:
-        self.context = context
-        self.run_start = run_start
-        self.run_stop = run_stop
-        self.attempt = attempt
-        self.spans: list[dict] = []
-        self._t0 = 0.0
-
-    def __enter__(self) -> "ShardSpanRecorder":
-        self._t0 = time.time()
-        return self
-
-    def __exit__(self, exc_type: Any, *exc: Any) -> None:
-        # Record on success only: a failed attempt ships no payload,
-        # so recording it would orphan a span the parent never sees —
-        # the retry's successful attempt is the one span per shard.
-        if exc_type is None:
-            self.spans.append(
-                {
-                    "kind": "shard-span",
-                    "trace_id": self.context.trace_id,
-                    "job_id": self.context.job_id,
-                    "run_start": self.run_start,
-                    "run_stop": self.run_stop,
-                    "attempt": self.attempt,
-                    "worker_pid": os.getpid(),
-                    "started_at": self._t0,
-                    "duration_s": time.time() - self._t0,
-                }
-            )
-
-
-def shard_span(
-    context: "TraceContext | None",
-    run_start: int,
-    run_stop: int,
-    attempt: int = 0,
-) -> "ShardSpanRecorder | _NullSpanRecorder":
-    """Span recorder for one shard attempt (no-op without a context)."""
-    if context is None:
-        return _NullSpanRecorder()
-    return ShardSpanRecorder(context, run_start, run_stop, attempt)
-
-
 def client_span_record(
     trace_id: str,
     name: str,
@@ -166,28 +79,24 @@ def client_span_record(
     **args: Any,
 ) -> dict:
     """One client-side span (submit round-trip, 429 backoff sleep)."""
-    return {
-        "kind": "client-span",
-        "trace_id": trace_id,
-        "name": name,
-        "started_at": started_at,
-        "duration_s": max(0.0, duration_s),
-        **args,
-    }
+    return span_record(
+        name, started_at, max(0.0, duration_s),
+        kind="client-span", trace_id=trace_id, **args,
+    )
 
 
 # ----------------------------------------------------------------------
 # Building the merged Chrome trace.
 # ----------------------------------------------------------------------
 
-#: Lifecycle stages derived from the job event stream:
-#: (span name, start state, end states in preference order).
-_LIFECYCLE_STAGES = (
-    ("queued", "queued", ("running",)),
-    ("cache-lookup", "running", ("cache",)),
-    ("executing", "simulating", ("merging",)),
-    ("merging", "merging", ()),
+#: The service's job phases; every other span is a kernel stage or a
+#: ``shard`` envelope.
+SERVICE_PHASES = frozenset(
+    {"queued", "cache-lookup", "simulate", "merge", "persist"}
 )
+
+#: Span keys that are not rendered as Chrome-trace ``args``.
+_SPAN_FIELDS = ("kind", "name", "started_at", "duration_s")
 
 _TERMINAL = ("done", "failed", "timed_out", "cancelled")
 
@@ -199,8 +108,11 @@ def _first_at(events: Sequence[Mapping], state: str) -> "float | None":
     return None
 
 
-def _shard_pid(span: Mapping) -> int:
-    return SHARD_PID_BASE + int(span.get("shard", 0))
+def _span_args(span: Mapping) -> dict:
+    return {
+        key: value for key, value in span.items()
+        if key not in _SPAN_FIELDS
+    }
 
 
 def build_job_trace(
@@ -216,13 +128,19 @@ def build_job_trace(
     """Merge one job's evidence into a single Chrome trace document.
 
     *events* is the job's progress-event list (each ``{"seq", "state",
-    "at", ...}``), *spans* the epoch-stamped worker shard spans, and
-    *client_events* any client-side span records.  Every epoch
-    timestamp is rebased onto the earliest one seen (``ts`` is
-    microseconds since that origin, the Chrome convention), so spans
-    from every process line up on one timeline.  The origin is
-    exported in ``otherData.origin_epoch_s`` so late client-side spans
-    can be merged consistently (:func:`merge_client_events`).
+    "at", ...}``), *spans* any span list a
+    :class:`~repro.telemetry.profiler.StageProfiler` recorded, and
+    *client_events* any client-side span records.  A span carrying a
+    ``shard`` key goes on that shard's lane; service phases
+    (:data:`SERVICE_PHASES`) get cat ``lifecycle``, ``shard`` envelopes
+    cat ``shard`` and kernel stages cat ``stage``.  The only spans
+    derived here are the ``job <id>`` umbrella (cat ``job``) and the
+    supervised retry/backoff spans.  Every epoch timestamp is rebased
+    onto the earliest one seen (``ts`` is microseconds since that
+    origin, the Chrome convention), so spans from every process line
+    up on one timeline.  The origin is exported in
+    ``otherData.origin_epoch_s`` so late client-side spans can be
+    merged consistently (:func:`merge_client_events`).
     """
     events = list(events)
     times: list[float] = [float(e["at"]) for e in events if "at" in e]
@@ -239,14 +157,12 @@ def build_job_trace(
     def ts(t: "float | None") -> float:
         return 0.0 if t is None else max(0.0, float(t) - origin) * 1e6
 
-    terminal_at = finished_at
-    if terminal_at is None:
+    end_at = finished_at
+    if end_at is None:
         for state in _TERMINAL:
-            at = _first_at(events, state)
-            if at is not None:
-                terminal_at = at
+            end_at = _first_at(events, state)
+            if end_at is not None:
                 break
-    end_at = terminal_at
     if end_at is None and times:
         end_at = max(times)
 
@@ -265,7 +181,7 @@ def build_job_trace(
 
     meta(CLIENT_PID, "client")
     meta(DAEMON_PID, f"daemon ({job_id})")
-    for shard in sorted({int(s.get("shard", 0)) for s in spans}):
+    for shard in sorted({int(s["shard"]) for s in spans if "shard" in s}):
         meta(SHARD_PID_BASE + shard, f"shard {shard}")
 
     def complete(
@@ -275,7 +191,7 @@ def build_job_trace(
         stop: "float | None",
         pid: int = DAEMON_PID,
         tid: int = 1,
-        **args: Any,
+        args: "Mapping[str, Any] | None" = None,
     ) -> None:
         if start is None:
             return
@@ -289,7 +205,9 @@ def build_job_trace(
                 "dur": max(0.0, float(stop) - float(start)) * 1e6,
                 "pid": pid,
                 "tid": tid,
-                "args": {"trace_id": trace_id, "job": job_id, **args},
+                "args": {
+                    "trace_id": trace_id, "job": job_id, **(args or {}),
+                },
             }
         )
 
@@ -299,22 +217,24 @@ def build_job_trace(
         job_start = _first_at(events, "queued")
     complete(f"job {job_id}", "job", job_start, end_at, tid=0)
 
-    # Daemon lifecycle stages derived from the event stream.
-    for name, start_state, end_states in _LIFECYCLE_STAGES:
-        start = (
-            job_start if start_state == "queued"
-            else _first_at(events, start_state)
+    # The recorded spans: service phases, kernel stages, shards.
+    for span in spans:
+        name = str(span["name"])
+        start = float(span["started_at"])
+        if name == SHARD_SPAN:
+            cat = "shard"
+        elif name in SERVICE_PHASES:
+            cat = "lifecycle"
+        else:
+            cat = "stage"
+        pid, tid = DAEMON_PID, 1
+        if "shard" in span:
+            pid = SHARD_PID_BASE + int(span["shard"])
+            tid = int(span.get("attempt", 0)) + 1
+        complete(
+            name, cat, start, start + float(span["duration_s"]),
+            pid=pid, tid=tid, args=_span_args(span),
         )
-        if start is None:
-            continue
-        stop = None
-        for end_state in end_states:
-            stop = _first_at(events, end_state)
-            if stop is not None:
-                break
-        if stop is None or stop < start:
-            stop = end_at if end_at is not None else start
-        complete(name, "lifecycle", start, max(start, stop))
 
     # Every event as an instant (the audit trail inside the trace).
     for event in events:
@@ -358,29 +278,13 @@ def build_job_trace(
             at + delay,
             pid=SHARD_PID_BASE + shard,
             tid=attempt + 1,
-            shard=shard,
-            attempt=attempt,
-            reason=event.get("reason"),
-            detail=event.get("detail"),
-            delay_s=delay,
-        )
-
-    # Worker shard spans (the successful attempt of each shard).
-    for span in spans:
-        start = float(span["started_at"])
-        complete(
-            f"shard {span.get('shard', 0)} runs "
-            f"[{span.get('run_start', 0)}, {span.get('run_stop', 0)})",
-            "shard",
-            start,
-            start + float(span.get("duration_s", 0.0)),
-            pid=_shard_pid(span),
-            tid=int(span.get("attempt", 0)) + 1,
-            shard=span.get("shard"),
-            attempt=span.get("attempt"),
-            run_start=span.get("run_start"),
-            run_stop=span.get("run_stop"),
-            worker_pid=span.get("worker_pid"),
+            args={
+                "shard": shard,
+                "attempt": attempt,
+                "reason": event.get("reason"),
+                "detail": event.get("detail"),
+                "delay_s": delay,
+            },
         )
 
     doc = {
@@ -405,6 +309,8 @@ def merge_client_events(
     its rebasing origin in ``otherData.origin_epoch_s``, so both sides
     land on one timeline (same-host clocks; skew on a remote client
     shifts the client lane without breaking the daemon/shard lanes).
+    A span that starts before the origin is clipped there; it still
+    ends at its own ``started_at + duration_s``.
     """
     origin = float(
         trace_doc.get("otherData", {}).get("origin_epoch_s", 0.0)
@@ -412,20 +318,18 @@ def merge_client_events(
     trace_id = trace_doc.get("otherData", {}).get("trace_id", "")
     events = trace_doc.setdefault("traceEvents", [])
     for span in client_events:
-        start = float(span["started_at"])
-        args = {
-            key: value
-            for key, value in span.items()
-            if key not in ("kind", "name", "started_at", "duration_s")
-        }
+        start = float(span["started_at"]) - origin
+        stop = start + float(span.get("duration_s", 0.0))
+        start = max(0.0, start)
+        args = _span_args(span)
         args.setdefault("trace_id", trace_id)
         events.append(
             {
                 "name": str(span.get("name", "client")),
                 "cat": "client",
                 "ph": "X",
-                "ts": max(0.0, start - origin) * 1e6,
-                "dur": float(span.get("duration_s", 0.0)) * 1e6,
+                "ts": start * 1e6,
+                "dur": max(0.0, stop - start) * 1e6,
                 "pid": CLIENT_PID,
                 "tid": 1,
                 "args": args,

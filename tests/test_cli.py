@@ -496,16 +496,23 @@ def test_simulate_metrics_and_profile(workspace, tmp_path, capsys):
     assert "repro_srg_lrc_margin" in text
 
 
-def test_simulate_batch_metrics_and_profile(workspace, tmp_path, capsys):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_simulate_batch_metrics_and_profile(
+    workspace, tmp_path, capsys, jobs
+):
     metrics = tmp_path / "metrics.prom"
     status = _simulate(
         workspace, "--iterations", "20", "--runs", "4",
         "--bernoulli", "--metrics", str(metrics), "--profile",
+        "--jobs", jobs,
     )
     assert status == 0
     out = capsys.readouterr().out
     assert "repro_batch_runs" in metrics.read_text()
-    assert "fault-precompute" in out
+    # Sharded, the kernel stages run in the workers and still count.
+    for stage in ("fault-precompute", "status-collapse", "propagate",
+                  "reduce"):
+        assert stage in out
 
 
 def test_simulate_batch_trace_is_an_error(workspace, tmp_path, capsys):

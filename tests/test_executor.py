@@ -36,10 +36,10 @@ from repro.runtime import (
 )
 from repro.service.supervision import SupervisedShardedExecutor
 from repro.telemetry import (
-    ShardEventBuffer,
+    NULL_PROFILER,
+    StageProfiler,
     TelemetryBus,
     record_from_result,
-    replay_sharded,
 )
 
 from strategies import systems
@@ -51,7 +51,7 @@ RELAXED = settings(
 )
 
 
-def three_tank_simulator(seed=7, executor=None):
+def three_tank_simulator(seed=7, executor=None, profiler=None):
     spec = three_tank_spec(
         lrc_u=0.99, functions=bind_control_functions()
     )
@@ -59,6 +59,7 @@ def three_tank_simulator(seed=7, executor=None):
     return spec, arch, BatchSimulator(
         spec, arch, baseline_implementation(),
         faults=BernoulliFaults(arch), seed=seed, executor=executor,
+        profiler=profiler,
     )
 
 
@@ -326,42 +327,8 @@ def test_slice_batch_result_is_prefix_identical():
 
 
 # ----------------------------------------------------------------------
-# The telemetry replay path.
+# The telemetry bus path.
 # ----------------------------------------------------------------------
-
-
-def test_shard_buffers_replay_in_run_order():
-    _, _, simulator = three_tank_simulator()
-    monitor = MonitorConfig(window=3)
-    serial = simulator.run_batch(10, 30, monitor=monitor)
-    shards = run_slices(
-        simulator, 10, 30, shard_slices(10, 3), monitor=monitor
-    )
-    buffers = []
-    for index, shard in enumerate(shards):
-        buffer = ShardEventBuffer(shard=index)
-        buffer.extend(shard.monitor_events)
-        buffers.append(buffer)
-    bus = TelemetryBus(run_id="s7")
-    replayed = replay_sharded(buffers, bus)
-    assert replayed == len(serial.monitor_events)
-    assert tuple(bus.events) == serial.monitor_events
-
-
-def test_shard_buffer_rebases_local_run_indices():
-    _, _, simulator = three_tank_simulator()
-    monitor = MonitorConfig(window=3)
-    serial = simulator.run_batch(10, 30, monitor=monitor)
-    # Simulate a worker reporting *local* indices: run the slice with
-    # run_offset 0 and let the buffer rebase instead.
-    children = np.random.SeedSequence(simulator.seed).spawn(10)
-    local = simulator.run_slice(children[4:10], 30, monitor)
-    buffer = ShardEventBuffer(shard=1, run_offset=4)
-    buffer.extend(local.monitor_events)
-    expected = tuple(
-        event for event in serial.monitor_events if event.run >= 4
-    )
-    assert tuple(buffer.events) == expected
 
 
 def test_sharded_executor_feeds_telemetry_bus():
@@ -373,3 +340,37 @@ def test_sharded_executor_feeds_telemetry_bus():
         10, 30, monitor=MonitorConfig(window=3)
     )
     assert tuple(bus.events) == result.monitor_events
+
+
+@pytest.mark.parametrize("processes", [True, False])
+def test_sharded_executor_records_stage_spans_per_shard(processes):
+    profiler = StageProfiler()
+    _, _, simulator = three_tank_simulator(
+        executor=SupervisedShardedExecutor(3, processes=processes),
+        profiler=profiler,
+    )
+    simulator.run_batch(10, 30, monitor=MonitorConfig(window=3))
+    shards = sorted(
+        (span["run_start"], span["run_stop"], span["shard"])
+        for span in profiler.spans if span["name"] == "shard"
+    )
+    assert shards == [(0, 4, 0), (4, 7, 1), (7, 10, 2)]
+    for shard in range(3):
+        stages = [
+            span["name"] for span in profiler.spans
+            if span.get("shard") == shard and span["name"] != "shard"
+        ]
+        assert stages == [
+            "fault-precompute", "status-collapse", "propagate",
+            "reduce", "monitor",
+        ]
+    assert {span.get("attempt") for span in profiler.spans} == {None, 0}
+
+
+def test_sharded_spans_never_accumulate_on_the_null_profiler():
+    _, _, simulator = three_tank_simulator(
+        executor=SupervisedShardedExecutor(2)
+    )
+    assert simulator.profiler is NULL_PROFILER
+    simulator.run_batch(6, 20)
+    assert NULL_PROFILER.spans == []

@@ -3,11 +3,12 @@
 The acceptance demo is ``test_traced_job_survives_worker_kill``: one
 ``submit`` against a live HTTP daemon running four shards with one
 injected worker kill must yield a single merged Chrome trace — client
-span, daemon lifecycle, all shard spans, and the retry span — under
-one trace id, with exactly one span per shard (no duplicates or
-orphans from the killed attempt) and a seq-monotone event stream.
+span, daemon phases, all shard spans with their kernel stages, and the
+retry span — under one trace id, with exactly one span per shard (no
+duplicates or orphans from the killed attempt) and a seq-monotone
+event stream.
 
-The rest covers the layers underneath: trace-context propagation and
+The rest covers the layers underneath: trace-id propagation and
 the ``REPRO_TRACE=0`` kill-switch, the registry-backed
 :class:`~repro.service.cache.ServiceMetrics` facade, ``/metrics``
 content negotiation, the structured JSONL service log, the SLO
@@ -52,6 +53,8 @@ from repro.telemetry import MetricsRegistry
 from repro.telemetry.distributed import (
     TRACE_HEADER,
     build_job_trace,
+    client_span_record,
+    merge_client_events,
     mint_trace_id,
     tracing_enabled,
 )
@@ -161,10 +164,20 @@ def test_service_tracing_off_still_completes_jobs(tmp_path):
     job = service.submit(simulate_document(seed=33))
     service.run_pending()
     assert job.state == "done"
-    assert job.spans == []  # no shard spans collected
+    assert job.spans == []  # no spans copied onto the job
     # The trace endpoint still renders (lifecycle only).
     doc = service.job_trace(job.id)
     assert doc["traceEvents"]
+    # The stage histogram is fed from the spans either way.
+    metrics = parse_prometheus(service.metrics_exposition())
+    simulate = [
+        value
+        for labels, value in metrics[
+            "repro_service_job_stage_seconds_count"
+        ]
+        if labels == {"stage": "simulate"}
+    ]
+    assert simulate == [1.0]
 
 
 # ----------------------------------------------------------------------
@@ -232,9 +245,11 @@ def test_traced_job_survives_worker_kill(tmp_path):
     # Client + daemon lifecycle + every shard + the retry, merged.
     assert by_cat["client"], "client submit span missing"
     stages = {e["name"] for e in by_cat["lifecycle"]}
-    assert {"queued", "executing"} <= stages
+    assert {"queued", "simulate"} <= stages
     assert len(by_cat["retry"]) == 1
     assert by_cat["retry"][0]["args"]["shard"] == 0
+    assert len(by_cat["job"]) == 1
+    assert [e["name"] for e in spans].count("queued") == 1
 
     # Exactly one span per shard — the killed attempt left neither
     # a duplicate nor an orphan.
@@ -251,6 +266,26 @@ def test_traced_job_survives_worker_kill(tmp_path):
         for e in shard_spans if e["args"]["shard"] != 0
     )
 
+    # Each shard lane carries its worker's kernel stages, inside its
+    # shard span; the killed attempt shipped none.  Rendered ends may
+    # differ by float rounding of epoch-second timestamps (< 1 us).
+    for shard_span in shard_spans:
+        shard = shard_span["args"]["shard"]
+        lane = [
+            e for e in by_cat["stage"] if e["args"].get("shard") == shard
+        ]
+        assert {"propagate", "reduce"} <= {e["name"] for e in lane}
+        assert {e["args"]["attempt"] for e in lane} == {
+            shard_span["args"]["attempt"]
+        }
+        assert all(e["pid"] == shard_span["pid"] for e in lane)
+        for stage in lane:
+            assert stage["ts"] >= shard_span["ts"] - 1.0
+            assert (
+                stage["ts"] + stage["dur"]
+                <= shard_span["ts"] + shard_span["dur"] + 1.0
+            )
+
     # Seq monotonicity of the merged daemon event stream.
     seqs = [
         e["args"]["seq"] for e in events
@@ -258,6 +293,25 @@ def test_traced_job_survives_worker_kill(tmp_path):
     ]
     assert seqs == sorted(seqs)
     assert len(set(seqs)) == len(seqs)
+
+
+def test_client_span_before_origin_keeps_its_true_end():
+    # The client's submit span starts 5 ms before the daemon's origin:
+    # it is clipped there, but must still end where it truly ended.
+    origin = 1000.0
+    doc = build_job_trace(
+        trace_id="t1", job_id="job-1",
+        events=[{"seq": 0, "state": "queued", "at": origin}],
+        submitted_at=origin, finished_at=origin + 0.040,
+    )
+    merge_client_events(
+        doc, [client_span_record("t1", "submit", origin - 0.005, 0.045)]
+    )
+    (span,) = [
+        e for e in doc["traceEvents"] if e.get("cat") == "client"
+    ]
+    assert span["ts"] == 0.0
+    assert span["ts"] + span["dur"] == pytest.approx(40_000.0)
 
 
 def test_tracing_does_not_change_results():

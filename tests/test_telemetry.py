@@ -335,7 +335,7 @@ def test_batch_results_identical_with_and_without_profiler():
         assert np.array_equal(
             plain.reliable_counts[name], profiled.reliable_counts[name]
         )
-    stages = {s.name for s in profiler.stats()}
+    stages = {span["name"] for span in profiler.spans}
     assert {"plan-compile", "fault-precompute", "propagate"} <= stages
 
 
@@ -615,22 +615,31 @@ def test_metrics_dashboard_renders():
 
 def test_profiler_accumulates_stages():
     profiler = StageProfiler(clock=fixed_clock(step=1.0))
+    assert "no stages" in profiler.render()
     with profiler.stage("a"):
         pass
-    with profiler.stage("a"):
+    with profiler.stage("a", shard=1):
         pass
     with profiler.stage("b"):
         pass
-    stats = {s.name: s for s in profiler.stats()}
-    assert stats["a"].calls == 2
-    assert stats["a"].total_seconds == pytest.approx(2.0)
-    assert stats["a"].mean_seconds == pytest.approx(1.0)
-    assert profiler.total_seconds() == pytest.approx(3.0)
-    text = profiler.render()
-    assert "a" in text and "total" in text
-    profiler.reset()
-    assert profiler.stats() == []
-    assert "no stages" in profiler.render()
+    assert profiler.spans == [
+        {"name": "a", "started_at": 1.0, "duration_s": 1.0},
+        {"name": "a", "started_at": 3.0, "duration_s": 1.0, "shard": 1},
+        {"name": "b", "started_at": 5.0, "duration_s": 1.0},
+    ]
+    # A worker's spans fold in; its shard envelope stays off the table.
+    profiler.extend(
+        [
+            {"name": "b", "started_at": 7.0, "duration_s": 2.0},
+            {"name": "shard", "started_at": 7.0, "duration_s": 3.0},
+        ]
+    )
+    lines = profiler.render().splitlines()
+    assert lines[0] == "stage profile (wall seconds)"
+    assert lines[1].split() == ["a", "2.000000s", "x2", "40.0%"]
+    assert lines[2].split() == ["b", "3.000000s", "x2", "60.0%"]
+    assert lines[3].split() == ["total", "5.000000s"]
+    assert len(lines) == 4
 
 
 def test_null_profiler_is_inert_and_shared():
@@ -641,7 +650,10 @@ def test_null_profiler_is_inert_and_shared():
     assert timer_a is timer_b  # shared no-op timer, no allocation
     with timer_a:
         pass
-    assert NULL_PROFILER.stats() == []
+    NULL_PROFILER.record("x", 0.0, 1.0)
+    NULL_PROFILER.extend([{"name": "y", "started_at": 0.0,
+                           "duration_s": 1.0}])
+    assert NULL_PROFILER.spans == []
 
 
 # ----------------------------------------------------------------------
