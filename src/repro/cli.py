@@ -859,7 +859,7 @@ def _cmd_runs(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import serve
+    from repro.service import ReliabilityService, serve
 
     if args.workers < 1:
         raise ReproError(
@@ -886,9 +886,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"--timeout must be > 0, got {args.timeout}"
         )
     functions, conditions = _load_bindings(args.bindings)
-    serve(
-        host=args.host,
-        port=args.port,
+    service = ReliabilityService(
         workers=args.workers,
         ledger=args.ledger,
         functions=functions,
@@ -902,6 +900,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         log=args.log,
         tracing=not args.no_trace,
     )
+    serve(service, host=args.host, port=args.port)
     return 0
 
 

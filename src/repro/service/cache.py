@@ -16,25 +16,29 @@ the stored result, and a larger one only needs the missing tail of
 children simulated and merged.  :meth:`ResultCache.plan` classifies a
 query into ``hit`` / ``partial`` / ``miss`` accordingly.
 
-PR 8 hardens and bounds the store:
+Both kinds of entry — Monte-Carlo batches (``"mc"``) and verify
+reports (``"verify"``) — go through one store path:
 
-* **LRU bounds** — ``max_entries`` / ``max_bytes`` cap the in-memory
-  footprint; least-recently-used entries are evicted (never the one
-  just stored) and evictions are counted through the attached
+* **LRU bound** — each kind keeps its own in-memory LRU of at most
+  ``max_entries`` entries; the least-recently-used ones are evicted
+  (never the one just stored) and counted as
+  ``<kind>_cache_evictions`` through the attached
   :class:`ServiceMetrics`.
-* **Crash-safe persistence** — with a ``root`` directory, entries are
-  spilled to one JSON file each, written atomically (temp file +
-  rename via :func:`~repro.telemetry.ledger.write_atomic`) with an
-  embedded content checksum.  A truncated or garbled file is detected
-  on load, quarantined to ``<name>.corrupt``, and treated as a cache
-  miss — a half-written cache can cost a recomputation, never a wrong
-  answer or a crash.  Memory eviction keeps the disk copy, so a
-  bounded memory cache still answers from disk.
+* **Crash-safe persistence** — with a ``root`` directory, every
+  stored entry is spilled to one file, ``<kind>-<key hash>.json``,
+  written atomically (temp file + rename via
+  :func:`~repro.telemetry.ledger.write_atomic`) as a sealed record
+  (:func:`~repro.telemetry.ledger.seal`, the run ledger's line
+  format).  A memory miss thaws the file (``<kind>_cache_disk_hits``);
+  a truncated, garbled, unchecked or foreign file is quarantined to
+  ``<name>.corrupt`` and treated as a cache miss — a half-written
+  cache can cost a recomputation, never a wrong answer or a crash.
+  Memory eviction keeps the disk copy, so a bounded memory cache
+  still answers from disk.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
@@ -43,7 +47,12 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.telemetry.ledger import content_hash, write_atomic
+from repro.telemetry.ledger import (
+    content_hash,
+    seal,
+    unseal,
+    write_atomic,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.batch import BatchResult
@@ -104,6 +113,11 @@ _LEGACY_COUNTERS: dict[str, tuple[str, tuple, str]] = {
     "mc_cache_disk_hits": (
         "repro_service_cache_events_total",
         (("cache", "mc"), ("outcome", "disk_hit")),
+        "Cache lookups and evictions by outcome.",
+    ),
+    "verify_cache_disk_hits": (
+        "repro_service_cache_events_total",
+        (("cache", "verify"), ("outcome", "disk_hit")),
         "Cache lookups and evictions by outcome.",
     ),
     "verify_cache_hits": (
@@ -170,7 +184,6 @@ class ServiceMetrics:
             self._legacy[name] = self.registry.counter(
                 metric, labels=dict(labels), help=help_text
             )
-        self._gauges: dict[tuple, Any] = {}
 
     # -- the legacy flat-counter API ------------------------------------
 
@@ -249,24 +262,12 @@ class ServiceMetrics:
         help: str = "",
     ) -> None:
         with self._lock:
-            key = (name, tuple(sorted((labels or {}).items())))
-            gauge = self._gauges.get(key)
-            if gauge is None:
-                gauge = self.registry.gauge(
-                    name, labels=labels, help=help
-                )
-                self._gauges[key] = gauge
-            gauge.set(value)
+            self.registry.gauge(name, labels=labels, help=help).set(value)
 
     def to_prometheus(self) -> str:
         """Prometheus text exposition of every registered metric."""
         with self._lock:
             return self.registry.to_prometheus()
-
-    def registry_snapshot(self) -> dict:
-        """The registry's structured (labelled) snapshot."""
-        with self._lock:
-            return self.registry.snapshot()
 
 
 def _estimate_bytes(result: "BatchResult") -> int:
@@ -278,16 +279,67 @@ def _estimate_bytes(result: "BatchResult") -> int:
     return size
 
 
+def _key_document(kind: str, key: Any) -> Any:
+    """The JSON form of a cache key, as its spill file records it."""
+    return asdict(key) if kind == "mc" else list(key)
+
+
+def _freeze(kind: str, value: Any) -> dict:
+    """The spill-file fields of one entry (besides ``kind``/``key``)."""
+    if kind == "verify":
+        return {"report": value}
+    return {
+        "runs": int(value.runs),
+        "iterations": int(value.iterations),
+        "executor": value.executor,
+        "samples_per_run": {
+            name: int(count)
+            for name, count in value.samples_per_run.items()
+        },
+        "counts": {
+            name: [int(v) for v in counts]
+            for name, counts in value.reliable_counts.items()
+        },
+        "events": [event.to_dict() for event in value.monitor_events],
+    }
+
+
+def _thaw(kind: str, doc: dict, spec: Any) -> Any:
+    """Rebuild the entry :func:`_freeze` wrote; raises if it cannot."""
+    if kind == "verify":
+        if not isinstance(doc["report"], dict):
+            raise ValueError("verify report is not an object")
+        return doc["report"]
+    from repro.resilience.events import event_from_dict
+    from repro.runtime.batch import BatchResult
+
+    return BatchResult(
+        spec=spec,
+        runs=int(doc["runs"]),
+        iterations=int(doc["iterations"]),
+        reliable_counts={
+            name: np.asarray(values, dtype=np.int64)
+            for name, values in doc["counts"].items()
+        },
+        samples_per_run={
+            name: int(count)
+            for name, count in doc["samples_per_run"].items()
+        },
+        executor=str(doc["executor"]),
+        monitor_events=tuple(
+            event_from_dict(event) for event in doc["events"]
+        ),
+    )
+
+
 class ResultCache:
     """Memo of Monte-Carlo batches and verification reports.
 
     Parameters
     ----------
-    max_entries / max_bytes:
-        LRU bounds on the in-memory Monte-Carlo store (``None`` means
-        unbounded, the PR 7 behaviour).  ``max_entries`` also bounds
-        the on-disk spill directory.  Verify reports share
-        ``max_entries`` (they are tiny, so no byte bound).
+    max_entries:
+        LRU bound per entry kind on the in-memory store (``None``
+        means unbounded); it also sizes the on-disk spill budget.
     root:
         Optional spill directory for crash-safe persistence.
     metrics:
@@ -298,7 +350,6 @@ class ResultCache:
     def __init__(
         self,
         max_entries: "int | None" = None,
-        max_bytes: "int | None" = None,
         root: "str | Path | None" = None,
         metrics: "ServiceMetrics | None" = None,
     ) -> None:
@@ -308,18 +359,17 @@ class ResultCache:
             raise ValueError(
                 f"max_entries must be >= 1, got {max_entries}"
             )
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError(
-                f"max_bytes must be >= 1, got {max_bytes}"
-            )
         self.max_entries = max_entries
-        self.max_bytes = max_bytes
         self.root = None if root is None else Path(root)
         self.metrics = metrics
         self._lock = threading.Lock()
-        self._mc: "OrderedDict[McKey, BatchResult]" = OrderedDict()
-        self._mc_bytes: dict[McKey, int] = {}
-        self._verify: "OrderedDict[Any, dict]" = OrderedDict()
+        #: One LRU store per kind: ``"mc"`` maps :class:`McKey` to
+        #: :class:`BatchResult`, ``"verify"`` a design fingerprint to
+        #: its report document.
+        self._stores: "dict[str, OrderedDict[Any, Any]]" = {
+            "mc": OrderedDict(),
+            "verify": OrderedDict(),
+        }
 
     def _bump(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None:
@@ -342,15 +392,7 @@ class ResultCache:
         :class:`BatchResult` from its serialised form, so without it
         disk entries cannot be thawed and count as misses.
         """
-        with self._lock:
-            cached = self._mc.get(key)
-            if cached is not None:
-                self._mc.move_to_end(key)
-        if cached is None and self.root is not None and spec is not None:
-            cached = self._load_mc(key, spec)
-            if cached is not None:
-                self._bump("mc_cache_disk_hits")
-                self._admit(key, cached, spill=False)
+        cached = self._lookup("mc", key, spec)
         if cached is None:
             return "miss", None
         if cached.runs >= runs:
@@ -360,79 +402,76 @@ class ResultCache:
     def store(self, key: McKey, result: "BatchResult") -> None:
         """Store *result* if it extends the cached entry."""
         with self._lock:
-            cached = self._mc.get(key)
+            cached = self._stores["mc"].get(key)
             extends = cached is None or result.runs > cached.runs
         if extends:
-            self._admit(key, result, spill=True)
-
-    def _admit(
-        self, key: McKey, result: "BatchResult", spill: bool
-    ) -> None:
-        """Insert into the LRU store, evict over-limit tails, spill."""
-        with self._lock:
-            self._mc[key] = result
-            self._mc.move_to_end(key)
-            self._mc_bytes[key] = _estimate_bytes(result)
-            evicted = 0
-            while len(self._mc) > 1 and (
-                (
-                    self.max_entries is not None
-                    and len(self._mc) > self.max_entries
-                )
-                or (
-                    self.max_bytes is not None
-                    and sum(self._mc_bytes.values()) > self.max_bytes
-                )
-            ):
-                victim, _ = self._mc.popitem(last=False)
-                self._mc_bytes.pop(victim, None)
-                evicted += 1
-        if evicted:
-            self._bump("mc_cache_evictions", evicted)
-        if spill and self.root is not None:
-            self._spill_mc(key, result)
+            self._admit("mc", key, result, spill=True)
 
     # -- verification reports ------------------------------------------
 
     def get_verify(self, key: Any) -> "dict | None":
+        return self._lookup("verify", key)
+
+    def store_verify(self, key: Any, report: dict) -> None:
+        self._admit("verify", key, report, spill=True)
+
+    # -- the one store path ---------------------------------------------
+
+    def _lookup(self, kind: str, key: Any, spec: Any = None) -> Any:
+        """Memory hit, else disk thaw (admitted, not re-spilled)."""
+        store = self._stores[kind]
         with self._lock:
-            cached = self._verify.get(key)
+            cached = store.get(key)
             if cached is not None:
-                self._verify.move_to_end(key)
-        if cached is None and self.root is not None:
-            cached = self._load_verify(key)
-            if cached is not None:
-                self.store_verify(key, cached, spill=False)
+                store.move_to_end(key)
+                return cached
+        if self.root is None or (kind == "mc" and spec is None):
+            return None
+        cached = self._load(kind, key, spec)
+        if cached is not None:
+            self._bump(f"{kind}_cache_disk_hits")
+            self._admit(kind, key, cached, spill=False)
         return cached
 
-    def store_verify(
-        self, key: Any, report: dict, spill: bool = True
-    ) -> None:
+    def _admit(self, kind: str, key: Any, value: Any, spill: bool) -> None:
+        """Insert into the kind's LRU, evict over-limit tails, spill."""
+        store = self._stores[kind]
         evicted = 0
         with self._lock:
-            self._verify[key] = report
-            self._verify.move_to_end(key)
+            store[key] = value
+            store.move_to_end(key)
+            # max_entries >= 1 and the new entry is last: never evicted.
             while (
                 self.max_entries is not None
-                and len(self._verify) > max(1, self.max_entries)
+                and len(store) > self.max_entries
             ):
-                self._verify.popitem(last=False)
+                store.popitem(last=False)
                 evicted += 1
         if evicted:
-            self._bump("verify_cache_evictions", evicted)
+            self._bump(f"{kind}_cache_evictions", evicted)
         if spill and self.root is not None:
-            self._spill_verify(key, report)
+            write_atomic(
+                self._path(kind, key),
+                seal({
+                    "kind": kind,
+                    "key": _key_document(kind, key),
+                    **_freeze(kind, value),
+                }),
+            )
+            self._trim_disk()
 
     # -- introspection ---------------------------------------------------
 
     def stats(self) -> dict[str, int]:
         """Occupancy snapshot for ``/healthz``."""
         with self._lock:
-            doc = {
-                "mc_entries": len(self._mc),
-                "mc_bytes": sum(self._mc_bytes.values()),
-                "verify_entries": len(self._verify),
-            }
+            batches = list(self._stores["mc"].values())
+            verify_entries = len(self._stores["verify"])
+        doc = {
+            "mc_entries": len(batches),
+            "mc_bytes": sum(_estimate_bytes(batch) for batch in batches),
+            "verify_entries": verify_entries,
+        }
         if self.root is not None:
             doc["disk_entries"] = (
                 len(list(self.root.glob("*.json")))
@@ -442,17 +481,35 @@ class ResultCache:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._mc) + len(self._verify)
+            return sum(len(store) for store in self._stores.values())
 
     # -- the spill directory --------------------------------------------
 
-    def _mc_path(self, key: McKey) -> Path:
+    def _path(self, kind: str, key: Any) -> Path:
         assert self.root is not None
-        return self.root / f"mc-{content_hash(asdict(key))}.json"
+        return self.root / (
+            f"{kind}-{content_hash(_key_document(kind, key))}.json"
+        )
 
-    def _verify_path(self, key: Any) -> Path:
-        assert self.root is not None
-        return self.root / f"verify-{content_hash(list(key))}.json"
+    def _load(self, kind: str, key: Any, spec: Any) -> Any:
+        """Thaw one spill file; quarantine whatever does not rebuild."""
+        path = self._path(kind, key)
+        if not path.exists():
+            return None
+        try:
+            doc = unseal(path.read_text(encoding="utf-8"))
+            if (
+                doc is None
+                or doc.get("kind") != kind
+                or doc.get("key") != _key_document(kind, key)
+            ):
+                raise ValueError("corrupt or foreign spill file")
+            return _thaw(kind, doc, spec)
+        except Exception:
+            # Unreadable, unsealed, another key's file (a hash
+            # collision) or schema drift: all take the same path.
+            self._quarantine(path)
+            return None
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt spill file aside and count it."""
@@ -461,29 +518,6 @@ class ResultCache:
         except OSError:  # pragma: no cover - already gone
             pass
         self._bump("cache_corrupt_quarantined")
-
-    def _read_sealed(self, path: Path) -> "dict | None":
-        """Load one checksummed spill file; quarantine on corruption."""
-        if not path.exists():
-            return None
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-            self._quarantine(path)
-            return None
-        if not isinstance(doc, dict):
-            self._quarantine(path)
-            return None
-        check = doc.pop("check", None)
-        if check is None or check != content_hash(doc):
-            self._quarantine(path)
-            return None
-        return doc
-
-    def _write_sealed(self, path: Path, doc: dict) -> None:
-        sealed = {**doc, "check": content_hash(doc)}
-        write_atomic(path, json.dumps(sealed, sort_keys=True))
-        self._trim_disk()
 
     def _trim_disk(self) -> None:
         """Bound the spill directory, oldest files first.
@@ -505,77 +539,3 @@ class ResultCache:
                 victim.unlink()
             except OSError:  # pragma: no cover - concurrent removal
                 pass
-
-    def _spill_mc(self, key: McKey, result: "BatchResult") -> None:
-        doc = {
-            "kind": "mc",
-            "key": asdict(key),
-            "runs": int(result.runs),
-            "iterations": int(result.iterations),
-            "executor": result.executor,
-            "samples_per_run": {
-                name: int(value)
-                for name, value in result.samples_per_run.items()
-            },
-            "counts": {
-                name: [int(v) for v in counts]
-                for name, counts in result.reliable_counts.items()
-            },
-            "events": [
-                event.to_dict() for event in result.monitor_events
-            ],
-        }
-        self._write_sealed(self._mc_path(key), doc)
-
-    def _load_mc(self, key: McKey, spec: Any) -> "BatchResult | None":
-        path = self._mc_path(key)
-        doc = self._read_sealed(path)
-        if doc is None:
-            return None
-        try:
-            if doc.get("kind") != "mc" or doc.get("key") != asdict(key):
-                raise ValueError("key mismatch")
-            from repro.resilience.events import event_from_dict
-            from repro.runtime.batch import BatchResult
-
-            return BatchResult(
-                spec=spec,
-                runs=int(doc["runs"]),
-                iterations=int(doc["iterations"]),
-                reliable_counts={
-                    name: np.asarray(values, dtype=np.int64)
-                    for name, values in doc["counts"].items()
-                },
-                samples_per_run={
-                    name: int(value)
-                    for name, value in doc["samples_per_run"].items()
-                },
-                executor=str(doc["executor"]),
-                monitor_events=tuple(
-                    event_from_dict(event) for event in doc["events"]
-                ),
-            )
-        except Exception:
-            # Checksum passed but the payload does not reconstruct
-            # (schema drift, key collision): same quarantine path.
-            self._quarantine(path)
-            return None
-
-    def _spill_verify(self, key: Any, report: dict) -> None:
-        self._write_sealed(
-            self._verify_path(key),
-            {"kind": "verify", "key": list(key), "report": report},
-        )
-
-    def _load_verify(self, key: Any) -> "dict | None":
-        path = self._verify_path(key)
-        doc = self._read_sealed(path)
-        if doc is None:
-            return None
-        if doc.get("kind") != "verify" or tuple(
-            doc.get("key", ())
-        ) != tuple(key):
-            self._quarantine(path)
-            return None
-        report = doc.get("report")
-        return report if isinstance(report, dict) else None

@@ -285,26 +285,6 @@ class ServiceClient:
             "GET", f"/jobs/{job_id}/events?since={since}"
         )
 
-    def follow(
-        self,
-        job_id: str,
-        on_event: "Callable[[dict], None] | None" = None,
-    ) -> dict:
-        """Long-poll progress events until the job finishes.
-
-        Calls *on_event* for every event in order and returns the
-        final job document.
-        """
-        since = 0
-        while True:
-            reply = self.events(job_id, since=since)
-            for event in reply.get("events", []):
-                if on_event is not None:
-                    on_event(event)
-            since += len(reply.get("events", []))
-            if reply.get("done"):
-                return self.job(job_id)
-
     def iter_events(self, job_id: str) -> Iterator[dict]:
         """Yield progress events until the job reaches a terminal state."""
         since = 0

@@ -312,13 +312,16 @@ class ReliabilityService:
         ``None`` keeps the PR 7 unbounded queue.
     shard_retries / shard_deadline_s:
         Supervision knobs for sharded simulations: re-executions
-        allowed per failed shard worker, and the per-shard hang
-        deadline (``None`` disables hang detection).
-    cache_entries / cache_bytes / cache_dir:
-        :class:`~repro.service.cache.ResultCache` LRU bounds and
-        crash-safe spill directory.
+        allowed per failed shard worker (``>= 0``), and the per-shard
+        hang deadline in seconds (``> 0``; ``None`` disables hang
+        detection).
+    cache_entries / cache_dir:
+        :class:`~repro.service.cache.ResultCache` LRU bound per entry
+        kind (``>= 1``; ``None`` is unbounded) and crash-safe spill
+        directory.
     default_timeout_s:
-        Deadline applied to jobs that do not carry ``timeout_s``.
+        Deadline in seconds (``> 0``) applied to jobs that do not
+        carry ``timeout_s``.
     executor_factory:
         Testing/chaos hook: ``factory(shards) -> BatchExecutor``
         overriding the supervised default for sharded simulations.
@@ -332,8 +335,6 @@ class ReliabilityService:
         holds no recorded spans (jobs still carry trace ids, and the
         ``/metrics`` stage histogram is fed either way; the benchmark
         guard compares both modes).
-    slo_window:
-        Finished-job window for the rolling SLO tracker.
     """
 
     def __init__(
@@ -346,13 +347,11 @@ class ReliabilityService:
         shard_retries: int = 2,
         shard_deadline_s: "float | None" = None,
         cache_entries: "int | None" = None,
-        cache_bytes: "int | None" = None,
         cache_dir: "str | None" = None,
         default_timeout_s: "float | None" = None,
         executor_factory: "Callable[[int], Any] | None" = None,
         log: "ServiceLog | str | None" = None,
         tracing: bool = True,
-        slo_window: int = 512,
     ) -> None:
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
@@ -364,10 +363,22 @@ class ReliabilityService:
             raise ServiceError(
                 f"shard_retries must be >= 0, got {shard_retries}"
             )
+        if shard_deadline_s is not None and shard_deadline_s <= 0:
+            raise ServiceError(
+                f"shard_deadline_s must be > 0, got {shard_deadline_s}"
+            )
+        if cache_entries is not None and cache_entries < 1:
+            raise ServiceError(
+                f"cache_entries must be >= 1, got {cache_entries}"
+            )
+        if default_timeout_s is not None and default_timeout_s <= 0:
+            raise ServiceError(
+                f"default_timeout_s must be > 0, got {default_timeout_s}"
+            )
+        self.workers = workers
         self.metrics = ServiceMetrics()
         self.cache = ResultCache(
             max_entries=cache_entries,
-            max_bytes=cache_bytes,
             root=cache_dir,
             metrics=self.metrics,
         )
@@ -383,7 +394,7 @@ class ReliabilityService:
         self.log = (
             log if isinstance(log, ServiceLog) else ServiceLog(log)
         )
-        self.slo = SloTracker(window=slo_window)
+        self.slo = SloTracker()
         self.started_at = time.time()
         self._started_monotonic = time.monotonic()
         self._queue: "queue.Queue[Job | None]" = queue.Queue()
@@ -707,7 +718,7 @@ class ReliabilityService:
             "queue_depth": queued,
             "queue_limit": self.queue_limit,
             "jobs_running": running,
-            "workers": len(self._threads),
+            "workers": self.workers,
             "workers_alive": alive,
             "cache": self.cache.stats(),
             "slo": self.slo.snapshot(),

@@ -19,8 +19,6 @@ request/response bodies.  Endpoints:
 ``GET /jobs/<id>/events?since=N``
     Progress events with ``seq >= N``; long-polls up to 10 s for the
     next event, so clients can follow progress without busy-waiting.
-``GET /jobs/<id>/stream``
-    JSON-lines stream of progress events until the job finishes.
 ``GET /jobs/<id>/trace``
     The job's merged Chrome trace (service phases, kernel stages and
     shard spans), ready for ``chrome://tracing`` / ``repro trace``.
@@ -50,9 +48,11 @@ Errors reply with ``{"error": ...}`` and status 400 (bad document),
 404 (unknown job/path), 429 (queue full, with ``Retry-After``),
 503 (draining), or 500 (handler bug).
 
-``serve`` installs a SIGTERM handler that drains gracefully: running
-jobs finish, new submissions are rejected with 503, and the ledger —
-fsynced on every append — is durable before the process exits.
+``serve`` runs a built :class:`ReliabilityService` behind the
+listener and installs a SIGTERM handler that drains gracefully:
+running jobs finish, new submissions are rejected with 503, and the
+ledger — fsynced on every append — is durable before the process
+exits.
 """
 
 from __future__ import annotations
@@ -79,6 +79,10 @@ EVENT_POLL_TIMEOUT = 10.0
 
 #: The Prometheus text exposition content type (the 0.0.4 format).
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: Seconds a SIGTERM drain waits for accepted jobs before cancelling
+#: the still-queued ones.
+DRAIN_TIMEOUT_S = 30.0
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -142,7 +146,7 @@ class _Handler(BaseHTTPRequestHandler):
         if len(parts) == 2:
             return "/jobs/{id}"
         if len(parts) == 3 and parts[2] in (
-            "events", "stream", "cancel", "trace", "convergence",
+            "events", "cancel", "trace", "convergence",
         ):
             return "/jobs/{id}/" + parts[2]
         return "/other"
@@ -263,12 +267,6 @@ class _Handler(BaseHTTPRequestHandler):
         elif (
             len(parts) == 3
             and parts[0] == "jobs"
-            and parts[2] == "stream"
-        ):
-            self._stream(self.service.get(parts[1]))
-        elif (
-            len(parts) == 3
-            and parts[0] == "jobs"
             and parts[2] == "trace"
         ):
             self._reply(200, self.service.job_trace(parts[1]))
@@ -313,25 +311,6 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._reply(200, self.service.metrics.snapshot())
 
-    def _stream(self, job: Any) -> None:
-        self._status = 200
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Connection", "close")
-        self.end_headers()
-        since = 0
-        while True:
-            events = job.events_since(
-                since, timeout=EVENT_POLL_TIMEOUT
-            )
-            for event in events:
-                line = json.dumps(event) + "\n"
-                self.wfile.write(line.encode("utf-8"))
-            self.wfile.flush()
-            since += len(events)
-            if job.done and len(job.events) <= since:
-                return
-
 
 def make_server(
     service: ReliabilityService,
@@ -354,60 +333,36 @@ def make_server(
 
 
 def serve(
+    service: ReliabilityService,
     host: str = "127.0.0.1",
     port: int = 8765,
-    workers: int = 1,
-    ledger: "str | None" = None,
-    functions: "Mapping[str, Callable[..., Any]] | None" = None,
-    conditions: "Mapping[str, Callable[..., Any]] | None" = None,
-    banner: "Callable[[str], None] | None" = print,
-    queue_limit: "int | None" = None,
-    shard_retries: int = 2,
-    shard_deadline_s: "float | None" = None,
-    cache_entries: "int | None" = None,
-    cache_bytes: "int | None" = None,
-    cache_dir: "str | None" = None,
-    default_timeout_s: "float | None" = None,
-    drain_timeout_s: float = 30.0,
-    log: "str | None" = None,
-    tracing: bool = True,
 ) -> None:
-    """Run the daemon until interrupted (the ``repro serve`` body).
+    """Run *service* behind HTTP until interrupted (``repro serve``).
 
-    SIGTERM (and Ctrl-C) triggers a graceful drain: the listener
-    stops accepting connections, running jobs finish (up to
-    *drain_timeout_s*), still-queued jobs are cancelled only if the
-    drain times out, and the fsynced ledger needs no further flush.
+    Starts the service and prints one banner line, ``repro service
+    listening on http://HOST:PORT (...)``, as the first line of stdout
+    (``port=0`` binds a free port; the banner names it).  SIGTERM (and
+    Ctrl-C) triggers a graceful drain: the listener stops accepting
+    connections, running jobs finish (up to :data:`DRAIN_TIMEOUT_S`),
+    still-queued jobs are cancelled only if the drain times out, and
+    the fsynced ledger needs no further flush.
     """
-    service = ReliabilityService(
-        workers=workers,
-        ledger=ledger,
-        functions=functions,
-        conditions=conditions,
-        queue_limit=queue_limit,
-        shard_retries=shard_retries,
-        shard_deadline_s=shard_deadline_s,
-        cache_entries=cache_entries,
-        cache_bytes=cache_bytes,
-        cache_dir=cache_dir,
-        default_timeout_s=default_timeout_s,
-        log=log,
-        tracing=tracing,
-    ).start()
+    service.start()
     server = make_server(service, host, port)
     bound_host, bound_port = server.server_address[:2]
-    if banner is not None:
-        banner(
-            f"repro service listening on http://{bound_host}:"
-            f"{bound_port} ({workers} worker"
-            f"{'s' if workers != 1 else ''}"
-            + (f", ledger {ledger}" if ledger else "")
-            + (
-                f", queue limit {queue_limit}"
-                if queue_limit is not None else ""
-            )
-            + ")"
+    workers = service.workers
+    print(
+        f"repro service listening on http://{bound_host}:"
+        f"{bound_port} ({workers} worker"
+        f"{'s' if workers != 1 else ''}"
+        + (f", ledger {service.ledger_dir}" if service.ledger_dir else "")
+        + (
+            f", queue limit {service.queue_limit}"
+            if service.queue_limit is not None else ""
         )
+        + ")",
+        flush=True,
+    )
 
     stop_requested = threading.Event()
 
@@ -431,9 +386,8 @@ def serve(
         server.shutdown()
         server.server_close()
         if stop_requested.is_set():
-            drained = service.drain(timeout=drain_timeout_s)
-            if not drained and banner is not None:
-                banner(
+            if not service.drain(timeout=DRAIN_TIMEOUT_S):
+                print(
                     "repro service drain timed out; cancelling "
                     "queued jobs"
                 )

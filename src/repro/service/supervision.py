@@ -27,10 +27,10 @@ construction: a shard's work is fully determined by its slice of the
 exact same draws — supervision can never change a result, only rescue
 it (asserted differentially in ``tests/test_supervision.py``).
 
-Every retry surfaces as a typed :class:`ShardRetryEvent`, appended to
-the attached :class:`~repro.telemetry.bus.TelemetryBus` (and kept on
-``executor.retry_events``), so operators see *that* a fault happened
-even though the answer is unchanged.
+Every retry surfaces as a typed :class:`ShardRetryEvent`, kept on
+``executor.retry_events`` (the service copies them onto the job's
+event stream), so operators see *that* a fault happened even though
+the answer is unchanged.
 
 The module also defines the :class:`ChaosAction` / :class:`WorkerFaults`
 fault-injection surface the :mod:`repro.chaos` harness drives: the
@@ -61,7 +61,6 @@ from repro.telemetry.profiler import SHARD_SPAN, span_record
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.monitor import MonitorConfig
     from repro.runtime.batch import BatchSimulator
-    from repro.telemetry.bus import TelemetryBus
 
 #: Sleep used by an injected "hang": far beyond any sane deadline, so
 #: the supervisor's terminate is what ends the worker.
@@ -85,8 +84,6 @@ class ShardRetryEvent:
     delay_s: float = 0.0
     run_start: int = 0
     run_stop: int = 0
-    #: Replay-order key parity with resilience events (no run index).
-    run: "int | None" = field(default=None, kw_only=True)
     #: Epoch timestamp of the retry decision (distributed tracing);
     #: 0.0 means "unstamped" and is dropped from the dict form so the
     #: serialized shape is unchanged for pre-tracing consumers.
@@ -97,8 +94,6 @@ class ShardRetryEvent:
     def to_dict(self) -> dict:
         doc = {"kind": self.kind}
         doc.update(asdict(self))
-        if doc["run"] is None:
-            del doc["run"]
         if not doc["noted_at"]:
             del doc["noted_at"]
         return doc
@@ -357,11 +352,6 @@ class SupervisedShardedExecutor:
     processes:
         ``False`` (or a platform without ``fork``) executes shards
         inline with the same retry loop around each slice.
-    telemetry:
-        Optional bus; :class:`ShardRetryEvent` instances are appended
-        live, and the merged result's monitor events, in run order,
-        go to it after completion, so subscribers observe the stream
-        an unsharded run would have produced.
     chaos:
         Optional :class:`WorkerFaults` plan (testing/chaos only).
 
@@ -381,7 +371,6 @@ class SupervisedShardedExecutor:
         policy: "RetryPolicy | None" = None,
         deadline_s: "float | None" = None,
         processes: bool = True,
-        telemetry: "TelemetryBus | None" = None,
         chaos: "WorkerFaults | None" = None,
     ) -> None:
         if jobs < 1:
@@ -396,7 +385,6 @@ class SupervisedShardedExecutor:
         self.policy = policy or RetryPolicy()
         self.deadline_s = deadline_s
         self.processes = processes
-        self.telemetry = telemetry
         self.chaos = chaos
         #: Retry events of the most recent :meth:`execute` call.
         self.retry_events: list[ShardRetryEvent] = []
@@ -432,10 +420,7 @@ class SupervisedShardedExecutor:
                 context, simulator, children, iterations, monitor,
                 slices, run_offset,
             )
-        merged = merge_batch_results(shards)
-        if self.telemetry is not None:
-            self.telemetry.extend(merged.monitor_events)
-        return merged
+        return merge_batch_results(shards)
 
     # -- retry bookkeeping ----------------------------------------------
 
@@ -443,7 +428,7 @@ class SupervisedShardedExecutor:
         self, state: _ShardState, reason: str, detail: str,
         delay: float,
     ) -> None:
-        event = ShardRetryEvent(
+        self.retry_events.append(ShardRetryEvent(
             shard=state.index,
             attempt=state.attempt,
             reason=reason,
@@ -452,10 +437,7 @@ class SupervisedShardedExecutor:
             run_start=state.offset + state.start,
             run_stop=state.offset + state.stop,
             noted_at=time.time(),
-        )
-        self.retry_events.append(event)
-        if self.telemetry is not None:
-            self.telemetry.append(event)
+        ))
 
     def _give_up(self, state: _ShardState, detail: str) -> None:
         first = state.offset + state.start

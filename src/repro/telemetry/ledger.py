@@ -14,16 +14,19 @@ old margins, and a JSONL file is trivially diffable and artifacts
 well in CI.  Entries are addressed by position (``#0``, ``#3``), by
 ``latest``, or by ``run_id`` (latest match wins).
 
-Crash safety (PR 8): every appended line carries a ``check`` field —
-the :func:`content_hash` of the record itself — and appends repair a
-torn final line (a crash mid-write leaves no trailing newline) before
-writing, so one interrupted append can never garble its neighbour.
-Reads *quarantine* rather than crash: lines that fail JSON parsing or
-checksum verification are moved to ``ledger.jsonl.corrupt`` (under
-the append lock, via an atomic temp-file + rename rewrite) and the
-surviving records keep dense entry indices.  A corrupt line therefore
-costs exactly the one record it garbled — committed neighbours are
-never lost, which the chaos harness (:mod:`repro.chaos`) asserts.
+Crash safety: every line is a *sealed record* (:func:`seal`) — the
+document plus a ``check`` field holding its :func:`content_hash` — the
+same format the service's result cache spills to disk, verified by
+the same :func:`unseal`.  Appends repair a torn final line (a crash
+mid-write leaves no trailing newline) before writing, so one
+interrupted append can never garble its neighbour.  Reads
+*quarantine* rather than crash: lines that fail JSON parsing, lack a
+``check`` field, or fail checksum verification are moved to
+``ledger.jsonl.corrupt`` (under the append lock, via an atomic
+temp-file + rename rewrite) and the surviving records keep dense
+entry indices.  A corrupt line therefore costs exactly the one record
+it garbled — committed neighbours are never lost, which the chaos
+harness (:mod:`repro.chaos`) asserts.
 
 ``repro runs list|show|diff|regress`` is the CLI over this module;
 ``repro simulate --ledger DIR`` records into it from every execution
@@ -119,6 +122,48 @@ def write_atomic(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _checksum(document: Mapping[str, Any]) -> str:
+    """The ``check`` of a sealed record: all fields but ``recorded_at``.
+
+    The timestamp is wall-clock, so two records of the same run carry
+    the same ``check`` and serial vs ``--jobs N`` ledger diffs stay
+    bit-identical up to the timestamp alone.
+    """
+    return content_hash(
+        {k: v for k, v in document.items() if k != "recorded_at"}
+    )
+
+
+def seal(document: Mapping[str, Any]) -> str:
+    """Serialise *document* as one sealed record (one JSON line).
+
+    The record is the document plus a ``check`` field holding its
+    checksum.  Ledger lines and result-cache spill files are both
+    sealed records.
+    """
+    return json.dumps(
+        {**document, "check": _checksum(document)}, sort_keys=True
+    )
+
+
+def unseal(text: str) -> "dict | None":
+    """The document inside one sealed record; ``None`` when corrupt.
+
+    Corrupt means not a JSON object, no ``check`` field, or a
+    ``check`` that does not match the content.
+    """
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(document, dict):
+        return None
+    check = document.pop("check", None)
+    if check is None or check != _checksum(document):
+        return None
+    return document
 
 
 class _AppendLock:
@@ -345,55 +390,19 @@ class RunLedger:
         #: Corrupt lines moved aside by the most recent scan.
         self.quarantined = 0
 
-    # -- line integrity -------------------------------------------------
+    def _scan(
+        self,
+    ) -> "tuple[list[tuple[str, dict]], list[str], bool]":
+        """Split the file into survivors, corrupt raws and a torn flag.
 
-    @staticmethod
-    def _checkable(doc: dict) -> dict:
-        """The deterministic payload the checksum covers.
-
-        ``recorded_at`` is wall-clock and excluded, so two records of
-        the same run carry the same ``check`` — serial vs ``--jobs N``
-        ledger diffs stay bit-identical up to the timestamp alone.
-        """
-        return {k: v for k, v in doc.items() if k != "recorded_at"}
-
-    @staticmethod
-    def _seal(doc: dict) -> str:
-        """Serialise *doc* with its ``check`` integrity field."""
-        return json.dumps(
-            {**doc, "check": content_hash(RunLedger._checkable(doc))},
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def _parse_line(line: str) -> "dict | None":
-        """Parse and verify one ledger line; ``None`` when corrupt.
-
-        Lines without a ``check`` field (pre-PR 8 ledgers) are
-        accepted on JSON validity alone.
-        """
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        if not isinstance(doc, dict):
-            return None
-        check = doc.pop("check", None)
-        if check is not None and check != content_hash(
-            RunLedger._checkable(doc)
-        ):
-            return None
-        return doc
-
-    def _scan(self) -> "tuple[list[tuple[str, dict]], list[str]]":
-        """Split the file into ``(line, doc)`` survivors and corrupt raws.
-
-        A final line without a trailing newline is a torn append and
-        counts as corrupt even if it happens to parse — the writer
+        Returns ``(valid, corrupt, torn_tail)``: ``(line, doc)`` pairs
+        of intact records, the raw corrupt lines, and whether the file
+        ends without a newline.  Such a final line is a torn append
+        and counts as corrupt even if it happens to parse — the writer
         never commits a line without its newline.
         """
         if not self.path.exists():
-            return [], []
+            return [], [], False
         text = self.path.read_text(encoding="utf-8")
         torn_tail = bool(text) and not text.endswith("\n")
         lines = text.splitlines()
@@ -404,27 +413,25 @@ class RunLedger:
                 continue
             doc = (
                 None if torn_tail and lineno == len(lines)
-                else self._parse_line(line)
+                else unseal(line)
             )
             if doc is None:
                 corrupt.append(line)
             else:
                 valid.append((line, doc))
-        return valid, corrupt
+        return valid, corrupt, torn_tail
 
-    def _quarantine(
-        self, valid: "list[tuple[str, dict]]", corrupt: "list[str]"
-    ) -> None:
-        """Move corrupt lines aside; keep survivors, atomically.
+    def _quarantine(self) -> "list[tuple[str, dict]]":
+        """Move corrupt lines aside atomically; return the survivors.
 
-        Runs under the append lock so a concurrent append cannot be
-        dropped by the rewrite.  The rewrite re-reads under the lock —
-        the unlocked pre-scan is only the cheap detection pass.
+        Runs under the append lock and rescans there, so a concurrent
+        append cannot be dropped by the rewrite — the caller's
+        unlocked scan is only the cheap detection pass.
         """
         with _AppendLock(self.root / "ledger.lock"):
-            valid, corrupt = self._scan()
+            valid, corrupt, _ = self._scan()
             if not corrupt:
-                return
+                return valid
             with self.corrupt_path.open(
                 "a", encoding="utf-8"
             ) as handle:
@@ -437,6 +444,7 @@ class RunLedger:
                 "".join(line + "\n" for line, _ in valid),
             )
         self.quarantined += len(corrupt)
+        return valid
 
     def append(self, record: RunRecord) -> int:
         """Append *record*; returns its entry index.
@@ -453,16 +461,12 @@ class RunLedger:
             # Count only *intact* lines: corrupt ones will be moved
             # aside by the next read, so the new record's index must
             # already skip them.
-            valid, _ = self._scan()
+            valid, _, torn_tail = self._scan()
             index = len(valid)
-            torn_tail = False
-            if self.path.exists():
-                text = self.path.read_text(encoding="utf-8")
-                torn_tail = bool(text) and not text.endswith("\n")
             with self.path.open("a", encoding="utf-8") as handle:
                 if torn_tail:
                     handle.write("\n")
-                handle.write(self._seal(record.to_dict()) + "\n")
+                handle.write(seal(record.to_dict()) + "\n")
                 handle.flush()
                 os.fsync(handle.fileno())
         record.entry = index
@@ -475,7 +479,7 @@ class RunLedger:
         are quarantined to ``ledger.jsonl.corrupt`` and skipped; with
         ``strict=True`` the first corrupt line raises instead.
         """
-        valid, corrupt = self._scan()
+        valid, corrupt, _ = self._scan()
         if corrupt:
             if strict:
                 raise ReproError(
@@ -483,8 +487,7 @@ class RunLedger:
                     f"{len(corrupt)} corrupt line(s); first: "
                     f"{corrupt[0][:80]!r}"
                 )
-            self._quarantine(valid, corrupt)
-            valid, _ = self._scan()
+            valid = self._quarantine()
         records: list[RunRecord] = []
         for _, doc in valid:
             record = RunRecord.from_dict(doc)

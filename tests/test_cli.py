@@ -986,6 +986,44 @@ def test_serve_rejects_bad_robustness_flags(capsys):
     assert "--timeout must be > 0" in capsys.readouterr().err
 
 
+def test_serve_banner_names_the_bound_port(tmp_path):
+    # `repro serve --port 0` picks a free port; the first stdout line
+    # names it, and load generators parse it with this exact pattern.
+    # It must reach a pipe at once, without PYTHONUNBUFFERED.
+    import os
+    import select
+    import signal
+    import subprocess
+    import sys
+
+    from repro.service import ServiceClient
+
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--ledger", str(tmp_path / "runs"), "--queue-limit", "4"],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        ready, _, _ = select.select([server.stdout], [], [], 30)
+        assert ready, "no banner within 30 s"
+        banner = server.stdout.readline()
+        match = re.search(r"listening on http://[^:]+:(\d+)", banner)
+        assert match, banner
+        assert banner.rstrip().endswith(
+            f"(1 worker, ledger {tmp_path / 'runs'}, queue limit 4)"
+        )
+        client = ServiceClient(port=int(match.group(1)))
+        assert client.health()["status"] == "ok"
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=60) == 0
+    finally:
+        if server.poll() is None:
+            server.kill()
+        server.stdout.close()
+
+
 def test_submit_rejects_bad_timeout(workspace, capsys):
     status = main([
         "submit", "--port", "1",

@@ -38,7 +38,6 @@ from repro.service.supervision import SupervisedShardedExecutor
 from repro.telemetry import (
     NULL_PROFILER,
     StageProfiler,
-    TelemetryBus,
     record_from_result,
 )
 
@@ -327,19 +326,8 @@ def test_slice_batch_result_is_prefix_identical():
 
 
 # ----------------------------------------------------------------------
-# The telemetry bus path.
+# Stage spans per shard.
 # ----------------------------------------------------------------------
-
-
-def test_sharded_executor_feeds_telemetry_bus():
-    bus = TelemetryBus(run_id="s7")
-    _, _, simulator = three_tank_simulator(
-        executor=SupervisedShardedExecutor(3, telemetry=bus)
-    )
-    result = simulator.run_batch(
-        10, 30, monitor=MonitorConfig(window=3)
-    )
-    assert tuple(bus.events) == result.monitor_events
 
 
 @pytest.mark.parametrize("processes", [True, False])

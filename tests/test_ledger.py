@@ -30,6 +30,8 @@ from repro.telemetry.ledger import (
     render_diff,
     render_listing,
     render_record,
+    seal,
+    unseal,
 )
 
 
@@ -219,6 +221,44 @@ def test_ledger_quarantines_corrupt_lines(tmp_path):
     index = ledger.append(make_record("s3"))
     assert index == 2
     assert len(ledger.records(strict=True)) == 3
+
+
+def test_unchecked_ledger_line_is_quarantined(tmp_path):
+    # Valid JSON without a ``check`` field is not a sealed record.
+    ledger = RunLedger(tmp_path)
+    ledger.append(make_record("s1"))
+    with ledger.path.open("a") as handle:
+        handle.write(json.dumps(make_record("s2").to_dict()) + "\n")
+    assert ledger.append(make_record("s3")) == 1
+    records = ledger.records()
+    assert [record.run_id for record in records] == ["s1", "s3"]
+    assert [record.entry for record in records] == [0, 1]
+    assert ledger.quarantined == 1
+    assert '"run_id": "s2"' in ledger.corrupt_path.read_text()
+
+
+#: ``make_record("s1")`` as a sealed ledger line, byte for byte; ledgers
+#: and cache spill directories already on disk hold this format.
+SEALED_S1 = (
+    '{"arch_hash": "bbb", "check": "6b8b7e8e76d1", "command": "scalar", '
+    '"events": 0, "executor": "", "impl_hash": "ccc", "iterations": 10, '
+    '"lrcs": {"u1": 0.99, "u2": 0.99}, "rates": {"u1": 0.999, '
+    '"u2": 0.995}, "recorded_at": 1000.0, "run_id": "s1", "runs": 1, '
+    '"seed": 1, "spec_hash": "aaa"}'
+)
+
+
+def test_sealed_record_format_is_stable():
+    document = make_record("s1").to_dict()
+    assert seal(document) == SEALED_S1
+    assert unseal(SEALED_S1) == document
+    # The wall-clock timestamp is outside the checksum; all else is in.
+    assert unseal(SEALED_S1.replace("1000.0", "2000.0")) is not None
+    assert unseal(SEALED_S1.replace('"s1"', '"s2"')) is None
+    unchecked = json.dumps(document)
+    assert unseal(unchecked) is None
+    assert unseal("[1, 2]") is None
+    assert unseal(SEALED_S1[:-1]) is None
 
 
 # ----------------------------------------------------------------------

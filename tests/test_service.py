@@ -21,6 +21,7 @@ from repro.experiments import (
     three_tank_architecture,
     three_tank_spec,
 )
+from repro.experiments.htl_sources import three_tank_htl
 from repro.experiments.three_tank_system import baseline_implementation
 from repro.io import (
     architecture_to_dict,
@@ -101,6 +102,21 @@ def test_submit_rejects_malformed_documents():
         service.submit(document)
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"shard_deadline_s": -1.0},
+        {"default_timeout_s": -5.0},
+        {"cache_entries": 0},
+    ],
+    ids=lambda setting: next(iter(setting)),
+)
+def test_service_rejects_settings_that_break_every_later_job(setting):
+    (name,) = setting
+    with pytest.raises(ServiceError, match=name):
+        make_service(**setting)
+
+
 def test_unknown_job_lookup_raises():
     with pytest.raises(ServiceError):
         make_service().get("job-999")
@@ -156,7 +172,7 @@ def test_runs_upgrade_is_bit_identical_to_fresh_full_batch():
         name: float(averages[name].mean()) for name in sorted(averages)
     }
     # The cached merged result is the fresh result, bit for bit.
-    (cached,) = service.cache._mc.values()
+    (cached,) = service.cache._stores["mc"].values()
     for name in fresh.reliable_counts:
         assert np.array_equal(
             cached.reliable_counts[name], fresh.reliable_counts[name]
@@ -777,6 +793,29 @@ def test_evicted_entry_thaws_from_disk_bit_identically(tmp_path):
     assert service.metrics.get("runs_simulated_total") == 8
 
 
+def verify_document(lrc_u):
+    return {
+        "kind": "verify",
+        "htl": three_tank_htl(lrc_u=lrc_u),
+        "arch": architecture_to_dict(three_tank_architecture()),
+    }
+
+
+def test_evicted_verify_report_thaws_from_disk(tmp_path):
+    service = make_service(
+        cache_entries=1, cache_dir=str(tmp_path / "spill")
+    )
+    first = run_job(service, verify_document(0.99))
+    run_job(service, verify_document(0.98))  # evicts the first report
+    assert service.cache.stats()["verify_entries"] == 1
+    assert service.metrics.get("verify_cache_evictions") == 1
+    again = run_job(service, verify_document(0.99))
+    assert again.result["cache"] == "hit"
+    assert service.metrics.get("verify_cache_disk_hits") == 1
+    assert service.metrics.get("verify_cache_misses") == 2
+    assert {**again.result, "cache": "miss"} == first.result
+
+
 def test_corrupt_spill_file_is_quarantined_and_recomputed(tmp_path):
     spill = tmp_path / "spill"
     service = make_service(cache_entries=1, cache_dir=str(spill))
@@ -800,6 +839,7 @@ def test_metrics_expose_robustness_counters(http_service):
     for counter in (
         "jobs_timed_out", "jobs_cancelled", "jobs_rejected",
         "mc_cache_evictions", "mc_cache_disk_hits",
+        "verify_cache_evictions", "verify_cache_disk_hits",
         "cache_corrupt_quarantined", "shard_retries",
     ):
         assert counter in snapshot

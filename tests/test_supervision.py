@@ -35,7 +35,6 @@ from repro.service.supervision import (
     SupervisedShardedExecutor,
     _unit_noise,
 )
-from repro.telemetry import TelemetryBus
 
 from strategies import systems
 
@@ -245,24 +244,8 @@ def test_inline_path_retries_errors():
 
 
 # ----------------------------------------------------------------------
-# The telemetry surface.
+# The retry event surface.
 # ----------------------------------------------------------------------
-
-
-def test_retry_events_reach_the_telemetry_bus():
-    bus = TelemetryBus()
-    executor = SupervisedShardedExecutor(
-        2, policy=FAST_POLICY, deadline_s=1.0,
-        telemetry=bus, chaos=HashFaults(3),
-    )
-    three_tank_simulator(seed=3, executor=executor).run_batch(8, 10)
-    retries = [e for e in bus if getattr(e, "kind", "") == "shard-retry"]
-    assert retries == executor.retry_events
-    event = retries[0]
-    doc = event.to_dict()
-    assert doc["kind"] == "shard-retry"
-    assert doc["run_stop"] > doc["run_start"]
-    assert doc["reason"] in ("crash", "hang", "error")
 
 
 def test_retry_event_round_trips_to_dict():
