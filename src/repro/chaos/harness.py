@@ -26,7 +26,11 @@ from typing import Any
 
 from repro.errors import ReproError
 from repro.service.client import ServiceClient
-from repro.service.jobs import TERMINAL_STATES, ReliabilityService
+from repro.service.jobs import (
+    FINISHED_JOBS_KEPT,
+    TERMINAL_STATES,
+    ReliabilityService,
+)
 from repro.service.server import make_server
 from repro.service.supervision import (
     ChaosAction,
@@ -86,6 +90,19 @@ class ChaosConfig:
                 f"duplicate_jobs must be >= 0, "
                 f"got {self.duplicate_jobs}"
             )
+        if self.storm_jobs > FINISHED_JOBS_KEPT:
+            # The post-storm tally looks up every job it submitted.
+            raise ReproError(
+                f"a storm of {self.storm_jobs} jobs exceeds the "
+                f"{FINISHED_JOBS_KEPT} finished jobs the service keeps"
+            )
+
+    @property
+    def storm_jobs(self) -> int:
+        """Jobs one storm submits: every wave, its upgrades, 2 extras."""
+        per_wave = self.unique_jobs + self.duplicate_jobs
+        upgrades = (self.waves - 1) * self.unique_jobs
+        return self.waves * per_wave + upgrades + 2
 
 
 class ChaosSchedule:

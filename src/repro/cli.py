@@ -28,7 +28,7 @@ import json
 import sys
 from typing import Any, Callable, Mapping
 
-from repro.errors import ReproError
+from repro.errors import AnalysisError, ReproError
 from repro.htl.compiler import compile_program
 from repro.htl.ecode import generate_ecode
 from repro.io import (
@@ -519,17 +519,22 @@ def _write_trace(tracer, path: str) -> None:
 
 
 def _finish_metrics(registry, srgs, spec, path: str) -> None:
-    """Record margins, write Prometheus text, print the dashboard."""
+    """Record margins, write Prometheus text, print the dashboard.
+
+    *srgs* is ``None`` for a design with a communicator cycle with
+    memory, which has no SRG margins to record.
+    """
     from repro.report import render_metrics_dashboard
     from repro.telemetry import record_margins
 
-    record_margins(
-        registry,
-        {
-            name: (srgs[name], comm.lrc)
-            for name, comm in spec.communicators.items()
-        },
-    )
+    if srgs is not None:
+        record_margins(
+            registry,
+            {
+                name: (srgs[name], comm.lrc)
+                for name, comm in spec.communicators.items()
+            },
+        )
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(registry.to_prometheus())
     print(f"wrote metrics to {path}")
@@ -595,7 +600,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
         faults = CompositeFaults(injectors)
 
-    srgs = communicator_srgs(spec, implementation, arch)
+    try:
+        srgs = communicator_srgs(spec, implementation, arch)
+    except AnalysisError:
+        # A communicator cycle with memory has no SRG; simulating it
+        # is still well defined.
+        srgs = None
     monitor_config = None
     if args.monitor or args.recover:
         from repro.resilience import MonitorConfig
@@ -724,7 +734,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for name in sorted(spec.communicators):
         print(
             f"  {name}: observed {observed[name]:.6f}  "
-            f"SRG {srgs[name]:.6f}"
+            + (
+                f"SRG {srgs[name]:.6f}" if srgs is not None
+                else "SRG undefined (communicator cycle with memory)"
+            )
         )
     if monitor_config is not None:
         if args.runs > 1:

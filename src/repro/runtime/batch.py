@@ -38,18 +38,31 @@ fixed batch, a cache hit (a prefix already long enough), a cache
 upgrade (only the missing tail is simulated), and an adaptive batch
 are all the same call, so the service and the CLI share it.
 
-Fallback rules
---------------
-The vectorized path requires (a) a fault injector that implements
+Cycles with memory
+------------------
+Reliability propagates through the plan's ``batch_order``: the release
+graph condensed into strongly connected components, in topological
+order.  A single event without a self-loop combines whole
+``(runs, iterations)`` arrays.  A cyclic component (a communicator
+cycle with memory — a self-loop, or a cycle no independent-model task
+breaks) first reduces every port from outside the component to one
+``(runs, iterations)`` array per event, then steps over iterations on
+``(runs,)`` vectors in event-index order: in-component ports read this
+iteration's bits (same-iteration ports) or the previous iteration's
+(lagged ports; the initial-value reliability at iteration 0).  Either
+way no value is evaluated, so no design needs bound task functions.
+
+Fallback rule
+-------------
+The vectorized path requires a fault injector that implements
 :meth:`~repro.runtime.faults.FaultInjector.precompute` (Bernoulli,
-scripted, and their composites do; value faults and custom injectors
-don't), and (b) a specification whose communicator cycles, if any,
-are broken by independent-model tasks (otherwise reliability
-propagation is a genuine per-iteration recurrence).  When either
-fails, :meth:`run_batch` transparently loops the scalar simulator
-over the same spawned seeds (:func:`run_scalar_batch`, the per-run
-loop the resilient batch shares) — same counts, scalar speed — which
-additionally requires task functions to be bound.
+scripted, Gilbert–Elliott, crash-repair, and composites with at most
+one stochastic child do; value faults and custom injectors don't).
+When ``precompute`` declines, :meth:`run_batch` transparently loops
+the scalar simulator over the same spawned seeds
+(:func:`run_scalar_batch`, the per-run loop the resilient batch
+shares) — same counts, scalar speed — which additionally requires
+task functions to be bound.
 """
 
 from __future__ import annotations
@@ -320,9 +333,9 @@ class BatchSimulator:
         """Execute *runs* independent simulations of *iterations* periods.
 
         Returns the per-communicator reliable-access counts of every
-        run.  Vectorized whenever the plan and the injector allow it;
-        otherwise loops the scalar simulator over the same spawned
-        seeds (bit-identical counts either way).
+        run.  Vectorized whenever the injector implements
+        ``precompute``; otherwise loops the scalar simulator over the
+        same spawned seeds (bit-identical counts either way).
 
         With a *monitor* config, the online LRC monitor runs over
         every batch run: vectorized as windowed counts over the
@@ -473,13 +486,11 @@ class BatchSimulator:
         runs = len(children)
         if runs == 0:
             return self._empty_result(iterations)
-        masks: PrecomputedFaults | None = None
-        if self.plan.batch_order is not None:
-            rngs = [np.random.default_rng(child) for child in children]
-            with self.profiler.stage("fault-precompute"):
-                masks = self.faults.precompute(
-                    self.plan, runs, iterations, rngs
-                )
+        rngs = [np.random.default_rng(child) for child in children]
+        with self.profiler.stage("fault-precompute"):
+            masks = self.faults.precompute(
+                self.plan, runs, iterations, rngs
+            )
         if masks is None:
             # A declining precompute may have consumed draws; the
             # fallback rebuilds every generator from its spawn key.
@@ -548,12 +559,18 @@ class BatchSimulator:
                             replica_fail[:, slots, :], axis=1
                         )
 
-        # Propagate reliable/BOTTOM status through the dependency
-        # order; every array is (runs, iterations).
-        assert plan.batch_order is not None
+        # Propagate reliable/BOTTOM status component by component;
+        # every task_ok array is (runs, iterations).
         with profiler.stage("propagate"):
             task_ok: list[np.ndarray | None] = [None] * len(plan.releases)
-            for index in plan.batch_order:
+            for component in plan.batch_order:
+                if component.cyclic:
+                    self._step_cycle(
+                        component.events, survive, task_ok, delivered,
+                        runs, iterations,
+                    )
+                    continue
+                (index,) = component.events
                 event = plan.releases[index]
                 ok = survive[index]
                 if event.model is not FailureModel.INDEPENDENT:
@@ -763,6 +780,89 @@ class BatchSimulator:
                 for event in events
             ]
         return tuple(events)
+
+    def _step_cycle(
+        self,
+        events: tuple[int, ...],
+        survive: Sequence[np.ndarray],
+        task_ok: "list[np.ndarray | None]",
+        delivered: Sequence[np.ndarray],
+        runs: int,
+        iterations: int,
+    ) -> None:
+        """Step one cyclic component over iterations into *task_ok*.
+
+        Ports from outside the component (sensors, initial values,
+        writers in earlier components) are reduced first, per event, to
+        one ``(runs, iterations)`` array: series events fold them into
+        their survival bits with AND, parallel events OR them together.
+        The loop then walks iterations and, within one, the events in
+        index order, combining that array's row with the in-component
+        ports: a same-iteration port reads its writer's row of this
+        iteration (already computed, the writer's index being lower),
+        a lagged port the row of the previous iteration, or the
+        communicator's initial-value reliability at iteration 0.  Rows
+        are ``(runs,)`` views of iteration-major arrays, so every step
+        is one or two in-place ufunc calls per port.
+        """
+        plan = self.plan
+        out = {
+            index: np.empty((iterations, runs), dtype=bool)
+            for index in events
+        }
+        rows = {index: list(array) for index, array in out.items()}
+        steps = []
+        for index in events:
+            event = plan.releases[index]
+            series = event.model is FailureModel.SERIES
+            sources = []
+            outer = []
+            for port in event.ports:
+                if port.sensor_event >= 0 or port.writer_event not in rows:
+                    outer.append(
+                        self._port_bits(
+                            port, task_ok, delivered, runs, iterations
+                        )
+                    )
+                elif port.same_iteration:
+                    sources.append(rows[port.writer_event])
+                else:  # lagged: row t reads the writer's row t - 1
+                    init = np.full(
+                        runs, plan.init_reliable[port.comm_index]
+                    )
+                    sources.append([init] + rows[port.writer_event][:-1])
+            if series:
+                fixed = np.logical_and.reduce([survive[index], *outer])
+                gate = None
+            else:  # PARALLEL: survival gates the OR over every port
+                fixed = (
+                    np.logical_or.reduce(outer) if outer
+                    else np.zeros((runs, iterations), dtype=bool)
+                )
+                gate = list(np.ascontiguousarray(survive[index].T))
+            steps.append(
+                (
+                    rows[index],
+                    list(np.ascontiguousarray(fixed.T)),
+                    gate,
+                    np.logical_and if series else np.logical_or,
+                    sources[0],
+                    sources[1:],
+                )
+            )
+        gate_and = np.logical_and
+        # Positional ``out`` arguments: the loop body is pure call
+        # overhead, and keyword parsing is a measurable share of it.
+        for t in range(iterations):
+            for out_rows, fixed, gate, combine, first, rest in steps:
+                row = out_rows[t]
+                combine(fixed[t], first[t], row)
+                for source in rest:
+                    combine(row, source[t], row)
+                if gate is not None:
+                    gate_and(row, gate[t], row)
+        for index in events:
+            task_ok[index] = np.ascontiguousarray(out[index].T)
 
     def _port_bits(
         self,

@@ -24,6 +24,20 @@ the voting order) followed by one broadcast uniform per host iff the
 network reliability is below 1.  :class:`DrawSchedule` records the
 flat draw offsets so a batch executor can sample the entire stream of
 a run with one ``Generator.random`` call and slice it per event.
+
+It also fixes the batch executor's **evaluation order**: the release
+graph (writer -> reader, inputs of independent-model tasks pruned)
+condensed into strongly connected components in topological order
+(:class:`ReleaseComponent`).  A component that is a single event
+without a self-loop is propagated over whole ``(runs, iterations)``
+arrays; a cyclic one (a communicator cycle with memory) is stepped
+over iterations.  Within one iteration, ascending event index is a
+valid evaluation order of a component: a same-iteration edge runs from
+writer to reader with writer release < write time <= port offset <=
+reader release, and releases are indexed by (offset, task), so the
+writer has the lower index.  Every cycle therefore closes through a
+*lagged* port, which reads the previous iteration's write (lag exactly
+one iteration, since write times lie in ``(0, period]``).
 """
 
 from __future__ import annotations
@@ -108,6 +122,21 @@ class ReleaseEvent:
 
 
 @dataclass(frozen=True)
+class ReleaseComponent:
+    """One strongly connected component of the release graph.
+
+    ``events`` are release event indices, ascending — a valid
+    evaluation order within one iteration.  ``cyclic`` marks a
+    component with more than one event or a self-loop: its
+    reliability is a per-iteration recurrence, closed through lagged
+    ports.
+    """
+
+    events: tuple[int, ...]
+    cyclic: bool
+
+
+@dataclass(frozen=True)
 class DrawSchedule:
     """Flat per-iteration draw layout of one phase.
 
@@ -138,11 +167,10 @@ class SimulationPlan:
     ``commit_plan``, ``sensor_plan``) are keyed by period offset
     (``commit_plan`` by the absolute write time, which may equal the
     period); batch tables are integer-indexed with numpy reliability
-    vectors.  ``batch_order`` is a dependency-safe evaluation order
-    over release events (input edges of independent-model tasks
-    pruned), or ``None`` when the specification has a communicator
-    cycle with no independent breaker — the batch executor then falls
-    back to the scalar path.
+    vectors.  ``batch_order`` is the condensation of the release graph
+    (input edges of independent-model tasks pruned) into strongly
+    connected components, in topological order; cyclic components are
+    marked once here so the batch kernel does not re-derive them.
     """
 
     spec: Specification
@@ -163,7 +191,7 @@ class SimulationPlan:
     sensor_event_index: Mapping[tuple[str, int], int]
     releases: tuple[ReleaseEvent, ...]
     writer_event: np.ndarray  # comm index -> release event index or -1
-    batch_order: "tuple[int, ...] | None"
+    batch_order: tuple[ReleaseComponent, ...]
 
     broadcast_reliability: float
     broadcast_drawn: bool
@@ -225,15 +253,15 @@ class SimulationPlan:
 
 
 def _batch_order(
-    spec: Specification, releases: tuple[ReleaseEvent, ...]
-) -> "tuple[int, ...] | None":
-    """Topologically order release events for reliability propagation.
+    releases: tuple[ReleaseEvent, ...],
+) -> tuple[ReleaseComponent, ...]:
+    """Condense the release graph into components, topologically ordered.
 
     Edges run from the writer of a communicator to every release event
-    reading it, except into independent-model tasks (their output
-    reliability ignores inputs).  Cycles without an independent
-    breaker make the propagation a genuine per-iteration recurrence;
-    the batch executor then falls back to the scalar path.
+    reading it — same-iteration and lagged ports alike, self-loops
+    included — except into independent-model tasks (their output
+    reliability ignores inputs).  Any topological order of the
+    components gives the same bits.
     """
     graph = nx.DiGraph()
     graph.add_nodes_from(range(len(releases)))
@@ -241,16 +269,15 @@ def _batch_order(
         if event.model is FailureModel.INDEPENDENT:
             continue
         for port in event.ports:
-            if port.writer_event >= 0 and port.writer_event != event.index:
+            if port.writer_event >= 0:
                 graph.add_edge(port.writer_event, event.index)
-            if port.writer_event == event.index:
-                # A self-loop (task reading its own previous output)
-                # is a recurrence the array propagation cannot express.
-                return None
-    try:
-        return tuple(nx.topological_sort(graph))
-    except nx.NetworkXUnfeasible:
-        return None
+    dag = nx.condensation(graph)
+    order = []
+    for node in nx.topological_sort(dag):
+        events = tuple(sorted(dag.nodes[node]["members"]))
+        cyclic = len(events) > 1 or graph.has_edge(events[0], events[0])
+        order.append(ReleaseComponent(events=events, cyclic=cyclic))
+    return tuple(order)
 
 
 def compile_plan(
@@ -504,7 +531,7 @@ def compile_plan(
         sensor_event_index=sensor_event_at,
         releases=tuple(releases),
         writer_event=writer_event,
-        batch_order=_batch_order(spec, tuple(releases)),
+        batch_order=_batch_order(tuple(releases)),
         broadcast_reliability=brel,
         broadcast_drawn=broadcast_drawn,
         schedules=tuple(schedules),

@@ -96,6 +96,11 @@ TERMINAL_STATES = frozenset(
     {"done", "failed", "timed_out", "cancelled"}
 )
 
+#: Terminal jobs the service keeps for lookup.  Each submission evicts
+#: the oldest terminal jobs beyond this many, so a long-lived daemon's
+#: job table stays bounded; queued and running jobs are never evicted.
+FINISHED_JOBS_KEPT = 256
+
 
 class ServiceError(ReproError):
     """A job document is malformed or names an unknown job."""
@@ -590,11 +595,22 @@ class ReliabilityService:
             )
             self._jobs[job.id] = job
             self._queued += 1
+            self._evict_finished()
         self.metrics.add("jobs_submitted")
         self._queue.put(job)
         if job.deadline is not None:
             self._reaper_wake.set()
         return job
+
+    def _evict_finished(self) -> None:
+        """Forget the oldest terminal jobs beyond ``FINISHED_JOBS_KEPT``.
+
+        The caller holds ``self._lock``.  An evicted id then answers
+        like one never submitted ("unknown job", HTTP 404).
+        """
+        finished = [key for key, job in self._jobs.items() if job.done]
+        for key in finished[: max(0, len(finished) - FINISHED_JOBS_KEPT)]:
+            del self._jobs[key]
 
     @staticmethod
     def _validate_adaptive(doc: dict) -> None:

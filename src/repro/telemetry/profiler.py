@@ -84,7 +84,9 @@ class StageProfiler:
 
     Stage names are free-form; the batch executor uses
     ``plan-compile``, ``fault-precompute``, ``status-collapse``,
-    ``propagate``, ``reduce``, ``monitor`` and ``scalar-fallback``.
+    ``propagate`` (cyclic components' iteration steps included),
+    ``reduce``, ``monitor`` and ``scalar-fallback`` (only injectors
+    without ``precompute`` take it).
     *clock* returns epoch seconds; it stamps both ends of a span, so
     spans one process records nest exactly.
     """

@@ -10,7 +10,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from repro.arch import Architecture, ExecutionMetrics, Host, Sensor
-from repro.mapping import Implementation
+from repro.mapping import Implementation, TimeDependentImplementation
 from repro.model import Communicator, FailureModel, Specification, Task
 
 STEP = 40
@@ -137,11 +137,8 @@ def partial_systems(draw, **spec_kwargs):
     return spec, arch, Implementation(assignment, binding)
 
 
-@st.composite
-def systems(draw, **spec_kwargs):
-    """Generate a full (specification, architecture, mapping) triple."""
-    spec = draw(specifications(**spec_kwargs))
-    arch = draw(architectures())
+def _implementation(draw, spec, arch):
+    """Draw a full static mapping of *spec* onto *arch*."""
     hosts = arch.host_names()
     sensors = arch.sensor_names()
     assignment = {}
@@ -159,4 +156,86 @@ def systems(draw, **spec_kwargs):
         comm: {draw(st.sampled_from(sensors))}
         for comm in sorted(spec.input_communicators())
     }
-    return spec, arch, Implementation(assignment, binding)
+    return Implementation(assignment, binding)
+
+
+@st.composite
+def systems(draw, **spec_kwargs):
+    """Generate a full (specification, architecture, mapping) triple."""
+    spec = draw(specifications(**spec_kwargs))
+    arch = draw(architectures())
+    return spec, arch, _implementation(draw, spec, arch)
+
+
+@st.composite
+def cyclic_specifications(draw, max_feedback: int = 3, **spec_kwargs):
+    """Generate a layered specification plus feedback ports (memory).
+
+    A layered specification from :func:`specifications` gets between
+    one and *max_feedback* extra ports, each letting a task at layer
+    ``m`` read the output of a task at layer ``m`` or later at its own
+    read instant ``(m - 1) * STEP`` — before that output's write time,
+    so the port is lagged and reads the previous iteration's write.
+    A task reading its own output is a self-loop; a later layer's
+    output read by an earlier one closes a multi-task cycle through
+    the same-iteration edges of the layers in between.  Every failure
+    model stays possible, so independent tasks break some cycles.
+    """
+    spec = draw(specifications(**spec_kwargs))
+    # Task name -> layer; outputs of layer m are written at m * STEP.
+    layer_of = {
+        name: task.outputs[0].instance for name, task in spec.tasks.items()
+    }
+    writer_of = {
+        task.outputs[0].communicator: name
+        for name, task in spec.tasks.items()
+    }
+    candidates = [
+        (reader, comm)
+        for reader in sorted(spec.tasks)
+        for comm in sorted(writer_of)
+        if layer_of[writer_of[comm]] >= layer_of[reader]
+        and comm not in spec.tasks[reader].input_communicators()
+    ]
+    feedback = draw(
+        st.lists(
+            st.sampled_from(candidates),
+            min_size=1,
+            max_size=max_feedback,
+            unique=True,
+        )
+    )
+    extra: dict[str, list[str]] = {}
+    for reader, comm in feedback:
+        extra.setdefault(reader, []).append(comm)
+    tasks = []
+    for name, task in spec.tasks.items():
+        ports = [(p.communicator, p.instance) for p in task.inputs]
+        ports += [(comm, layer_of[name] - 1) for comm in extra.get(name, [])]
+        tasks.append(
+            Task(
+                name,
+                inputs=ports,
+                outputs=[(p.communicator, p.instance) for p in task.outputs],
+                model=task.model,
+                defaults={comm: 0.0 for comm, _ in ports},
+                function=lambda *values: float(sum(values)),
+            )
+        )
+    return Specification(list(spec.communicators.values()), tasks)
+
+
+@st.composite
+def cyclic_systems(draw, max_phases: int = 3, **spec_kwargs):
+    """Generate a triple with communicator cycles with memory.
+
+    The specification comes from :func:`cyclic_specifications`; the
+    mapping is a :class:`TimeDependentImplementation` of one to
+    *max_phases* independently drawn static phases.
+    """
+    spec = draw(cyclic_specifications(**spec_kwargs))
+    arch = draw(architectures())
+    phases = draw(st.integers(min_value=1, max_value=max_phases))
+    return spec, arch, TimeDependentImplementation(
+        [_implementation(draw, spec, arch) for _ in range(phases)]
+    )

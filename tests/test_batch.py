@@ -4,32 +4,41 @@ The batch executor's whole claim is *bit-identical counts, orders of
 magnitude faster*: run ``k`` of ``run_batch(n, iterations, seed=s)``
 must produce exactly the per-communicator reliable-access counts of
 the scalar :class:`~repro.runtime.engine.Simulator` seeded with
-``SeedSequence(s).spawn(n)[k]``.  The differential property test
-drives that over Hypothesis-generated systems; the convergence test
-checks the estimates against the analytic SRGs of Proposition 1; the
-fallback tests pin down when the vectorized path must decline.
+``SeedSequence(s).spawn(n)[k]``.  The differential property tests
+drive that over Hypothesis-generated systems, acyclic and with
+communicator cycles with memory; the convergence tests check the
+estimates against the analytic SRGs of Proposition 1 and the Markov
+analysis of self-cycles; the fallback test pins down when the
+vectorized path must decline.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from repro.arch import Architecture, ExecutionMetrics, Host, Sensor
 from repro.errors import RuntimeSimulationError
 from repro.experiments import (
     bind_control_functions,
     cyclic_specification,
+    cyclic_specification_with_input,
     scenario1_implementation,
     three_tank_architecture,
     three_tank_spec,
     unplug_monte_carlo,
 )
+from repro.io import specification_from_dict, specification_to_dict
 from repro.mapping import Implementation
 from repro.reliability import (
+    analyze_memory_cycles,
     binomial_confidence_interval,
     communicator_srgs,
 )
+from repro.resilience import LrcMonitor, MonitorConfig
 from repro.runtime import (
     BatchSimulator,
     BernoulliFaults,
@@ -42,7 +51,7 @@ from repro.runtime import (
     Simulator,
 )
 
-from strategies import systems
+from strategies import cyclic_systems, systems
 
 RELAXED = settings(
     max_examples=25,
@@ -253,6 +262,190 @@ def test_batch_matches_scalar_with_crash_repair(system, mttf, mttr, seed):
 
 
 # ----------------------------------------------------------------------
+# Cycles with memory: cyclic components step over iterations in the
+# vectorized kernel and stay bit-identical to the scalar reference.
+# ----------------------------------------------------------------------
+
+CYCLE_RUNS = 3
+CYCLE_ITERATIONS = 9
+
+
+def assert_cyclic_batch_matches_scalar(system, faults, seed, monitor=None):
+    """Run ``k`` of the batch equals the scalar run on spawn child ``k``.
+
+    Counts per communicator and, with a *monitor* config, the online
+    monitor's events; *faults* builds a fresh injector per executor.
+    """
+    spec, arch, impl = system
+    batch = BatchSimulator(spec, arch, impl, faults=faults(), seed=seed)
+    result = batch.run_batch(CYCLE_RUNS, CYCLE_ITERATIONS, monitor=monitor)
+    assert result.executor == "vectorized"
+
+    children = np.random.SeedSequence(seed).spawn(CYCLE_RUNS)
+    for k, child in enumerate(children):
+        run_monitor = None if monitor is None else LrcMonitor(spec, monitor)
+        scalar = Simulator(
+            spec, arch, impl,
+            faults=faults(),
+            seed=np.random.default_rng(child),
+            monitor=run_monitor,
+        ).run(CYCLE_ITERATIONS)
+        for name, trace in scalar.abstract().items():
+            assert result.reliable_counts[name][k] == trace.reliable_count()
+        if run_monitor is not None:
+            assert result.monitor_events_for_run(k) == [
+                dataclasses.replace(event, run=k)
+                for event in run_monitor.events
+            ]
+
+
+@RELAXED
+@given(cyclic_systems(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_cyclic_batch_matches_scalar_with_bernoulli(system, seed):
+    _, arch, _ = system
+    assert_cyclic_batch_matches_scalar(
+        system, lambda: BernoulliFaults(arch), seed
+    )
+
+
+@RELAXED
+@given(
+    cyclic_systems(),
+    channels,
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+)
+def test_cyclic_batch_matches_scalar_with_gilbert_elliott(
+    system, channel, seed, with_network
+):
+    _, arch, _ = system
+    assert_cyclic_batch_matches_scalar(
+        system,
+        lambda: GilbertElliottFaults(
+            hosts={h: channel for h in arch.host_names()},
+            sensors={s: channel for s in arch.sensor_names()},
+            network=channel if with_network else None,
+        ),
+        seed,
+    )
+
+
+@RELAXED
+@given(
+    cyclic_systems(),
+    st.floats(min_value=10.0, max_value=5000.0),
+    st.floats(min_value=5.0, max_value=500.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_cyclic_batch_matches_scalar_with_crash_repair(
+    system, mttf, mttr, seed
+):
+    _, arch, _ = system
+    assert_cyclic_batch_matches_scalar(
+        system,
+        lambda: CrashRepairFaults(
+            hosts={h: (mttf, mttr) for h in arch.host_names()},
+            sensors={s: (mttf, mttr) for s in arch.sensor_names()},
+        ),
+        seed,
+    )
+
+
+@RELAXED
+@given(
+    cyclic_systems(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=8),
+)
+def test_cyclic_batch_monitor_events_match_scalar(system, seed, window):
+    _, arch, _ = system
+    assert_cyclic_batch_matches_scalar(
+        system, lambda: BernoulliFaults(arch), seed,
+        monitor=MonitorConfig(window=window),
+    )
+
+
+def cycle_architecture():
+    """One host (lambda_t = 0.995) and one sensor (0.8): the cycle design."""
+    return Architecture(
+        hosts=[Host("h1", 0.995)],
+        sensors=[Sensor("s1", 0.8)],
+        metrics=ExecutionMetrics(default_wcet=1, default_wctt=1),
+    )
+
+
+def test_unbound_cyclic_design_simulates():
+    """A cycle loaded without task functions needs none to simulate."""
+    document = specification_to_dict(cyclic_specification_with_input())
+    document["tasks"][0]["function"] = "integrate"
+    spec = specification_from_dict(document)  # no bindings
+    assert spec.tasks["integrate"].function is None
+    arch = cycle_architecture()
+    impl = Implementation({"integrate": {"h1"}}, {"ext": {"s1"}})
+    result = BatchSimulator(
+        spec, arch, impl, faults=BernoulliFaults(arch), seed=2
+    ).run_batch(6, 300)
+    assert result.executor == "vectorized"
+    assert 0.9 < result.srg_estimates()["acc"] < 1.0
+
+
+def run_mean_interval(averages, confidence=0.999):
+    """Student-t interval for the mean of independent per-run averages.
+
+    Accesses within one run follow a Markov chain, so they are not
+    independent samples; the runs are, which makes the run the unit.
+    """
+    n = len(averages)
+    mean = float(np.mean(averages))
+    half = scipy_stats.t.ppf(0.5 + confidence / 2, n - 1) * float(
+        np.std(averages, ddof=1)
+    ) / np.sqrt(n)
+    return mean - half, mean + half
+
+
+def test_parallel_cycle_rate_matches_markov_analysis():
+    """The vectorized recurrence converges to the exact Markov rate."""
+    spec = cyclic_specification_with_input("parallel")
+    arch = cycle_architecture()
+    impl = Implementation({"integrate": {"h1"}}, {"ext": {"s1"}})
+    predicted = analyze_memory_cycles(spec, impl, arch)["acc"]
+    result = BatchSimulator(
+        spec, arch, impl, faults=BernoulliFaults(arch), seed=19
+    ).run_batch(64, 2000)
+    assert result.executor == "vectorized"
+    lower, upper = run_mean_interval(result.limit_averages()["acc"])
+    assert lower <= predicted.limit_average <= upper, (
+        f"Markov rate {predicted.limit_average} outside the per-run "
+        f"interval [{lower}, {upper}]"
+    )
+
+
+def test_series_self_loop_collapses_as_predicted():
+    """The series self-loop dies at its first failure (Section 3).
+
+    Access ``i`` of ``acc`` is reliable iff the ``i`` task invocations
+    before it all succeeded, so a run of ``T`` iterations has expected
+    limit average ``(1 - lambda^T) / (T (1 - lambda))`` — far below
+    ``lambda`` and falling to 0 as ``T`` grows.
+    """
+    spec = cyclic_specification("series")
+    arch = cycle_architecture()
+    impl = Implementation({"integrate": {"h1"}}, {})
+    iterations, lam = 2000, 0.995
+    expected = (1 - lam**iterations) / (iterations * (1 - lam))
+    result = BatchSimulator(
+        spec, arch, impl, faults=BernoulliFaults(arch), seed=23
+    ).run_batch(64, iterations)
+    assert result.executor == "vectorized"
+    lower, upper = run_mean_interval(result.limit_averages()["acc"])
+    assert lower <= expected <= upper, (
+        f"expected collapse rate {expected} outside the per-run "
+        f"interval [{lower}, {upper}]"
+    )
+    assert upper < 0.25
+
+
+# ----------------------------------------------------------------------
 # Scripted-outage interval boundaries, differentially.
 #
 # In the 3TS plan the interesting instants of iteration 3 are: release
@@ -345,8 +538,8 @@ def test_custom_injector_without_precompute_falls_back():
             assert result.reliable_counts[name][k] == count
 
 
-def test_cyclic_specification_falls_back_to_scalar():
-    """A self-loop defeats topological propagation -> scalar path."""
+def test_cyclic_specification_is_vectorized():
+    """A self-loop steps over iterations in the vectorized kernel."""
     spec = cyclic_specification("series", period=10)
     arch = Architecture(
         hosts=[Host("h0", 0.9)],
@@ -357,9 +550,8 @@ def test_cyclic_specification_falls_back_to_scalar():
     batch = BatchSimulator(
         spec, arch, impl, faults=BernoulliFaults(arch), seed=3
     )
-    assert batch.plan.batch_order is None
     result = batch.run_batch(3, 40)
-    assert result.executor == "scalar-fallback"
+    assert result.executor == "vectorized"
 
     children = np.random.SeedSequence(3).spawn(3)
     for k, child in enumerate(children):

@@ -68,6 +68,11 @@ def test_config_validation():
         ChaosConfig(waves=0)
     with pytest.raises(ReproError, match="duplicate_jobs"):
         ChaosConfig(duplicate_jobs=-1)
+    # The post-storm tally looks up every job, so a storm may not
+    # outgrow the finished jobs the service keeps.
+    assert ChaosConfig().storm_jobs == 15  # 2 x (3 + 2) + 3 + 2
+    with pytest.raises(ReproError, match="finished jobs"):
+        ChaosConfig(unique_jobs=100, waves=2)
 
 
 # ----------------------------------------------------------------------

@@ -180,6 +180,41 @@ def test_simulate_bad_unplug_syntax(workspace, capsys):
     assert "HOST:TIME" in capsys.readouterr().err
 
 
+def test_simulate_unbound_cycle_batch(tmp_path, capsys):
+    # A communicator cycle with memory has no SRG, but simulates: the
+    # vectorized kernel steps it without any task function bound.
+    from repro.arch import Architecture, ExecutionMetrics, Host, Sensor
+    from repro.experiments import cyclic_specification_with_input
+    from repro.io import specification_to_dict
+    from repro.mapping import Implementation
+
+    spec = specification_to_dict(cyclic_specification_with_input())
+    spec["tasks"][0]["function"] = "integrate"
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    (tmp_path / "arch.json").write_text(json.dumps(architecture_to_dict(
+        Architecture(
+            hosts=[Host("h1", 0.995)],
+            sensors=[Sensor("s1", 0.8)],
+            metrics=ExecutionMetrics(default_wcet=1, default_wctt=1),
+        )
+    )))
+    (tmp_path / "impl.json").write_text(json.dumps(implementation_to_dict(
+        Implementation({"integrate": {"h1"}}, {"ext": {"s1"}})
+    )))
+    status = main([
+        "simulate",
+        "--spec", str(tmp_path / "spec.json"),
+        "--arch", str(tmp_path / "arch.json"),
+        "--impl", str(tmp_path / "impl.json"),
+        "--runs", "4", "--iterations", "200", "--bernoulli",
+        "--monitor",
+    ])
+    out = capsys.readouterr().out
+    assert status == 0, out
+    assert "(vectorized)" in out
+    assert "SRG undefined (communicator cycle with memory)" in out
+
+
 def test_missing_spec_is_an_error(workspace, capsys):
     status = main(["check"])
     assert status == 2

@@ -10,6 +10,7 @@ real ``ThreadingHTTPServer`` on an ephemeral port.
 """
 
 import json
+import pathlib
 import threading
 
 import numpy as np
@@ -465,6 +466,125 @@ def test_failed_job_reports_error_event():
     assert states[0] == "queued"
     assert states[-1] == "failed"
     assert service.metrics.get("jobs_failed") == 1
+
+
+def test_finished_jobs_are_evicted_oldest_first(monkeypatch):
+    from repro.service import jobs as service_jobs
+
+    monkeypatch.setattr(service_jobs, "FINISHED_JOBS_KEPT", 2)
+    service = make_service()  # not started: transitions are driven here
+    first, second, third = (
+        service.submit(simulate_document(seed=seed)) for seed in (1, 2, 3)
+    )
+    running = service.submit(simulate_document(seed=4))
+    assert running.start_running()
+    first.finish("done", result={})
+    second.finish("failed", error="boom")
+    third.finish("cancelled", error="cancelled by client")
+
+    fourth = service.submit(simulate_document(seed=5))
+    assert [job.id for job in service.jobs()] == [
+        second.id, third.id, running.id, fourth.id
+    ]
+    fourth.finish("timed_out", error="deadline")
+    fifth = service.submit(simulate_document(seed=6))
+    # The oldest terminal job goes first; the running one never does.
+    assert [job.id for job in service.jobs()] == [
+        third.id, running.id, fourth.id, fifth.id
+    ]
+    assert running.state == "running"
+    with pytest.raises(ServiceError, match="unknown job"):
+        service.get(second.id)
+
+    # Over HTTP an evicted id is a 404, like an id never submitted.
+    import urllib.error
+    import urllib.request
+
+    server = make_server(service, host="127.0.0.1", port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+
+    def get(job_id):
+        url = f"http://{host}:{port}/jobs/{job_id}"
+        try:
+            with urllib.request.urlopen(url, timeout=30) as response:
+                return response.status, json.load(response)
+        except urllib.error.HTTPError as error:
+            with error:
+                return error.code, json.load(error)
+
+    try:
+        assert get(first.id) == (404, {"error": f"unknown job {first.id!r}"})
+        assert get("job-999") == (404, {"error": "unknown job 'job-999'"})
+        status, kept = get(third.id)
+        assert status == 200 and kept["state"] == "cancelled"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_serve_without_bindings_answers_a_cycle_job(tmp_path):
+    # A communicator cycle with memory runs in the vectorized kernel,
+    # which evaluates no task functions: no --bindings needed.
+    import os
+    import re
+    import select
+    import signal
+    import subprocess
+    import sys
+
+    from repro.arch import Architecture, ExecutionMetrics, Host, Sensor
+    from repro.experiments import cyclic_specification_with_input
+    from repro.mapping import Implementation
+
+    spec = specification_to_dict(cyclic_specification_with_input())
+    spec["tasks"][0]["function"] = "integrate"
+    arch = Architecture(
+        hosts=[Host("h1", 0.995)],
+        sensors=[Sensor("s1", 0.8)],
+        metrics=ExecutionMetrics(default_wcet=1, default_wctt=1),
+    )
+    document = {
+        "kind": "simulate",
+        "spec": spec,
+        "arch": architecture_to_dict(arch),
+        "impl": implementation_to_dict(
+            Implementation({"integrate": {"h1"}}, {"ext": {"s1"}})
+        ),
+        "runs": 6,
+        "iterations": 300,
+        "seed": 2,
+    }
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(__file__).parents[1] / "src"),
+         env.get("PYTHONPATH", "")]
+    )
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--ledger", str(tmp_path / "runs")],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        ready, _, _ = select.select([server.stdout], [], [], 30)
+        assert ready, "no banner within 30 s"
+        match = re.search(
+            r"listening on http://[^:]+:(\d+)", server.stdout.readline()
+        )
+        assert match
+        reply = ServiceClient(port=int(match.group(1))).submit(
+            document, wait=True
+        )
+        assert reply["state"] == "done", reply.get("error")
+        assert reply["result"]["executor"] == "vectorized"
+        assert 0.9 < reply["result"]["rates"]["acc"] < 1.0
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=60) == 0
+    finally:
+        if server.poll() is None:
+            server.kill()
+        server.stdout.close()
 
 
 def test_worker_threads_drain_the_queue():
