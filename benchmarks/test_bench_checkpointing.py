@@ -15,7 +15,7 @@ from repro.experiments import (
     three_tank_spec,
 )
 from repro.mapping import Implementation
-from repro.synthesis import ReexecutionPlan, check_schedulability_reexec
+from repro.synthesis import ReexecutionPlan, check_schedulability_mixed
 from repro.synthesis.checkpointing import (
     CheckpointScheme,
     check_schedulability_checkpointed,
@@ -59,7 +59,7 @@ def test_bench_checkpointing(benchmark, report):
             Implementation(dict(impl.assignment), impl.sensor_binding),
             {name: faults + 1 for name in spec.tasks},
         )
-        full_fits = check_schedulability_reexec(
+        full_fits = check_schedulability_mixed(
             spec, reexec, arch
         ).schedulable
         plan = synthesize_checkpointing(

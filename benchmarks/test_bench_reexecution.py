@@ -28,7 +28,6 @@ from repro.runtime import ScriptedFaults, Simulator
 from repro.synthesis import (
     ReexecutionPlan,
     TransientReexecutionFaults,
-    communicator_srgs_reexec,
     synthesize_reexecution,
 )
 
@@ -39,7 +38,9 @@ def test_bench_reexecution(benchmark, report):
 
     plan = benchmark(synthesize_reexecution, spec, arch)
 
-    reexec_srgs = communicator_srgs_reexec(spec, plan, arch)
+    reexec_srgs = communicator_srgs(
+        spec, plan.implementation, arch, plan.attempts
+    )
     replication_srgs = communicator_srgs(
         spec, scenario1_implementation(), arch
     )

@@ -15,10 +15,7 @@ from repro.experiments import (
     general_example,
     static_implementations,
 )
-from repro.reliability import (
-    check_reliability,
-    check_reliability_timedep,
-)
+from repro.reliability import check_reliability
 from repro.runtime import BernoulliFaults, Simulator
 
 ITERATIONS = 40000
@@ -30,7 +27,7 @@ def test_bench_timedep(benchmark, report):
     alternating = alternating_implementation()
 
     verdict = benchmark(
-        check_reliability_timedep, spec, arch, alternating
+        check_reliability, spec, arch, alternating
     )
 
     static_first = check_reliability(spec, arch, first)

@@ -11,7 +11,7 @@ average by simulating half a million iterations.
 Run:  python examples/time_dependent_mapping.py
 """
 
-from repro import check_reliability, check_reliability_timedep
+from repro import check_reliability
 from repro.experiments import (
     alternating_implementation,
     general_example,
@@ -40,7 +40,7 @@ def main() -> None:
         assert not report.reliable
 
     alternating = alternating_implementation()
-    report = check_reliability_timedep(spec, arch, alternating)
+    report = check_reliability(spec, arch, alternating)
     print("alternating mapping (phase 0: t1@h1,t2@h2; "
           "phase 1: t1@h2,t2@h1):")
     print(f"  limavg(c1) = {report.srgs()['c1']:.6f}, "

@@ -54,7 +54,6 @@ from repro.mapping import Implementation, TimeDependentImplementation
 from repro.reliability import (
     ReliabilityReport,
     check_reliability,
-    check_reliability_timedep,
     communicator_srgs,
     task_reliability,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "build_timeline",
     "check_refinement",
     "check_reliability",
-    "check_reliability_timedep",
     "check_schedulability",
     "check_validity",
     "communicator_srgs",

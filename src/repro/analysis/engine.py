@@ -2,7 +2,7 @@
 
 :func:`analyze_specification` propagates interval reliability bounds
 (:mod:`repro.analysis.domain`) along
-:func:`repro.model.graph.communicator_dependency_graph` to a fixpoint:
+:func:`repro.model.graph.srg_dependency_graph` to a fixpoint:
 
 * acyclic regions are evaluated inductively in topological order of
   the condensation, exactly mirroring
@@ -51,9 +51,10 @@ from repro.analysis.witness import Factor
 from repro.arch.architecture import Architecture
 from repro.errors import MappingError
 from repro.mapping.implementation import Implementation
-from repro.model.graph import communicator_dependency_graph
+from repro.model.graph import srg_dependency_graph
 from repro.model.specification import Specification
 from repro.model.task import FailureModel, Task
+from repro.reliability.srg import input_gain
 
 #: Default cap on Kleene iterations per cyclic component.
 MAX_ITERATIONS = 64
@@ -155,35 +156,6 @@ def _local_signatures(
     return signatures
 
 
-def _pruned_graph(spec: Specification) -> nx.DiGraph:
-    """Dependency graph minus the input edges of independent writers.
-
-    Mirrors :func:`repro.model.graph.srg_evaluation_order`'s pruning
-    but keeps the graph itself: cycles that survive are exactly the
-    unsafe communicator cycles (single-writer rule — the tasks on an
-    edge into ``c`` are precisely ``c``'s writer).
-    """
-    graph = communicator_dependency_graph(spec)
-    pruned = nx.DiGraph()
-    pruned.add_nodes_from(graph.nodes)
-    for u, v, data in graph.edges(data=True):
-        if any(m is not FailureModel.INDEPENDENT for m in data["models"]):
-            pruned.add_edge(u, v)
-    return pruned
-
-
-def _input_gain(
-    task: Task, endpoints: Mapping[str, float]
-) -> float:
-    """The input factor of the SRG formula at given endpoint values."""
-    icset = sorted(task.input_communicators())
-    if task.model is FailureModel.SERIES:
-        return math.prod(endpoints[c] for c in icset)
-    if task.model is FailureModel.PARALLEL:
-        return 1.0 - math.prod(1.0 - endpoints[c] for c in icset)
-    return 1.0
-
-
 def _transfer(
     name: str,
     spec: Specification,
@@ -233,8 +205,8 @@ def _transfer(
     icset = sorted(writer.input_communicators())
     input_intervals = {c: state[c][0] for c in icset}
     interval = written_interval(writer, replication, input_intervals)
-    gain_lo = _input_gain(writer, {c: state[c][0].lo for c in icset})
-    gain_hi = _input_gain(writer, {c: state[c][0].hi for c in icset})
+    gain_lo = input_gain(writer, {c: state[c][0].lo for c in icset})
+    gain_hi = input_gain(writer, {c: state[c][0].hi for c in icset})
     if writer.model is FailureModel.SERIES:
         parts: tuple[Factor, ...] = sum(
             (state[c][1] for c in icset), ()
@@ -313,7 +285,7 @@ def _iterate_cycle(
         assert writer is not None
         replication = replications[name]
         interval = Interval(0.0, current[name].hi)
-        gain_hi = _input_gain(
+        gain_hi = input_gain(
             writer,
             {
                 c: (current[c].hi if c in member_set else state[c][0].hi)
@@ -404,7 +376,7 @@ def analyze_specification(
             cache.store_report(report_key, report)
             return report
 
-    pruned = _pruned_graph(spec)
+    pruned = srg_dependency_graph(spec)
     condensation = nx.condensation(pruned)
     results: "dict[str, CachedBound]" = {}
     cone_keys: "dict[str, str]" = {}

@@ -33,7 +33,7 @@ from repro.arch.architecture import Architecture
 from repro.mapping.implementation import Implementation
 from repro.model.graph import srg_evaluation_order
 from repro.model.specification import Specification
-from repro.model.task import FailureModel, Task
+from repro.model.task import Task
 from repro.reliability.analysis import LRC_TOLERANCE
 from repro.reliability.srg import _written_communicator_srg
 
@@ -126,8 +126,6 @@ class FeasibilityOracle:
                 bounds[name] = (
                     self._free_input_hi if name in self._inputs else 1.0
                 )
-            elif writer.model is FailureModel.INDEPENDENT:
-                bounds[name] = self._free_lambda_hi
             else:
                 bounds[name] = _written_communicator_srg(
                     writer, self._free_lambda_hi, bounds

@@ -1360,7 +1360,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--cache-entries", type=int, metavar="N",
-        help="LRU-bound the in-memory result cache at N entries",
+        help="LRU bound of the in-memory result cache per entry kind "
+        "(default 256)",
     )
     serve.add_argument(
         "--cache-dir", metavar="DIR",

@@ -273,22 +273,32 @@ def unsafe_cycles(spec: Specification) -> list[list[str]]:
     ]
 
 
-def srg_evaluation_order(spec: Specification) -> list[str]:
-    """Return a communicator order suitable for inductive SRG evaluation.
+def srg_dependency_graph(spec: Specification) -> nx.DiGraph:
+    """Return the dependency graph without independent writers' inputs.
 
-    Independent-model tasks do not propagate input reliability, so
-    their input edges are dropped; the remaining dependency graph must
-    be acyclic (guaranteed when :func:`unsafe_cycles` is empty).
-    Raises :class:`networkx.NetworkXUnfeasible` otherwise.
+    Independent-model tasks do not propagate input reliability, so an
+    edge survives only when some task on it has another failure model.
+    The cycles that survive are exactly the unsafe communicator cycles
+    (single-writer rule: the tasks on an edge into ``c`` are precisely
+    ``c``'s writer).
     """
     graph = communicator_dependency_graph(spec)
     pruned = nx.DiGraph()
     pruned.add_nodes_from(graph.nodes)
     for u, v, data in graph.edges(data=True):
-        models = data["models"]
-        if any(m is not FailureModel.INDEPENDENT for m in models):
+        if any(m is not FailureModel.INDEPENDENT for m in data["models"]):
             pruned.add_edge(u, v)
-    return list(nx.topological_sort(pruned))
+    return pruned
+
+
+def srg_evaluation_order(spec: Specification) -> list[str]:
+    """Return a communicator order suitable for inductive SRG evaluation.
+
+    A topological order of :func:`srg_dependency_graph`, which must be
+    acyclic (guaranteed when :func:`unsafe_cycles` is empty).  Raises
+    :class:`networkx.NetworkXUnfeasible` otherwise.
+    """
+    return list(nx.topological_sort(srg_dependency_graph(spec)))
 
 
 def task_dependency_graph(spec: Specification) -> nx.DiGraph:

@@ -32,7 +32,6 @@ from repro.reliability.analysis import (
     ReliabilityReport,
     check_reliability,
     check_reliability_empirical,
-    check_reliability_timedep,
 )
 from repro.reliability.stats import (
     ComplianceVerdict,
@@ -117,7 +116,6 @@ __all__ = [
     "Series",
     "Unit",
     "check_reliability",
-    "check_reliability_timedep",
     "communicator_srgs",
     "input_communicator_srg",
     "limit_average",

@@ -124,15 +124,18 @@ class ReliabilityReport:
 def check_reliability(
     spec: Specification,
     arch: Architecture,
-    implementation: Implementation,
+    implementation: "Implementation | TimeDependentImplementation",
 ) -> ReliabilityReport:
-    """Run the Proposition 1 reliability analysis on a static mapping.
+    """Run the Proposition 1 reliability analysis on a mapping.
 
     Computes every communicator's SRG under *implementation* and
-    compares it against the communicator's LRC.  For specifications
-    with memory, the report additionally flags communicator cycles
-    lacking an independent-model breaker; such implementations are
-    never reliable (the limit average collapses to 0).
+    compares it against the communicator's LRC; for a time-dependent
+    mapping the SRG is the mean over its phases (see
+    :func:`~repro.reliability.srg.communicator_srgs`).  For
+    specifications with memory, the report additionally flags
+    communicator cycles lacking an independent-model breaker; such
+    implementations are never reliable (the limit average collapses
+    to 0).
     """
     srgs = communicator_srgs(spec, implementation, arch)
     verdicts = tuple(
@@ -225,58 +228,8 @@ def check_reliability_empirical(
         seed=seed,
     )
     result = simulator.run_batch(runs, iterations)
-    if isinstance(implementation, TimeDependentImplementation):
-        phase_srgs = [
-            communicator_srgs(spec, phase, arch)
-            for phase in implementation.phases
-        ]
-        analytic = {
-            name: sum(p[name] for p in phase_srgs) / len(phase_srgs)
-            for name in spec.communicators
-        }
-    else:
-        analytic = communicator_srgs(spec, implementation, arch)
     return EmpiricalReliabilityReport(
         result=result,
         tests=result.lrc_tests(confidence),
-        analytic_srgs=analytic,
-    )
-
-
-def check_reliability_timedep(
-    spec: Specification,
-    arch: Architecture,
-    implementation: TimeDependentImplementation,
-) -> ReliabilityReport:
-    """Reliability analysis for a periodic time-dependent mapping.
-
-    The per-iteration reliability of communicator ``c`` cycles through
-    the SRGs of the phases; the limit average of the abstract trace is
-    their arithmetic mean (the iteration index modulo the phase count
-    visits every phase equally often), so the reported "SRG" of each
-    communicator is that mean.
-    """
-    phase_srgs = [
-        communicator_srgs(spec, phase, arch)
-        for phase in implementation.phases
-    ]
-    count = len(phase_srgs)
-    verdicts = tuple(
-        CommunicatorVerdict(
-            name,
-            sum(phase[name] for phase in phase_srgs) / count,
-            comm.lrc,
-        )
-        for name, comm in sorted(spec.communicators.items())
-    )
-    memory_free = is_memory_free(spec)
-    bad_cycles = (
-        tuple(tuple(cycle) for cycle in unsafe_cycles(spec))
-        if not memory_free
-        else ()
-    )
-    return ReliabilityReport(
-        verdicts=verdicts,
-        memory_free=memory_free,
-        unsafe_cycles=bad_cycles,
+        analytic_srgs=communicator_srgs(spec, implementation, arch),
     )

@@ -21,6 +21,12 @@ communicator ``c`` is then defined inductively:
 The induction is well-founded for memory-free specifications and, more
 generally, whenever every communicator cycle contains an
 independent-model task (whose SRG does not depend on its inputs).
+
+The time-redundancy baselines are parameters of the same induction:
+re-execution counts raise each replication's failure probability to
+the power of its attempts (:func:`task_reliability`), and a
+time-dependent mapping's SRG is the mean of its phases' SRGs
+(:func:`communicator_srgs`).
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import networkx as nx
 from repro.arch.architecture import Architecture
 from repro.errors import AnalysisError
 from repro.mapping.implementation import Implementation
+from repro.mapping.timedep import TimeDependentImplementation
 from repro.model.graph import srg_evaluation_order
 from repro.model.specification import Specification
 from repro.model.task import FailureModel, Task
@@ -40,7 +47,10 @@ from repro.reliability.rbd import Block, Parallel, Series, Unit
 
 
 def task_reliability(
-    task: str, implementation: Implementation, arch: Architecture
+    task: str,
+    implementation: Implementation,
+    arch: Architecture,
+    attempts: int = 1,
 ) -> float:
     """Return ``lambda_t`` for *task* under *implementation*.
 
@@ -48,11 +58,17 @@ def task_reliability(
     an iteration when at least one replication's host survives the
     invocation *and* its output broadcast is delivered.  Broadcast
     failures are atomic and independent per replication.
+
+    With ``attempts = k`` every replication re-executes up to ``k``
+    times (time redundancy, the paper's related work [9]-[11]): under
+    independent transient faults a replication fails only when all its
+    attempts fail, so ``lambda_t = 1 - prod_h (1 - hrel(h) * brel) ** k``.
+    A permanently failed host defeats every attempt.
     """
     brel = arch.network.reliability
     failure = 1.0
     for host in implementation.hosts_of(task):
-        failure *= 1.0 - arch.hrel(host) * brel
+        failure *= (1.0 - arch.hrel(host) * brel) ** attempts
     return 1.0 - failure
 
 
@@ -72,23 +88,33 @@ def input_communicator_srg(
     return 1.0 - failure
 
 
+def input_gain(task: Task, srgs: Mapping[str, float]) -> float:
+    """Return the input factor of *task*'s SRG formula.
+
+    ``prod lambda_c'`` for the series model, ``1 - prod (1 - lambda_c')``
+    for the parallel model and 1 for the independent model, over the
+    task's input communicators ``c'`` (looked up in *srgs*).
+    """
+    icset = sorted(task.input_communicators())
+    if task.model is FailureModel.SERIES:
+        return math.prod(srgs[c] for c in icset)
+    if task.model is FailureModel.PARALLEL:
+        return 1.0 - math.prod(1.0 - srgs[c] for c in icset)
+    return 1.0
+
+
 def _written_communicator_srg(
     task: Task, lambda_t: float, input_srgs: Mapping[str, float]
 ) -> float:
     """Combine ``lambda_t`` with input SRGs per the task's failure model."""
-    icset = sorted(task.input_communicators())
-    if task.model is FailureModel.SERIES:
-        return lambda_t * math.prod(input_srgs[c] for c in icset)
-    if task.model is FailureModel.PARALLEL:
-        all_fail = math.prod(1.0 - input_srgs[c] for c in icset)
-        return lambda_t * (1.0 - all_fail)
-    return lambda_t  # INDEPENDENT
+    return lambda_t * input_gain(task, input_srgs)
 
 
 def communicator_srgs(
     spec: Specification,
-    implementation: Implementation,
+    implementation: "Implementation | TimeDependentImplementation",
     arch: Architecture,
+    attempts: Mapping[str, int] | None = None,
 ) -> dict[str, float]:
     """Return ``lambda_c`` for every communicator of *spec*.
 
@@ -97,7 +123,22 @@ def communicator_srgs(
     no such order exists (a communicator cycle without an
     independent-model breaker); use
     :func:`repro.model.graph.unsafe_cycles` to diagnose.
+
+    *attempts* maps tasks to their re-execution counts (1 when
+    unlisted; see :func:`task_reliability`).  For a
+    :class:`TimeDependentImplementation` the per-iteration reliability
+    cycles through the phases' SRGs, so the SRG of each communicator
+    is their arithmetic mean (every phase recurs equally often).
     """
+    if isinstance(implementation, TimeDependentImplementation):
+        phase_srgs = [
+            communicator_srgs(spec, phase, arch, attempts)
+            for phase in implementation.phases
+        ]
+        return {
+            name: sum(p[name] for p in phase_srgs) / len(phase_srgs)
+            for name in spec.communicators
+        }
     implementation.validate(spec, arch)
     try:
         order = srg_evaluation_order(spec)
@@ -107,6 +148,7 @@ def communicator_srgs(
             "cycle with no independent-model task to break it"
         ) from None
     inputs = spec.input_communicators()
+    attempts = attempts or {}
     srgs: dict[str, float] = {}
     for name in order:
         writer = spec.writer_of(name)
@@ -124,13 +166,13 @@ def communicator_srgs(
             # in `order` (only edges whose tasks are all independent
             # are pruned, and the writer of `name` sits on each of its
             # own input edges), so the induction never dangles.
-            lambda_t = task_reliability(writer.name, implementation, arch)
-            if writer.model is FailureModel.INDEPENDENT:
-                srgs[name] = lambda_t
-            else:
-                srgs[name] = _written_communicator_srg(
-                    writer, lambda_t, srgs
-                )
+            lambda_t = task_reliability(
+                writer.name,
+                implementation,
+                arch,
+                attempts.get(writer.name, 1),
+            )
+            srgs[name] = _written_communicator_srg(writer, lambda_t, srgs)
     return srgs
 
 

@@ -20,6 +20,7 @@ from repro.sched.analysis import (
     HostLoad,
     SchedulabilityReport,
     check_schedulability,
+    inflate_wcet,
 )
 
 __all__ = [
@@ -33,4 +34,5 @@ __all__ = [
     "demand_bound_feasible",
     "edf_schedule",
     "expand_jobs",
+    "inflate_wcet",
 ]

@@ -17,8 +17,9 @@ combines:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from repro.arch.architecture import Architecture
+from repro.arch.architecture import Architecture, ExecutionMetrics
 from repro.mapping.implementation import Implementation
 from repro.model.specification import Specification
 from repro.sched.edf import demand_bound_feasible
@@ -68,6 +69,32 @@ class SchedulabilityReport:
         for reason in self.reasons:
             lines.append(f"  reason: {reason}")
         return "\n".join(lines)
+
+
+def inflate_wcet(
+    spec: Specification,
+    arch: Architecture,
+    inflate: Callable[[str, int], int],
+) -> Architecture:
+    """Return *arch* with each WCET replaced by ``inflate(task, wcet)``.
+
+    Time redundancy (re-execution, checkpointing) repeats computation
+    inside the task's own LET window, so those plans are schedulable
+    when the mapping is schedulable on the inflated architecture.
+    Only the computation repeats: the output broadcast is sent once
+    and keeps its WCTT.
+    """
+    pairs = [(task, host) for task in spec.tasks for host in arch.host_names()]
+    metrics = ExecutionMetrics(
+        wcet={(t, h): inflate(t, arch.wcet(t, h)) for t, h in pairs},
+        wctt={(t, h): arch.wctt(t, h) for t, h in pairs},
+    )
+    return Architecture(
+        hosts=arch.hosts.values(),
+        sensors=arch.sensors.values(),
+        metrics=metrics,
+        network=arch.network,
+    )
 
 
 def check_schedulability(

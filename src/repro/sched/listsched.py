@@ -23,8 +23,8 @@ from repro.arch.architecture import Architecture
 from repro.mapping.implementation import Implementation
 from repro.model.specification import Specification
 from repro.sched.edf import ScheduledSlice
-from repro.sched.jobs import Job, expand_jobs, jobs_on_host
-from repro.sched.timeline import BroadcastSlot, DistributedTimeline
+from repro.sched.jobs import Job
+from repro.sched.timeline import DistributedTimeline, _two_phase_timeline
 
 
 @dataclass(frozen=True)
@@ -105,53 +105,4 @@ def build_timeline_nonpreemptive(
     one contiguous network slot.  The result is directly executable by
     a runtime without a preemption mechanism.
     """
-    jobs = expand_jobs(spec, arch, implementation)
-    host_slices: dict[str, tuple[ScheduledSlice, ...]] = {}
-    misses: list[str] = []
-    completions: dict[tuple[str, str], int] = {}
-    for host in sorted({job.host for job in jobs}):
-        result = list_schedule(jobs_on_host(jobs, host))
-        host_slices[host] = result.slices
-        misses.extend(f"cpu:{label}" for label in result.misses)
-        for job in jobs_on_host(jobs, host):
-            label = job.label()
-            if label in result.completion:
-                completions[(job.task, job.host)] = result.completion[label]
-
-    network_jobs = []
-    for job in jobs:
-        if job.wctt == 0:
-            continue
-        completed = completions.get((job.task, job.host))
-        if completed is None:
-            continue
-        network_jobs.append(
-            Job(
-                deadline=job.deadline,
-                release=completed,
-                task=job.task,
-                host=job.host,
-                wcet=job.wctt,
-                wctt=0,
-            )
-        )
-    net_result = list_schedule(
-        network_jobs,
-        demand=lambda j: j.wcet,
-        deadline=lambda j: j.deadline,
-    )
-    misses.extend(f"net:{label}" for label in net_result.misses)
-    broadcasts = tuple(
-        BroadcastSlot(
-            start=piece.start, end=piece.end, task=piece.task,
-            host=piece.host,
-        )
-        for piece in net_result.slices
-    )
-    return DistributedTimeline(
-        period=spec.period(),
-        host_slices=host_slices,
-        broadcasts=broadcasts,
-        feasible=not misses,
-        misses=tuple(sorted(misses)),
-    )
+    return _two_phase_timeline(spec, arch, implementation, list_schedule)

@@ -20,11 +20,12 @@ every LET window, and the runtime's E-machine executes it directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from repro.arch.architecture import Architecture
 from repro.mapping.implementation import Implementation
 from repro.model.specification import Specification
-from repro.sched.edf import EDFResult, ScheduledSlice, edf_schedule
+from repro.sched.edf import ScheduledSlice, edf_schedule
 from repro.sched.jobs import Job, expand_jobs, jobs_on_host
 
 
@@ -170,12 +171,36 @@ def build_timeline(
     Always returns a timeline; check :attr:`DistributedTimeline.feasible`
     (and :attr:`misses`) to learn whether it certifies schedulability.
     """
+    return _two_phase_timeline(
+        spec,
+        arch,
+        implementation,
+        edf_schedule,
+        capacity=arch.network.bandwidth,
+    )
+
+
+def _two_phase_timeline(
+    spec: Specification,
+    arch: Architecture,
+    implementation: Implementation,
+    schedule: Callable[..., Any],
+    **network_options: Any,
+) -> DistributedTimeline:
+    """Build a timeline with one single-resource scheduler for both phases.
+
+    *schedule* places jobs on one resource and returns their
+    ``slices``, ``completion`` times (by job label) and ``misses``.
+    Phase 1 calls it per host with its default demand (WCET) and
+    deadline (computation deadline); phase 2 calls it once for the
+    broadcast medium with *network_options* added.
+    """
     jobs = expand_jobs(spec, arch, implementation)
     host_slices: dict[str, tuple[ScheduledSlice, ...]] = {}
     misses: list[str] = []
     completions: dict[tuple[str, str], int] = {}
     for host in sorted({job.host for job in jobs}):
-        result: EDFResult = edf_schedule(jobs_on_host(jobs, host))
+        result = schedule(jobs_on_host(jobs, host))
         host_slices[host] = result.slices
         misses.extend(f"cpu:{label}" for label in result.misses)
         for job in jobs_on_host(jobs, host):
@@ -202,11 +227,11 @@ def build_timeline(
                 wctt=0,
             )
         )
-    net_result = edf_schedule(
+    net_result = schedule(
         network_jobs,
         demand=lambda j: j.wcet,
         deadline=lambda j: j.deadline,
-        capacity=arch.network.bandwidth,
+        **network_options,
     )
     misses.extend(f"net:{label}" for label in net_result.misses)
     broadcasts = tuple(

@@ -20,7 +20,8 @@ Both kinds of entry — Monte-Carlo batches (``"mc"``) and verify
 reports (``"verify"``) — go through one store path:
 
 * **LRU bound** — each kind keeps its own in-memory LRU of at most
-  ``max_entries`` entries; the least-recently-used ones are evicted
+  ``max_entries`` entries (default :data:`CACHE_ENTRIES`); the
+  least-recently-used ones are evicted
   (never the one just stored) and counted as
   ``<kind>_cache_evictions`` through the attached
   :class:`ServiceMetrics`.
@@ -56,6 +57,11 @@ from repro.telemetry.ledger import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.batch import BatchResult
+
+#: Default in-memory LRU bound per entry kind, matching the service's
+#: ``FINISHED_JOBS_KEPT``: a long-lived daemon's cache stays bounded
+#: unless its deployment sets another bound.
+CACHE_ENTRIES = 256
 
 
 @dataclass(frozen=True)
@@ -339,7 +345,8 @@ class ResultCache:
     ----------
     max_entries:
         LRU bound per entry kind on the in-memory store (``None``
-        means unbounded); it also sizes the on-disk spill budget.
+        means :data:`CACHE_ENTRIES`); it also sizes the on-disk spill
+        budget.
     root:
         Optional spill directory for crash-safe persistence.
     metrics:
@@ -355,7 +362,9 @@ class ResultCache:
     ) -> None:
         import threading
 
-        if max_entries is not None and max_entries < 1:
+        if max_entries is None:
+            max_entries = CACHE_ENTRIES
+        if max_entries < 1:
             raise ValueError(
                 f"max_entries must be >= 1, got {max_entries}"
             )
@@ -441,10 +450,7 @@ class ResultCache:
             store[key] = value
             store.move_to_end(key)
             # max_entries >= 1 and the new entry is last: never evicted.
-            while (
-                self.max_entries is not None
-                and len(store) > self.max_entries
-            ):
+            while len(store) > self.max_entries:
                 store.popitem(last=False)
                 evicted += 1
         if evicted:
@@ -526,7 +532,7 @@ class ResultCache:
         so its budget is deliberately much larger than
         ``max_entries`` — an evicted entry must still thaw from disk.
         """
-        if self.max_entries is None or self.root is None:
+        if self.root is None:
             return
         budget = max(64, 8 * self.max_entries)
         files = sorted(

@@ -20,6 +20,11 @@ Job document fields (``kind`` selects the pipeline):
     ``spec``/``htl``, ``arch``, optional ``impl`` — the analytic
     abstract-interpretation verdict, memoized by design fingerprint.
 
+:meth:`ReliabilityService.submit` type-checks every field once (JSON
+integers, booleans and numbers, never one for another) and builds a
+simulate job's :class:`SimulateOptions`, so a malformed document is
+refused at submission and never fails later in a worker.
+
 Cache semantics (the PR 7 contract): an identical repeated simulate
 job answers from cache without simulating; a ``runs`` upgrade
 simulates only the tail ``cached.runs..runs-1`` — seeded by
@@ -67,13 +72,16 @@ simulation state.
 from __future__ import annotations
 
 import contextlib
+import math
 import queue
 import threading
 import time
 import traceback
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.errors import ReproError
+from repro.resilience.monitor import MonitorConfig
 from repro.service.cache import McKey, ResultCache, ServiceMetrics
 from repro.service.slo import SloTracker
 from repro.service.slog import ServiceLog
@@ -82,6 +90,7 @@ from repro.telemetry.distributed import (
     build_job_trace,
     mint_trace_id,
 )
+from repro.telemetry.convergence import StoppingRule
 from repro.telemetry.profiler import StageProfiler
 
 #: Cache outcome of a simulate job -> the ``/metrics`` counter it bumps.
@@ -122,6 +131,102 @@ class ServiceDraining(ServiceError):
     """The service is draining/stopped and rejects new jobs (503)."""
 
 
+#: Simulate-job fields that only an adaptive job may carry.
+ADAPTIVE_FIELDS = (
+    "target_rel_half_width",
+    "min_runs",
+    "stop_confidence",
+    "indifference",
+    "sequential",
+)
+
+
+@dataclass(frozen=True)
+class SimulateOptions:
+    """The typed fields of a simulate job document, parsed at submission."""
+
+    runs: int
+    iterations: int
+    seed: int
+    shards: int
+    bernoulli: bool
+    slack: float
+    monitor: MonitorConfig | None
+    rule: StoppingRule | None
+
+
+def _typed(
+    doc: Mapping[str, Any], name: str, kind: type, default: Any = None
+) -> Any:
+    """Return ``doc[name]`` (or *default*) checked against a JSON type.
+
+    *kind* is ``bool``, ``int`` or ``float``.  A JSON boolean is never
+    a number, an integer is a valid ``float`` (returned as one), and
+    ``NaN``/``Infinity`` (which Python's JSON parser accepts) are not.
+    An absent or null field with no default is ``None``.
+    """
+    value = doc.get(name, default)
+    if value is None and default is None:
+        return None
+    accepted = (int, float) if kind is float else kind
+    if (
+        isinstance(value, bool) is not (kind is bool)
+        or not isinstance(value, accepted)
+        or (kind is float and not math.isfinite(value))
+    ):
+        noun = {bool: "a boolean", int: "an integer"}.get(kind, "a number")
+        raise ServiceError(f"{name} must be {noun}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _parse_simulate(doc: dict) -> SimulateOptions:
+    """Type-check a simulate document and build its monitor and rule.
+
+    The counts are written back into *doc* with their defaults, as the
+    job document records them.  :class:`MonitorConfig` and
+    :class:`StoppingRule` validate their own values; their errors are
+    re-raised as :class:`ServiceError`.
+    """
+    if "impl" not in doc:
+        raise ServiceError("simulate job needs an 'impl' dict")
+    for name in ("runs", "iterations", "jobs"):
+        value = doc[name] = _typed(doc, name, int, 1)
+        if value < 1:
+            raise ServiceError(f"{name} must be >= 1, got {value!r}")
+    window = _typed(doc, "monitor_window", int)
+    adaptive = _typed(doc, "adaptive", bool, False)
+    stray = [name for name in ADAPTIVE_FIELDS if name in doc]
+    if stray and not adaptive:
+        raise ServiceError(
+            f"{', '.join(stray)} apply only with \"adaptive\": true"
+        )
+    try:
+        monitor = None if window is None else MonitorConfig(window=window)
+        rule = None
+        if adaptive:
+            rule = StoppingRule(
+                target_rel_half_width=_typed(
+                    doc, "target_rel_half_width", float
+                ),
+                sequential=_typed(doc, "sequential", bool, True),
+                confidence=_typed(doc, "stop_confidence", float, 0.99),
+                indifference=_typed(doc, "indifference", float, 0.002),
+                min_runs=_typed(doc, "min_runs", int, 64),
+            )
+    except ReproError as error:
+        raise ServiceError(str(error)) from None
+    return SimulateOptions(
+        runs=doc["runs"],
+        iterations=doc["iterations"],
+        seed=doc["seed"],
+        shards=doc["jobs"],
+        bernoulli=_typed(doc, "bernoulli", bool, True),
+        slack=_typed(doc, "slack", float, 0.01),
+        monitor=monitor,
+        rule=rule,
+    )
+
+
 class Job:
     """One submitted query: state, progress events, result."""
 
@@ -132,9 +237,12 @@ class Job:
         timeout_s: "float | None" = None,
         trace_id: "str | None" = None,
         observer: "Callable[[Job, dict], None] | None" = None,
+        options: "SimulateOptions | None" = None,
     ) -> None:
         self.id = job_id
         self.document = document
+        #: The typed fields of a simulate job, parsed at submission.
+        self.options = options
         # queued | running | done | failed | timed_out | cancelled
         self.state = "queued"
         self.error: "str | None" = None
@@ -322,8 +430,9 @@ class ReliabilityService:
         detection).
     cache_entries / cache_dir:
         :class:`~repro.service.cache.ResultCache` LRU bound per entry
-        kind (``>= 1``; ``None`` is unbounded) and crash-safe spill
-        directory.
+        kind (``>= 1``; ``None`` is
+        :data:`~repro.service.cache.CACHE_ENTRIES`) and crash-safe
+        spill directory.
     default_timeout_s:
         Deadline in seconds (``> 0``) applied to jobs that do not
         carry ``timeout_s``.
@@ -528,6 +637,8 @@ class ReliabilityService:
             raise ServiceDraining(
                 "service is draining and not accepting jobs"
             )
+        if not isinstance(document, Mapping):
+            raise ServiceError("job document must be a JSON object")
         doc = dict(document)
         kind = doc.setdefault("kind", "simulate")
         if kind not in ("simulate", "verify"):
@@ -536,40 +647,23 @@ class ReliabilityService:
             raise ServiceError("job needs a 'spec' dict or 'htl' source")
         if "arch" not in doc:
             raise ServiceError("job needs an 'arch' dict")
+        seed = doc["seed"] = _typed(doc, "seed", int, 0)
+        if seed < 0:
+            raise ServiceError(f"seed must be >= 0, got {seed!r}")
+        options = None
         if kind == "simulate":
-            if "impl" not in doc:
-                raise ServiceError("simulate job needs an 'impl' dict")
-            runs = doc.setdefault("runs", 1)
-            iterations = doc.setdefault("iterations", 1)
-            if not isinstance(runs, int) or runs < 1:
-                raise ServiceError(f"runs must be >= 1, got {runs!r}")
-            if not isinstance(iterations, int) or iterations < 1:
-                raise ServiceError(
-                    f"iterations must be >= 1, got {iterations!r}"
-                )
-            jobs = doc.setdefault("jobs", 1)
-            if not isinstance(jobs, int) or jobs < 1:
-                raise ServiceError(f"jobs must be >= 1, got {jobs!r}")
-            self._validate_adaptive(doc)
+            options = _parse_simulate(doc)
         elif doc.get("adaptive"):
             raise ServiceError(
                 "adaptive stopping applies to simulate jobs only"
             )
-        seed = doc.setdefault("seed", 0)
-        if not isinstance(seed, int):
-            raise ServiceError(f"seed must be an int, got {seed!r}")
-        timeout_s = doc.get("timeout_s", self.default_timeout_s)
-        if timeout_s is not None:
-            if (
-                isinstance(timeout_s, bool)
-                or not isinstance(timeout_s, (int, float))
-                or timeout_s <= 0
-            ):
-                raise ServiceError(
-                    f"timeout_s must be a positive number, "
-                    f"got {timeout_s!r}"
-                )
-            timeout_s = float(timeout_s)
+        timeout_s = _typed(doc, "timeout_s", float)
+        if timeout_s is None:
+            timeout_s = self.default_timeout_s
+        elif timeout_s <= 0:
+            raise ServiceError(
+                f"timeout_s must be a positive number, got {timeout_s!r}"
+            )
         with self._lock:
             if (
                 self.queue_limit is not None
@@ -592,6 +686,7 @@ class ReliabilityService:
             job = Job(
                 f"job-{self._counter}", doc, timeout_s=timeout_s,
                 trace_id=trace_id, observer=self._on_job_event,
+                options=options,
             )
             self._jobs[job.id] = job
             self._queued += 1
@@ -611,63 +706,6 @@ class ReliabilityService:
         finished = [key for key, job in self._jobs.items() if job.done]
         for key in finished[: max(0, len(finished) - FINISHED_JOBS_KEPT)]:
             del self._jobs[key]
-
-    @staticmethod
-    def _validate_adaptive(doc: dict) -> None:
-        """Validate the adaptive-stopping fields of a simulate job.
-
-        ``adaptive: true`` turns ``runs`` into a budget (``max_runs``)
-        the :class:`~repro.telemetry.convergence.StoppingRule` may cut
-        short; the optional knobs mirror the rule's parameters.
-        """
-        adaptive = doc.get("adaptive", False)
-        if not isinstance(adaptive, bool):
-            raise ServiceError(
-                f"adaptive must be a bool, got {adaptive!r}"
-            )
-        if not adaptive:
-            return
-        target = doc.get("target_rel_half_width")
-        if target is not None and (
-            isinstance(target, bool)
-            or not isinstance(target, (int, float))
-            or target <= 0
-        ):
-            raise ServiceError(
-                f"target_rel_half_width must be a positive number, "
-                f"got {target!r}"
-            )
-        min_runs = doc.get("min_runs")
-        if min_runs is not None and (
-            not isinstance(min_runs, int) or min_runs < 1
-        ):
-            raise ServiceError(
-                f"min_runs must be >= 1, got {min_runs!r}"
-            )
-        confidence = doc.get("stop_confidence")
-        if confidence is not None and (
-            isinstance(confidence, bool)
-            or not isinstance(confidence, (int, float))
-            or not 0.0 < confidence < 1.0
-        ):
-            raise ServiceError(
-                f"stop_confidence must lie in (0, 1), "
-                f"got {confidence!r}"
-            )
-        indifference = doc.get("indifference")
-        if indifference is not None and (
-            isinstance(indifference, bool)
-            or not isinstance(indifference, (int, float))
-            or indifference <= 0
-        ):
-            raise ServiceError(
-                f"indifference must be positive, got {indifference!r}"
-            )
-        sequential = doc.get("sequential", True)
-        if not isinstance(sequential, bool):
-            raise ServiceError(
-                f"sequential must be a bool, got {sequential!r}"
-            )
 
     def _on_job_event(self, job: Job, event: dict) -> None:
         """Mirror one job state transition into the structured log."""
@@ -1040,31 +1078,12 @@ class ReliabilityService:
         from repro.analysis import Verifier
         from repro.runtime.batch import BatchSimulator
         from repro.runtime.faults import BernoulliFaults
-        from repro.telemetry.convergence import StoppingRule
 
-        doc = job.document
-        spec, arch, impl = self._design(doc, need_impl=True)
-        runs = int(doc["runs"])
-        iterations = int(doc["iterations"])
-        seed = int(doc["seed"])
-        shards = int(doc.get("jobs", 1))
-        bernoulli = bool(doc.get("bernoulli", True))
-        slack = float(doc.get("slack", 0.01))
-        window = doc.get("monitor_window")
-        monitor = None
-        if window is not None:
-            from repro.resilience import MonitorConfig
-
-            monitor = MonitorConfig(window=int(window))
-        rule = None
-        if doc.get("adaptive"):
-            rule = StoppingRule(
-                target_rel_half_width=doc.get("target_rel_half_width"),
-                sequential=bool(doc.get("sequential", True)),
-                confidence=float(doc.get("stop_confidence", 0.99)),
-                indifference=float(doc.get("indifference", 0.002)),
-                min_runs=int(doc.get("min_runs", 64)),
-            )
+        options = job.options
+        assert options is not None  # submit parses every simulate job
+        runs, iterations, seed = options.runs, options.iterations, options.seed
+        monitor, rule = options.monitor, options.rule
+        spec, arch, impl = self._design(job.document, need_impl=True)
         fingerprint = Verifier.design_fingerprint(spec, arch, impl)
         key = McKey(
             spec_hash=fingerprint[0],
@@ -1072,10 +1091,12 @@ class ReliabilityService:
             impl_hash=fingerprint[2],
             seed=seed,
             iterations=iterations,
-            bernoulli=bernoulli,
-            monitor_window=None if window is None else int(window),
+            bernoulli=options.bernoulli,
+            monitor_window=None if monitor is None else monitor.window,
         )
-        executor = self._executor(shards) if shards > 1 else None
+        executor = (
+            self._executor(options.shards) if options.shards > 1 else None
+        )
 
         with profiler.stage("cache-lookup"):
             kind, cached = self.cache.plan(key, runs, spec=spec)
@@ -1114,7 +1135,7 @@ class ReliabilityService:
         with merging:
             growth = BatchSimulator(
                 spec, arch, impl,
-                faults=BernoulliFaults(arch) if bernoulli else None,
+                faults=BernoulliFaults(arch) if options.bernoulli else None,
                 seed=seed,
                 profiler=profiler,
                 executor=executor,
@@ -1177,7 +1198,7 @@ class ReliabilityService:
                 name: comm.lrc
                 for name, comm in sorted(spec.communicators.items())
             },
-            "satisfied": bool(result.satisfies_lrcs(slack=slack)),
+            "satisfied": bool(result.satisfies_lrcs(slack=options.slack)),
             "monitor_events": len(result.monitor_events),
             "ledger_entry": entry,
         }

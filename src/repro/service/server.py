@@ -44,7 +44,8 @@ bounded-cardinality endpoint pattern (job ids are collapsed to
 the client-minted trace id is attached to the job and echoed in the
 202 reply.
 
-Errors reply with ``{"error": ...}`` and status 400 (bad document),
+Errors reply with ``{"error": ...}`` and status 400 (bad document or
+``since`` value),
 404 (unknown job/path), 429 (queue full, with ``Retry-After``),
 503 (draining), or 500 (handler bug).
 
@@ -185,11 +186,10 @@ class _Handler(BaseHTTPRequestHandler):
             if url.path != "/jobs":
                 self._error(404, f"no such endpoint: POST {url.path}")
                 return
-            document = self._read_document()
-            if not isinstance(document, dict):
-                raise ServiceError("job document must be a JSON object")
             trace_id = self.headers.get(TRACE_HEADER) or None
-            job = self.service.submit(document, trace_id=trace_id)
+            job = self.service.submit(
+                self._read_document(), trace_id=trace_id
+            )
             query = parse_qs(url.query)
             if query.get("wait", ["0"])[0] in ("1", "true"):
                 job.wait()
@@ -254,11 +254,16 @@ class _Handler(BaseHTTPRequestHandler):
             and parts[0] == "jobs"
             and parts[2] == "events"
         ):
-            query = parse_qs(url.query)
-            since = int(query.get("since", ["0"])[0])
+            since = parse_qs(url.query).get("since", ["0"])[0]
+            if not since.isdecimal():
+                self._error(
+                    400,
+                    f"since must be a non-negative integer, got {since!r}",
+                )
+                return
             job = self.service.get(parts[1])
             events = job.events_since(
-                since, timeout=EVENT_POLL_TIMEOUT
+                int(since), timeout=EVENT_POLL_TIMEOUT
             )
             self._reply(
                 200,

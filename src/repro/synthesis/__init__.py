@@ -37,17 +37,12 @@ from repro.synthesis.mixed import (
     MixedPlan,
     MixedSynthesisResult,
     check_schedulability_mixed,
-    communicator_srgs_mixed,
-    mixed_task_reliability,
     synthesize_mixed,
 )
 from repro.synthesis.reexecution import (
     ReexecutionPlan,
     TransientReexecutionFaults,
-    check_schedulability_reexec,
-    communicator_srgs_reexec,
     synthesize_reexecution,
-    task_reliability_reexec,
 )
 
 __all__ = [
@@ -58,16 +53,11 @@ __all__ = [
     "ReexecutionPlan",
     "TransientReexecutionFaults",
     "check_schedulability_mixed",
-    "communicator_srgs_mixed",
-    "mixed_task_reliability",
     "synthesize_mixed",
-    "check_schedulability_reexec",
-    "communicator_srgs_reexec",
     "TimeDependentSynthesisResult",
     "enumerate_single_host_assignments",
     "synthesize_reexecution",
     "synthesize_timedep",
-    "task_reliability_reexec",
     "SynthesisResult",
     "bicriteria_schedule",
     "pareto_front",

@@ -30,11 +30,15 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.arch.architecture import Architecture, ExecutionMetrics
+from repro.arch.architecture import Architecture
 from repro.errors import SynthesisError
 from repro.mapping.implementation import Implementation
 from repro.model.specification import Specification
-from repro.sched.analysis import SchedulabilityReport, check_schedulability
+from repro.sched.analysis import (
+    SchedulabilityReport,
+    check_schedulability,
+    inflate_wcet,
+)
 
 
 @dataclass(frozen=True)
@@ -158,20 +162,10 @@ def check_schedulability_checkpointed(
     arch: Architecture,
 ) -> SchedulabilityReport:
     """Schedulability with WCETs inflated per checkpoint scheme."""
-    wcet = {}
-    wctt = {}
-    for task in spec.tasks:
-        scheme = plan.scheme_of(task)
-        for host in arch.host_names():
-            wcet[(task, host)] = worst_case_time(
-                arch.wcet(task, host), scheme
-            )
-            wctt[(task, host)] = arch.wctt(task, host)
-    inflated = Architecture(
-        hosts=arch.hosts.values(),
-        sensors=arch.sensors.values(),
-        metrics=ExecutionMetrics(wcet=wcet, wctt=wctt),
-        network=arch.network,
+    inflated = inflate_wcet(
+        spec,
+        arch,
+        lambda task, wcet: worst_case_time(wcet, plan.scheme_of(task)),
     )
     return check_schedulability(spec, inflated, plan.implementation)
 

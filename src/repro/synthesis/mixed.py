@@ -9,15 +9,18 @@ the product space: per task a host subset *and* an attempt count,
 minimising total executions per period
 (``len(hosts) * attempts`` summed over tasks).
 
-Under the independent-transient fault model each replica independently
-succeeds with ``1 - (1 - hrel * brel) ** attempts``, so the task
-reliability is
+A plan is analysed by the paper's two checks with its attempt counts
+as a parameter: under the independent-transient fault model a replica
+fails only when all ``k`` attempts fail, so
 
-    lambda_t = 1 - prod_h (1 - (1 - (1 - hrel(h) * brel) ** k))
+    lambda_t = 1 - prod_h (1 - hrel(h) * brel) ** k
 
-Permanent (fail-silent, pull-the-plug) faults are only masked by the
-*spatial* dimension — the analysis here is the transient one, like
-:mod:`repro.synthesis.reexecution`.
+is :func:`repro.reliability.srg.task_reliability` with ``attempts=k``
+(``communicator_srgs(spec, plan.implementation, arch, plan.attempts)``
+gives the SRGs), and :func:`check_schedulability_mixed` checks the
+mapping with every WCET multiplied by its attempts
+(:func:`repro.sched.analysis.inflate_wcet`).  Permanent (fail-silent,
+pull-the-plug) faults are only masked by the *spatial* dimension.
 """
 
 from __future__ import annotations
@@ -28,17 +31,17 @@ from typing import Mapping, Sequence
 
 import networkx as nx
 
-from repro.arch.architecture import Architecture, ExecutionMetrics
+from repro.arch.architecture import Architecture
 from repro.errors import SynthesisError
 from repro.mapping.implementation import Implementation
 from repro.model.graph import srg_evaluation_order
 from repro.model.specification import Specification
-from repro.model.task import FailureModel
-from repro.reliability.srg import (
-    _written_communicator_srg,
-    input_communicator_srg,
+from repro.reliability.srg import communicator_srgs, input_gain
+from repro.sched.analysis import (
+    SchedulabilityReport,
+    check_schedulability,
+    inflate_wcet,
 )
-from repro.sched.analysis import SchedulabilityReport, check_schedulability
 
 
 @dataclass(frozen=True)
@@ -68,72 +71,18 @@ class MixedPlan:
         )
 
 
-def mixed_task_reliability(
-    plan: MixedPlan, task: str, arch: Architecture
-) -> float:
-    """``lambda_t`` of a replicated, re-executing task (transient model)."""
-    brel = arch.network.reliability
-    attempts = plan.attempts_of(task)
-    failure = 1.0
-    for host in plan.implementation.hosts_of(task):
-        replica_success = 1.0 - (
-            1.0 - arch.hrel(host) * brel
-        ) ** attempts
-        failure *= 1.0 - replica_success
-    return 1.0 - failure
-
-
-def communicator_srgs_mixed(
-    spec: Specification,
-    plan: MixedPlan,
-    arch: Architecture,
-) -> dict[str, float]:
-    """SRGs under the mixed redundancy plan (transient model)."""
-    plan.implementation.validate(spec, arch)
-    try:
-        order = srg_evaluation_order(spec)
-    except nx.NetworkXUnfeasible:
-        raise SynthesisError(
-            "specification has an unbroken communicator cycle"
-        ) from None
-    inputs = spec.input_communicators()
-    srgs: dict[str, float] = {}
-    for name in order:
-        writer = spec.writer_of(name)
-        if writer is None:
-            srgs[name] = (
-                input_communicator_srg(name, plan.implementation, arch)
-                if name in inputs
-                else 1.0
-            )
-            continue
-        lambda_t = mixed_task_reliability(plan, writer.name, arch)
-        if writer.model is FailureModel.INDEPENDENT:
-            srgs[name] = lambda_t
-        else:
-            srgs[name] = _written_communicator_srg(writer, lambda_t, srgs)
-    return srgs
-
-
 def check_schedulability_mixed(
     spec: Specification,
     plan: MixedPlan,
     arch: Architecture,
 ) -> SchedulabilityReport:
-    """Schedulability with per-replica WCETs inflated by attempts."""
-    wcet = {}
-    wctt = {}
-    for task in spec.tasks:
-        for host in arch.host_names():
-            wcet[(task, host)] = (
-                arch.wcet(task, host) * plan.attempts_of(task)
-            )
-            wctt[(task, host)] = arch.wctt(task, host)
-    inflated = Architecture(
-        hosts=arch.hosts.values(),
-        sensors=arch.sensors.values(),
-        metrics=ExecutionMetrics(wcet=wcet, wctt=wctt),
-        network=arch.network,
+    """Schedulability with per-replica WCETs inflated by attempts.
+
+    Serves re-execution plans too (a :class:`ReexecutionPlan` is a
+    single-host :class:`MixedPlan`).
+    """
+    inflated = inflate_wcet(
+        spec, arch, lambda task, wcet: wcet * plan.attempts_of(task)
     )
     return check_schedulability(spec, inflated, plan.implementation)
 
@@ -241,22 +190,14 @@ def synthesize_mixed(
             spec.communicators[out].lrc
             for out in task.output_communicators()
         )
+        gain = input_gain(task, srgs)
         options = []
         for subset in subset_catalogue:
             for attempts in range(1, max_attempts + 1):
                 failure = 1.0
                 for host in subset:
-                    replica = 1.0 - (
-                        1.0 - arch.hrel(host) * brel
-                    ) ** attempts
-                    failure *= 1.0 - replica
-                lambda_t = 1.0 - failure
-                if task.model is FailureModel.INDEPENDENT:
-                    achieved = lambda_t
-                else:
-                    achieved = _written_communicator_srg(
-                        task, lambda_t, srgs
-                    )
+                    failure *= (1.0 - arch.hrel(host) * brel) ** attempts
+                achieved = (1.0 - failure) * gain
                 if achieved >= requirement:
                     options.append(
                         (len(subset) * attempts, subset, attempts,
@@ -310,7 +251,9 @@ def synthesize_mixed(
     for budget in range(minimum, maximum + 1):
         plan = search(0, dict(base_srgs), {}, {}, budget)
         if plan is not None:
-            srgs = communicator_srgs_mixed(spec, plan, arch)
+            srgs = communicator_srgs(
+                spec, plan.implementation, arch, plan.attempts
+            )
             schedulability = (
                 check_schedulability_mixed(spec, plan, arch)
                 if require_schedulable

@@ -4,13 +4,18 @@ The related work the paper positions against (Izosimov, Pop, Eles,
 Peng — the paper's [9]–[11]) tolerates *transient* faults by
 re-executing a task on the same host instead of replicating it across
 hosts.  This module adds that alternative to the framework so the two
-redundancy styles can be compared:
+redundancy styles can be compared.  A :class:`ReexecutionPlan` is a
+:class:`~repro.synthesis.mixed.MixedPlan` with one host per task, so
+it is analysed by the paper's two checks with its attempt counts as a
+parameter:
 
 * with ``k`` attempts and per-attempt success ``hrel(h) * brel``, the
   task reliability under *independent transient* faults becomes
-  ``1 - (1 - hrel(h) * brel) ** k``;
+  ``1 - (1 - hrel(h) * brel) ** k`` —
+  ``communicator_srgs(spec, plan.implementation, arch, plan.attempts)``;
 * the schedulability cost lands on one host: the job's demand grows to
-  ``k * wcet`` inside the same LET window;
+  ``k * wcet`` inside the same LET window —
+  :func:`~repro.synthesis.mixed.check_schedulability_mixed`;
 * against *permanent* faults (the paper's pull-the-plug experiment)
   re-execution buys nothing — every attempt runs on the dead host —
   which is exactly why the paper's fault model (fail-silent hosts)
@@ -21,7 +26,6 @@ redundancy styles can be compared:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import networkx as nx
@@ -31,26 +35,18 @@ from repro.errors import SynthesisError
 from repro.mapping.implementation import Implementation
 from repro.model.graph import srg_evaluation_order
 from repro.model.specification import Specification
-from repro.model.task import FailureModel
-from repro.reliability.srg import (
-    _written_communicator_srg,
-    input_communicator_srg,
-)
+from repro.reliability.srg import input_gain
 from repro.runtime.faults import FaultInjector
-from repro.sched.analysis import SchedulabilityReport, check_schedulability
+from repro.synthesis.mixed import MixedPlan, check_schedulability_mixed
 
 
-@dataclass(frozen=True)
-class ReexecutionPlan:
+class ReexecutionPlan(MixedPlan):
     """A single-host mapping with per-task re-execution counts.
 
     ``implementation`` maps every task to exactly one host;
     ``attempts[task]`` (default 1) is the number of executions per
     invocation.
     """
-
-    implementation: Implementation
-    attempts: Mapping[str, int]
 
     def __post_init__(self) -> None:
         for task, hosts in self.implementation.assignment.items():
@@ -59,105 +55,12 @@ class ReexecutionPlan:
                     f"re-execution plans map each task to one host; "
                     f"{task!r} is on {sorted(hosts)}"
                 )
-        for task, count in self.attempts.items():
-            if count < 1:
-                raise SynthesisError(
-                    f"task {task!r}: attempts must be >= 1, got {count}"
-                )
-
-    def attempts_of(self, task: str) -> int:
-        """Return the attempt count of *task* (1 when unlisted)."""
-        return self.attempts.get(task, 1)
+        super().__post_init__()
 
     def host_of(self, task: str) -> str:
         """Return the single host executing *task*."""
         (host,) = self.implementation.hosts_of(task)
         return host
-
-    def total_executions(self) -> int:
-        """Return the total executions per period (the time cost)."""
-        return sum(
-            self.attempts_of(task)
-            for task in self.implementation.assignment
-        )
-
-
-def task_reliability_reexec(
-    plan: ReexecutionPlan, task: str, arch: Architecture
-) -> float:
-    """Return ``1 - (1 - hrel * brel) ** attempts`` for *task*.
-
-    Valid under the independent-transient fault model; a permanently
-    failed host defeats every attempt.
-    """
-    host = plan.host_of(task)
-    per_attempt = arch.hrel(host) * arch.network.reliability
-    return 1.0 - (1.0 - per_attempt) ** plan.attempts_of(task)
-
-
-def communicator_srgs_reexec(
-    spec: Specification,
-    plan: ReexecutionPlan,
-    arch: Architecture,
-) -> dict[str, float]:
-    """SRGs under re-execution (transient-fault model)."""
-    plan.implementation.validate(spec, arch)
-    try:
-        order = srg_evaluation_order(spec)
-    except nx.NetworkXUnfeasible:
-        raise SynthesisError(
-            "specification has an unbroken communicator cycle"
-        ) from None
-    inputs = spec.input_communicators()
-    srgs: dict[str, float] = {}
-    for name in order:
-        writer = spec.writer_of(name)
-        if writer is None:
-            srgs[name] = (
-                input_communicator_srg(name, plan.implementation, arch)
-                if name in inputs
-                else 1.0
-            )
-            continue
-        lambda_t = task_reliability_reexec(plan, writer.name, arch)
-        if writer.model is FailureModel.INDEPENDENT:
-            srgs[name] = lambda_t
-        else:
-            srgs[name] = _written_communicator_srg(writer, lambda_t, srgs)
-    return srgs
-
-
-def check_schedulability_reexec(
-    spec: Specification,
-    plan: ReexecutionPlan,
-    arch: Architecture,
-) -> SchedulabilityReport:
-    """Schedulability with each task's WCET inflated by its attempts.
-
-    Only the computation repeats; the (single) output broadcast keeps
-    its WCTT.
-    """
-    inflated = Architecture(
-        hosts=arch.hosts.values(),
-        sensors=arch.sensors.values(),
-        metrics=_inflate_metrics(spec, plan, arch),
-        network=arch.network,
-    )
-    return check_schedulability(spec, inflated, plan.implementation)
-
-
-def _inflate_metrics(spec, plan, arch):
-    from repro.arch.architecture import ExecutionMetrics
-
-    wcet = {}
-    wctt = {}
-    for task in spec.tasks:
-        for host in arch.host_names():
-            wcet[(task, host)] = (
-                arch.wcet(task, host) * plan.attempts_of(task)
-            )
-            wctt[(task, host)] = arch.wctt(task, host)
-    return ExecutionMetrics(wcet=wcet, wctt=wctt)
 
 
 class TransientReexecutionFaults(FaultInjector):
@@ -266,17 +169,12 @@ def synthesize_reexecution(
             spec.communicators[out].lrc
             for out in writer.output_communicators()
         )
+        gain = input_gain(writer, srgs)
         placed = False
         for host in host_order():
-            per_attempt = arch.hrel(host) * arch.network.reliability
+            failure = 1.0 - arch.hrel(host) * arch.network.reliability
             for count in range(1, max_attempts + 1):
-                lambda_t = 1.0 - (1.0 - per_attempt) ** count
-                if writer.model is FailureModel.INDEPENDENT:
-                    achieved = lambda_t
-                else:
-                    achieved = _written_communicator_srg(
-                        writer, lambda_t, srgs
-                    )
+                achieved = (1.0 - failure**count) * gain
                 if achieved >= requirement:
                     assignment[writer.name] = {host}
                     attempts[writer.name] = count
@@ -296,7 +194,7 @@ def synthesize_reexecution(
         Implementation(assignment, binding), attempts
     )
     if require_schedulable:
-        schedulability = check_schedulability_reexec(spec, plan, arch)
+        schedulability = check_schedulability_mixed(spec, plan, arch)
         if not schedulability.schedulable:
             raise SynthesisError(
                 "re-execution plan meets the LRCs but does not fit the "

@@ -20,7 +20,6 @@ the worst case bounded.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -31,9 +30,9 @@ from repro.errors import SynthesisError
 from repro.mapping.implementation import Implementation
 from repro.model.graph import srg_evaluation_order
 from repro.model.specification import Specification
-from repro.model.task import FailureModel, Task
+from repro.model.task import Task
 from repro.reliability.analysis import ReliabilityReport, check_reliability
-from repro.reliability.srg import _written_communicator_srg
+from repro.reliability.srg import input_gain
 from repro.sched.analysis import SchedulabilityReport, check_schedulability
 
 
@@ -118,16 +117,6 @@ def _task_requirement(spec: Specification, task: Task) -> float:
         spec.communicators[name].lrc
         for name in task.output_communicators()
     )
-
-
-def _input_gain(task: Task, srgs: Mapping[str, float]) -> float:
-    """Return the input factor of the task's SRG formula."""
-    icset = sorted(task.input_communicators())
-    if task.model is FailureModel.SERIES:
-        return math.prod(srgs[c] for c in icset)
-    if task.model is FailureModel.PARALLEL:
-        return 1.0 - math.prod(1.0 - srgs[c] for c in icset)
-    return 1.0
 
 
 def synthesize_replication(
@@ -233,13 +222,13 @@ def synthesize_replication(
         else:
             task = spec.tasks[decision.name]
             requirement = _task_requirement(spec, task)
-            gain = _input_gain(task, srgs)
+            gain = input_gain(task, srgs)
             pool = sorted(hosts, key=lambda h: -arch.hrel(h))
             for subset in _subsets_by_cost(pool, max_task_replicas):
                 lambda_t = _or_reliability(
                     arch.hrel(h) * brel for h in subset
                 )
-                achieved = _written_communicator_srg(task, lambda_t, srgs)
+                achieved = lambda_t * gain
                 if achieved >= requirement:
                     result.append((subset, achieved))
         return result

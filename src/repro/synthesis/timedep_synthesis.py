@@ -33,7 +33,7 @@ from repro.model.specification import Specification
 from repro.reliability.analysis import (
     LRC_TOLERANCE,
     ReliabilityReport,
-    check_reliability_timedep,
+    check_reliability,
 )
 from repro.reliability.srg import communicator_srgs
 from repro.sched.analysis import check_schedulability
@@ -148,9 +148,7 @@ def synthesize_timedep(
                 implementation = TimeDependentImplementation(
                     [kept[i][0] for i in combo]
                 )
-                report = check_reliability_timedep(
-                    spec, arch, implementation
-                )
+                report = check_reliability(spec, arch, implementation)
                 if report.reliable:
                     return TimeDependentSynthesisResult(
                         implementation=implementation,

@@ -158,7 +158,7 @@ def test_checkpointing_fits_where_full_reexecution_does_not():
     infeasible); the checkpointed scheme costs 36 each (72 <= 90).
     """
     from repro.mapping import Implementation
-    from repro.synthesis import ReexecutionPlan, check_schedulability_reexec
+    from repro.synthesis import ReexecutionPlan, check_schedulability_mixed
 
     spec = three_tank_spec()
     arch = three_tank_architecture()
@@ -176,7 +176,7 @@ def test_checkpointing_fits_where_full_reexecution_does_not():
         Implementation(dict(impl.assignment), impl.sensor_binding),
         {name: f + 1 for name in spec.tasks},
     )
-    assert not check_schedulability_reexec(spec, reexec, arch).schedulable
+    assert not check_schedulability_mixed(spec, reexec, arch).schedulable
 
     # Checkpointed plan with the same fault budget: feasible.
     plan = synthesize_checkpointing(

@@ -9,7 +9,6 @@ import pytest
 
 from repro import (
     check_reliability,
-    check_reliability_timedep,
     check_validity,
     communicator_srgs,
     is_memory_free,
@@ -148,9 +147,7 @@ def test_general_example_numbers():
     assert not check_reliability(spec, arch, first).reliable
     assert not check_reliability(spec, arch, second).reliable
     # ... but alternating achieves (0.95 + 0.85) / 2 = 0.9 on both.
-    report = check_reliability_timedep(
-        spec, arch, alternating_implementation()
-    )
+    report = check_reliability(spec, arch, alternating_implementation())
     assert report.reliable
     assert report.srgs()["c1"] == pytest.approx(0.9)
     assert report.srgs()["c2"] == pytest.approx(0.9)

@@ -10,13 +10,12 @@ from repro.experiments import (
 )
 from repro.mapping import Implementation
 from repro.model import Communicator, Specification, Task
+from repro.reliability import communicator_srgs, task_reliability
 from repro.runtime import BernoulliFaults, Simulator
 from repro.synthesis import (
     MixedPlan,
     TransientReexecutionFaults,
     check_schedulability_mixed,
-    communicator_srgs_mixed,
-    mixed_task_reliability,
     synthesize_mixed,
     synthesize_reexecution,
     synthesize_replication,
@@ -44,15 +43,15 @@ def test_mixed_reliability_reduces_to_pure_cases():
         Implementation({"t1": {"h1", "h2"}}), {}
     )
     expected = 1 - (1 - 0.999) ** 2
-    assert mixed_task_reliability(
-        replicated, "t1", arch
+    assert task_reliability(
+        "t1", replicated.implementation, arch, replicated.attempts_of("t1")
     ) == pytest.approx(expected)
     # Pure re-execution: two attempts on one host.
     reexecuted = MixedPlan(
         Implementation({"t1": {"h1"}}), {"t1": 2}
     )
-    assert mixed_task_reliability(
-        reexecuted, "t1", arch
+    assert task_reliability(
+        "t1", reexecuted.implementation, arch, reexecuted.attempts_of("t1")
     ) == pytest.approx(expected)
 
 
@@ -63,9 +62,9 @@ def test_mixed_dimension_compose():
     )
     replica = 1 - (1 - 0.999) ** 2
     expected = 1 - (1 - replica) ** 2
-    assert mixed_task_reliability(plan, "t1", arch) == pytest.approx(
-        expected
-    )
+    assert task_reliability(
+        "t1", plan.implementation, arch, plan.attempts_of("t1")
+    ) == pytest.approx(expected)
 
 
 def test_mixed_srgs_on_three_tank():
@@ -80,7 +79,7 @@ def test_mixed_srgs_on_three_tank():
         Implementation(base, {"s1": {"sen1"}, "s2": {"sen2"}}),
         {"t1": 2, "t2": 2},
     )
-    srgs = communicator_srgs_mixed(spec, plan, arch)
+    srgs = communicator_srgs(spec, plan.implementation, arch, plan.attempts)
     # Same math as scenario 1 / the re-execution plan.
     assert srgs["u1"] == pytest.approx(0.998000002, abs=1e-9)
 
@@ -180,7 +179,7 @@ def test_simulated_mixed_plan_meets_lrcs():
     result = Simulator(
         spec, arch, plan.implementation, faults=faults, seed=21
     ).run(6000)
-    srgs = communicator_srgs_mixed(spec, plan, arch)
+    srgs = communicator_srgs(spec, plan.implementation, arch, plan.attempts)
     averages = result.limit_averages()
     for name in ("l1", "u1", "u2"):
         assert averages[name] == pytest.approx(srgs[name], abs=0.01)

@@ -9,14 +9,13 @@ from repro.experiments import (
     three_tank_spec,
 )
 from repro.mapping import Implementation
+from repro.reliability import communicator_srgs, task_reliability
 from repro.runtime import BernoulliFaults, ScriptedFaults, Simulator
 from repro.synthesis import (
     ReexecutionPlan,
     TransientReexecutionFaults,
-    check_schedulability_reexec,
-    communicator_srgs_reexec,
+    check_schedulability_mixed,
     synthesize_reexecution,
-    task_reliability_reexec,
 )
 
 
@@ -53,7 +52,9 @@ def test_task_reliability_formula(strict_tank):
         Implementation({"t1": {"h1"}}), {"t1": 2}
     )
     expected = 1 - (1 - 0.999) ** 2
-    assert task_reliability_reexec(plan, "t1", arch) == pytest.approx(
+    assert task_reliability(
+        "t1", plan.implementation, arch, plan.attempts_of("t1")
+    ) == pytest.approx(
         expected
     )
 
@@ -67,7 +68,7 @@ def test_reexec_srgs_match_replication_math(strict_tank):
         Implementation(dict(base.assignment), base.sensor_binding),
         {"t1": 2, "t2": 2},
     )
-    srgs = communicator_srgs_reexec(spec, plan, arch)
+    srgs = communicator_srgs(spec, plan.implementation, arch, plan.attempts)
     assert srgs["u1"] == pytest.approx(0.998000002, abs=1e-9)
     assert srgs["u2"] == pytest.approx(0.998000002, abs=1e-9)
 
@@ -75,10 +76,10 @@ def test_reexec_srgs_match_replication_math(strict_tank):
 def test_synthesize_reexecution_meets_strict_lrc(strict_tank):
     spec, arch = strict_tank
     plan = synthesize_reexecution(spec, arch)
-    srgs = communicator_srgs_reexec(spec, plan, arch)
+    srgs = communicator_srgs(spec, plan.implementation, arch, plan.attempts)
     for name, comm in spec.communicators.items():
         assert srgs[name] >= comm.lrc - 1e-9
-    assert check_schedulability_reexec(spec, plan, arch).schedulable
+    assert check_schedulability_mixed(spec, plan, arch).schedulable
     # Time redundancy engaged: some task re-executes OR the sensor
     # pool was widened (the synthesiser may prefer either lever).
     assert (
@@ -101,7 +102,7 @@ def test_schedulability_inflates_demand(strict_tank):
         Implementation(dict(base.assignment), base.sensor_binding),
         {name: 12 for name in spec.tasks},
     )
-    report = check_schedulability_reexec(spec, fat_plan, arch)
+    report = check_schedulability_mixed(spec, fat_plan, arch)
     # 12 x 20 = 240 > every LET window (200 max): infeasible.
     assert not report.schedulable
 
@@ -126,7 +127,7 @@ def test_transient_faults_are_masked(strict_tank):
         spec, arch, plan.implementation, faults=faults, seed=4
     ).run(4000)
     averages = result.limit_averages()
-    srgs = communicator_srgs_reexec(spec, plan, arch)
+    srgs = communicator_srgs(spec, plan.implementation, arch, plan.attempts)
     assert averages["u1"] == pytest.approx(srgs["u1"], abs=0.01)
     assert averages["u1"] >= 0.9975 - 0.01
 

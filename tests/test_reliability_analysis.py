@@ -9,10 +9,7 @@ from repro.experiments import (
     static_implementations,
 )
 from repro.mapping import Implementation, TimeDependentImplementation
-from repro.reliability import (
-    check_reliability,
-    check_reliability_timedep,
-)
+from repro.reliability import check_reliability
 from repro.reliability.analysis import CommunicatorVerdict
 
 
@@ -115,9 +112,7 @@ def test_static_mappings_both_fail():
 
 def test_alternating_mapping_is_reliable():
     spec, arch = general_example()
-    report = check_reliability_timedep(
-        spec, arch, alternating_implementation()
-    )
+    report = check_reliability(spec, arch, alternating_implementation())
     assert report.reliable
     assert report.srgs()["c1"] == pytest.approx(0.9)
     assert report.srgs()["c2"] == pytest.approx(0.9)
@@ -127,7 +122,7 @@ def test_timedep_with_single_phase_matches_static(
     pipe_spec, pipe_arch, pipe_impl
 ):
     static = check_reliability(pipe_spec, pipe_arch, pipe_impl)
-    timedep = check_reliability_timedep(
+    timedep = check_reliability(
         pipe_spec,
         pipe_arch,
         TimeDependentImplementation.static(pipe_impl),
@@ -143,7 +138,7 @@ def test_timedep_average_between_phases(pipe_spec, pipe_arch, pipe_impl):
     mixed = TimeDependentImplementation([pipe_impl, weaker])
     strong = check_reliability(pipe_spec, pipe_arch, pipe_impl).srgs()
     weak = check_reliability(pipe_spec, pipe_arch, weaker).srgs()
-    combined = check_reliability_timedep(pipe_spec, pipe_arch, mixed).srgs()
+    combined = check_reliability(pipe_spec, pipe_arch, mixed).srgs()
     for name in pipe_spec.communicators:
         assert combined[name] == pytest.approx(
             (strong[name] + weak[name]) / 2

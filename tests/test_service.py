@@ -101,6 +101,30 @@ def test_submit_rejects_malformed_documents():
     del document["impl"]
     with pytest.raises(ServiceError):
         service.submit(document)
+    with pytest.raises(ServiceError, match="JSON object"):
+        service.submit(["not", "a", "document"])
+    # JSON booleans and integers are typed strictly: "false" is not
+    # false (bool() would make it true), and a window or slack that
+    # does not parse is rejected here instead of failing the job later.
+    for bad in (
+        {"bernoulli": "false"},
+        {"bernoulli": "0"},
+        {"bernoulli": 0},
+        {"runs": True},
+        {"seed": -1},
+        {"monitor_window": 0},
+        {"monitor_window": "x"},
+        {"slack": "abc"},
+        {"slack": float("nan")},
+        {"timeout_s": float("nan")},  # would never time out
+        # Adaptive-only fields without "adaptive": true.
+        {"min_runs": 8},
+        {"sequential": "x"},
+        {"stop_confidence": 7},
+    ):
+        with pytest.raises(ServiceError):
+            service.submit(simulate_document(**bad))
+    assert service.metrics.get("jobs_submitted") == 0
 
 
 @pytest.mark.parametrize(
@@ -426,6 +450,9 @@ def test_adaptive_validation_rejects_nonsense():
         {"adaptive": True, "stop_confidence": 1.0},
         {"adaptive": True, "indifference": -0.1},
         {"adaptive": True, "sequential": "always"},
+        {"adaptive": True, "sequential": False},  # no criterion left
+        {"adaptive": True, "min_runs": 8.5},
+        {"adaptive": True, "stop_confidence": "high"},
     ):
         with pytest.raises(ServiceError):
             service.submit(simulate_document(**bad))
@@ -678,6 +705,14 @@ def test_http_events_long_poll_and_since(http_service):
     assert [event["seq"] for event in tail["events"]] == [len(seqs) - 1]
 
 
+def test_http_events_rejects_a_malformed_since(http_service):
+    client, service = http_service
+    client.submit(simulate_document(runs=2), wait=True)
+    for since in ("abc", "-1", "1.5"):
+        with pytest.raises(ServiceClientError, match="since must be"):
+            client.events("job-1", since=since)
+
+
 def test_client_error_when_daemon_unreachable():
     client = ServiceClient("127.0.0.1", 1, timeout=2.0)
     with pytest.raises(ServiceClientError, match="cannot reach"):
@@ -896,6 +931,17 @@ def test_lru_eviction_is_counted_and_bounded(tmp_path):
     # The evicted entry is gone: re-running it simulates again.
     run_job(service, simulate_document(runs=4, seed=940))
     assert service.metrics.get("runs_simulated_total") == 12
+
+
+def test_cache_is_bounded_by_default(monkeypatch):
+    from repro.service import cache as service_cache
+
+    monkeypatch.setattr(service_cache, "CACHE_ENTRIES", 2)
+    service = make_service()
+    for seed in (950, 951, 952):
+        run_job(service, simulate_document(runs=2, seed=seed))
+    assert service.cache.stats()["mc_entries"] == 2
+    assert service.metrics.get("mc_cache_evictions") == 1
 
 
 def test_evicted_entry_thaws_from_disk_bit_identically(tmp_path):
