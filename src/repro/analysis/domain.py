@@ -30,7 +30,7 @@ from typing import Iterable, Mapping
 from repro.arch.architecture import Architecture
 from repro.errors import AnalysisError
 from repro.model.task import Task
-from repro.reliability.srg import _written_communicator_srg
+from repro.reliability.srg import input_gain
 
 
 @dataclass(frozen=True)
@@ -152,14 +152,14 @@ def written_interval(
 ) -> Interval:
     """Combine ``lambda_t`` bounds with input bounds per failure model.
 
-    Evaluates the exact concrete formula of
-    :func:`repro.reliability.srg._written_communicator_srg` once on
-    every lower endpoint and once on every upper endpoint; soundness
+    Evaluates the exact concrete formula ``lambda_t * input_gain`` of
+    :func:`repro.reliability.srg.communicator_srgs` once on every
+    lower endpoint and once on every upper endpoint; soundness
     follows from the monotonicity of all three model formulas.
     """
     lows = {name: interval.lo for name, interval in inputs.items()}
     highs = {name: interval.hi for name, interval in inputs.items()}
     return Interval(
-        _written_communicator_srg(task, replication.lo, lows),
-        _written_communicator_srg(task, replication.hi, highs),
+        replication.lo * input_gain(task, lows),
+        replication.hi * input_gain(task, highs),
     )

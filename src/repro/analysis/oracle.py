@@ -35,7 +35,7 @@ from repro.model.graph import srg_evaluation_order
 from repro.model.specification import Specification
 from repro.model.task import Task
 from repro.reliability.analysis import LRC_TOLERANCE
-from repro.reliability.srg import _written_communicator_srg
+from repro.reliability.srg import input_gain
 
 
 class FeasibilityOracle:
@@ -54,9 +54,7 @@ class FeasibilityOracle:
             verifier if verifier is not None else Verifier(cache)
         )
         brel = arch.network.reliability
-        self._free_lambda_hi = or_reliability(
-            arch.hrel(h) * brel for h in arch.host_names()
-        )
+        self._host_hi = [arch.hrel(h) * brel for h in arch.host_names()]
         self._free_input_hi = or_reliability(
             arch.srel(s) for s in arch.sensor_names()
         )
@@ -103,18 +101,24 @@ class FeasibilityOracle:
     # -- search-loop pruning -------------------------------------------
 
     def completion_upper_bounds(
-        self, fixed: Mapping[str, float]
+        self, fixed: Mapping[str, float], attempts: int = 1
     ) -> "dict[str, float] | None":
         """Best achievable SRG per communicator given *fixed* values.
 
         *fixed* maps already-decided communicators to their exact
-        SRGs; every undecided task gets full replication and every
-        undecided input the whole sensor pool.  Returns ``None`` when
-        the specification has no SRG evaluation order (unsafe cycles)
-        — callers must not prune in that case.
+        SRGs; every undecided task gets full replication with
+        *attempts* attempts per replica and every undecided input the
+        whole sensor pool.  Returns ``None`` when the specification
+        has no SRG evaluation order (unsafe cycles) — callers must not
+        prune in that case.
         """
         if self._order is None:
             return None
+        # 1 - prod_h (1 - hrel(h) * brel) ** attempts over all hosts.
+        failure = 1.0
+        for probability in self._host_hi:
+            failure *= (1.0 - probability) ** attempts
+        lambda_hi = 1.0 - failure
         bounds: "dict[str, float]" = {}
         for name in self._order:
             value = fixed.get(name)
@@ -127,18 +131,19 @@ class FeasibilityOracle:
                     self._free_input_hi if name in self._inputs else 1.0
                 )
             else:
-                bounds[name] = _written_communicator_srg(
-                    writer, self._free_lambda_hi, bounds
-                )
+                bounds[name] = lambda_hi * input_gain(writer, bounds)
         return bounds
 
-    def completion_feasible(self, fixed: Mapping[str, float]) -> bool:
+    def completion_feasible(
+        self, fixed: Mapping[str, float], attempts: int = 1
+    ) -> bool:
         """``False`` certifies that no completion meets every LRC.
 
-        The sound default is ``True``: when the specification has
-        unsafe cycles (no evaluation order) nothing is pruned.
+        *attempts* is the search's bound on attempts per replica.  The
+        sound default is ``True``: when the specification has unsafe
+        cycles (no evaluation order) nothing is pruned.
         """
-        bounds = self.completion_upper_bounds(fixed)
+        bounds = self.completion_upper_bounds(fixed, attempts)
         if bounds is None:
             return True
         for name, comm in self.spec.communicators.items():

@@ -103,13 +103,6 @@ def input_gain(task: Task, srgs: Mapping[str, float]) -> float:
     return 1.0
 
 
-def _written_communicator_srg(
-    task: Task, lambda_t: float, input_srgs: Mapping[str, float]
-) -> float:
-    """Combine ``lambda_t`` with input SRGs per the task's failure model."""
-    return lambda_t * input_gain(task, input_srgs)
-
-
 def communicator_srgs(
     spec: Specification,
     implementation: "Implementation | TimeDependentImplementation",
@@ -172,7 +165,7 @@ def communicator_srgs(
                 arch,
                 attempts.get(writer.name, 1),
             )
-            srgs[name] = _written_communicator_srg(writer, lambda_t, srgs)
+            srgs[name] = lambda_t * input_gain(writer, srgs)
     return srgs
 
 

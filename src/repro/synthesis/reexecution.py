@@ -28,16 +28,11 @@ from __future__ import annotations
 
 from typing import Mapping
 
-import networkx as nx
-
 from repro.arch.architecture import Architecture
 from repro.errors import SynthesisError
-from repro.mapping.implementation import Implementation
-from repro.model.graph import srg_evaluation_order
 from repro.model.specification import Specification
-from repro.reliability.srg import input_gain
 from repro.runtime.faults import FaultInjector
-from repro.synthesis.mixed import MixedPlan, check_schedulability_mixed
+from repro.synthesis.mixed import MixedPlan, search_plan
 
 
 class ReexecutionPlan(MixedPlan):
@@ -99,105 +94,19 @@ def synthesize_reexecution(
     max_attempts: int = 8,
     require_schedulable: bool = True,
 ) -> ReexecutionPlan:
-    """Synthesise a minimal-time-redundancy plan meeting every LRC.
+    """Synthesise an execution-minimal re-execution plan meeting every LRC.
 
-    Walks the communicator order like the replication synthesiser, but
-    each task stays on its single most reliable feasible host and gains
-    *attempts* instead of replicas.  Minimises total executions
-    greedily (the per-task attempt count is the smallest meeting the
-    local requirement, which is optimal per task because attempts only
-    affect that task's own SRG chain).
+    Re-execution is the one-host case of the mixed-redundancy search
+    (:func:`~repro.synthesis.mixed.search_plan`): each task runs on one
+    host with up to *max_attempts* attempts, sensors are bound exactly
+    as the replication synthesiser binds them, and iterative deepening
+    on the total execution count returns the first valid plan.
 
-    Raises :class:`SynthesisError` when some LRC is unreachable within
-    *max_attempts* or the inflated demand does not fit the timeline.
+    Raises :class:`SynthesisError` when no plan within *max_attempts*
+    meets every LRC and fits the timeline.
     """
-    load: dict[str, int] = {h: 0 for h in arch.host_names()}
-
-    def host_order() -> list[str]:
-        # Balance the inflated demand: least-loaded first, reliability
-        # as the tie-breaker.
-        return sorted(
-            arch.host_names(),
-            key=lambda h: (load[h], -arch.hrel(h), h),
-        )
-    if sensor_candidates is None:
-        sensor_candidates = {
-            name: arch.sensor_names()
-            for name in spec.input_communicators()
-        }
-    binding: dict[str, set[str]] = {}
-    srgs: dict[str, float] = {}
-    try:
-        order = srg_evaluation_order(spec)
-    except nx.NetworkXUnfeasible:
-        raise SynthesisError(
-            "specification has an unbroken communicator cycle"
-        ) from None
-
-    # Resolve sensor bindings first (same rule as replication).
-    for name in sorted(spec.input_communicators()):
-        lrc = spec.communicators[name].lrc
-        pool = sorted(
-            sensor_candidates.get(name, ()),
-            key=lambda s: -arch.srel(s),
-        )
-        chosen: list[str] = []
-        failure = 1.0
-        for sensor in pool:
-            chosen.append(sensor)
-            failure *= 1.0 - arch.srel(sensor)
-            if 1.0 - failure >= lrc:
-                break
-        if not chosen or 1.0 - failure < lrc:
-            raise SynthesisError(
-                f"input communicator {name!r}: no sensor subset reaches "
-                f"LRC {lrc}"
-            )
-        binding[name] = set(chosen)
-        srgs[name] = 1.0 - failure
-
-    assignment: dict[str, set[str]] = {}
-    attempts: dict[str, int] = {}
-    for name in order:
-        writer = spec.writer_of(name)
-        if writer is None:
-            srgs.setdefault(name, 1.0)
-            continue
-        if writer.name in attempts:
-            continue
-        requirement = max(
-            spec.communicators[out].lrc
-            for out in writer.output_communicators()
-        )
-        gain = input_gain(writer, srgs)
-        placed = False
-        for host in host_order():
-            failure = 1.0 - arch.hrel(host) * arch.network.reliability
-            for count in range(1, max_attempts + 1):
-                achieved = (1.0 - failure**count) * gain
-                if achieved >= requirement:
-                    assignment[writer.name] = {host}
-                    attempts[writer.name] = count
-                    load[host] += count * arch.wcet(writer.name, host)
-                    for out in writer.output_communicators():
-                        srgs[out] = achieved
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:
-            raise SynthesisError(
-                f"task {writer.name!r}: no host reaches LRC "
-                f"{requirement} within {max_attempts} attempts"
-            )
-    plan = ReexecutionPlan(
-        Implementation(assignment, binding), attempts
+    plan, _, _ = search_plan(
+        spec, arch, "re-execution plan", sensor_candidates, 1,
+        max_attempts, require_schedulable, 200_000,
     )
-    if require_schedulable:
-        schedulability = check_schedulability_mixed(spec, plan, arch)
-        if not schedulability.schedulable:
-            raise SynthesisError(
-                "re-execution plan meets the LRCs but does not fit the "
-                "timeline: " + "; ".join(schedulability.reasons)
-            )
-    return plan
+    return ReexecutionPlan(plan.implementation, plan.attempts)

@@ -29,6 +29,7 @@ from repro.experiments import (
 )
 from repro.mapping import Implementation
 from repro.reliability import communicator_srgs
+from repro.reliability.srg import input_gain
 
 
 @pytest.fixture
@@ -304,6 +305,28 @@ def test_oracle_completion_bounds_are_sound(tank):
         srg >= spec.communicators[name].lrc - 1e-9
         for name, srg in exact.items()
     )
+
+
+def test_oracle_completion_bounds_per_attempt_bound(tank):
+    spec, arch, _ = tank
+    oracle = FeasibilityOracle(spec, arch)
+    brel = arch.network.reliability
+    once = oracle.completion_upper_bounds({})
+    assert oracle.completion_upper_bounds({}, attempts=1) == once
+    twice = oracle.completion_upper_bounds({}, attempts=2)
+    free_once = or_reliability(arch.hrel(h) * brel for h in arch.host_names())
+    free_twice = 1.0 - math.prod(
+        (1.0 - arch.hrel(h) * brel) ** 2 for h in arch.host_names()
+    )
+    for name, bound in once.items():
+        writer = spec.writer_of(name)
+        if writer is None:
+            assert twice[name] == bound
+            continue
+        # One attempt: the free task bound of the plain OR product.
+        assert bound == free_once * input_gain(writer, once)
+        assert twice[name] == free_twice * input_gain(writer, twice)
+        assert twice[name] >= bound
 
 
 def test_oracle_explain(tank):

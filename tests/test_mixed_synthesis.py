@@ -91,11 +91,7 @@ def test_synthesize_mixed_three_tank_strict():
     for name, comm in spec.communicators.items():
         assert result.srgs[name] >= comm.lrc - 1e-9
     assert result.schedulability.schedulable
-    # The mixed synthesiser binds minimal sensor subsets (sensor
-    # over-provisioning is the replication synthesiser's lever), so
-    # the controllers each need a second execution — 8 in total,
-    # matching scenario 1's redundancy budget.
-    assert result.total_executions == 8
+    assert result.total_executions == 6
 
 
 def test_mixed_beats_pure_strategies_under_scarcity():

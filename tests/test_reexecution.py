@@ -91,7 +91,7 @@ def test_synthesize_reexecution_meets_strict_lrc(strict_tank):
 def test_synthesize_reexecution_unreachable_lrc(strict_tank):
     _, arch = strict_tank
     spec = three_tank_spec(lrc_u=1.0)
-    with pytest.raises(SynthesisError, match="no host reaches"):
+    with pytest.raises(SynthesisError, match="no re-execution plan"):
         synthesize_reexecution(spec, arch)
 
 
