@@ -24,7 +24,6 @@ from repro.experiments.three_tank_system import (
     bind_control_functions,
     closed_loop_simulator,
     detect_and_recover,
-    monte_carlo_simulator,
     scenario1_implementation,
     scenario2_implementation,
     three_tank_architecture,
@@ -87,7 +86,6 @@ __all__ = [
     "cyclic_specification_with_input",
     "fig1_specification",
     "general_example",
-    "monte_carlo_simulator",
     "unplug_monte_carlo",
     "random_architecture",
     "random_implementation",

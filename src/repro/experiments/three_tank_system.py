@@ -276,34 +276,6 @@ def bind_control_functions(
     }
 
 
-def monte_carlo_simulator(
-    implementation: Implementation,
-    faults: Any = None,
-    seed: int = 99,
-    lrc_u: float = 0.99,
-) -> Any:
-    """Build a batched Monte-Carlo executor for the 3TS reliability runs.
-
-    Returns a ready :class:`~repro.runtime.batch.BatchSimulator` under
-    the Bernoulli fault model (or *faults*, when given).  The batch
-    executor evaluates only the reliability abstraction, so no control
-    functions or plant are needed — use
-    :func:`closed_loop_simulator` for value-accurate closed-loop runs.
-    """
-    from repro.runtime.batch import BatchSimulator
-    from repro.runtime.faults import BernoulliFaults
-
-    spec = three_tank_spec(lrc_u=lrc_u)
-    arch = three_tank_architecture()
-    return BatchSimulator(
-        spec,
-        arch,
-        implementation,
-        faults=faults if faults is not None else BernoulliFaults(arch),
-        seed=seed,
-    )
-
-
 def unplug_monte_carlo(
     implementation: Implementation,
     victim: str,

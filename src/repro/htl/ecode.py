@@ -20,9 +20,9 @@ within-instant execution order:
     computing on the latched snapshot.
 ``DISPATCH task host`` / ``BROADCAST task host``
     Timeline annotations from the schedulability certificate: the CPU
-    slice and network slot assigned to the replication.  The E-machine
-    checks them for consistency; logical values do not depend on them
-    (LET semantics).
+    slice and network slot assigned to the replication.  They are
+    annotations the E-machine skips; logical values do not depend on
+    them (LET semantics).
 """
 
 from __future__ import annotations

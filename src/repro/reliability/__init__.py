@@ -28,10 +28,8 @@ from repro.reliability.traces import (
 )
 from repro.reliability.analysis import (
     CommunicatorVerdict,
-    EmpiricalReliabilityReport,
     ReliabilityReport,
     check_reliability,
-    check_reliability_empirical,
 )
 from repro.reliability.stats import (
     ComplianceVerdict,
@@ -82,10 +80,8 @@ __all__ = [
     "Block",
     "CommunicatorVerdict",
     "ComplianceVerdict",
-    "EmpiricalReliabilityReport",
     "LRCTest",
     "binomial_confidence_interval",
-    "check_reliability_empirical",
     "lrc_test",
     "lrc_test_from_counts",
     "required_samples",

@@ -23,7 +23,6 @@ arithmetic mean; reliability requires that mean to be at least
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
 
 from repro.arch.architecture import Architecture
 from repro.mapping.implementation import Implementation
@@ -31,10 +30,6 @@ from repro.mapping.timedep import TimeDependentImplementation
 from repro.model.graph import is_memory_free, unsafe_cycles
 from repro.model.specification import Specification
 from repro.reliability.srg import communicator_srgs
-from repro.reliability.stats import ComplianceVerdict, LRCTest
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.batch import BatchResult
 
 #: Absolute tolerance of the SRG >= LRC comparison.  SRGs are products
 #: and averages of floats, so an exact boundary case (e.g. the paper's
@@ -152,84 +147,4 @@ def check_reliability(
         verdicts=verdicts,
         memory_free=memory_free,
         unsafe_cycles=bad_cycles,
-    )
-
-
-@dataclass(frozen=True)
-class EmpiricalReliabilityReport:
-    """Monte-Carlo counterpart of :class:`ReliabilityReport`.
-
-    Carries the batch result, the per-communicator binomial LRC tests
-    on the pooled counts, and the analytic SRGs they should converge
-    to (Proposition 1 / SLLN).
-    """
-
-    result: "BatchResult"
-    tests: Mapping[str, LRCTest]
-    analytic_srgs: Mapping[str, float]
-
-    @property
-    def reliable(self) -> bool:
-        """``True`` iff no communicator's LRC test *violates*.
-
-        An ``undecided`` verdict counts as compatible with
-        reliability — the data could not reject compliance.
-        """
-        return all(
-            t.verdict is not ComplianceVerdict.VIOLATES
-            for t in self.tests.values()
-        )
-
-    def summary(self) -> str:
-        """Return a human-readable multi-line summary."""
-        lines = [
-            f"empirical reliability check "
-            f"({self.result.runs} runs x {self.result.iterations} "
-            f"iterations, {self.result.executor})"
-        ]
-        estimates = self.result.srg_estimates()
-        for name in sorted(self.tests):
-            test = self.tests[name]
-            lines.append(
-                f"  [{test.verdict.value:9s}] {name}: observed "
-                f"{estimates[name]:.6f}  SRG {self.analytic_srgs[name]:.6f}"
-                f"  LRC {test.lrc:.6f}"
-            )
-        return "\n".join(lines)
-
-
-def check_reliability_empirical(
-    spec: Specification,
-    arch: Architecture,
-    implementation: "Implementation | TimeDependentImplementation",
-    runs: int = 32,
-    iterations: int = 512,
-    seed: int = 0,
-    confidence: float = 0.99,
-) -> EmpiricalReliabilityReport:
-    """Check the LRCs by batched Monte-Carlo under the Bernoulli model.
-
-    The empirical companion of :func:`check_reliability`: simulates
-    ``runs x iterations`` periods through the vectorized batch
-    executor with per-invocation Bernoulli faults (the stochastic
-    model of Proposition 1), then subjects each communicator's pooled
-    reliable-access counts to the one-sided binomial compliance test.
-    Task functions need not be bound — the batch executor evaluates
-    only the reliability abstraction.
-    """
-    from repro.runtime.batch import BatchSimulator
-    from repro.runtime.faults import BernoulliFaults
-
-    simulator = BatchSimulator(
-        spec,
-        arch,
-        implementation,
-        faults=BernoulliFaults(arch),
-        seed=seed,
-    )
-    result = simulator.run_batch(runs, iterations)
-    return EmpiricalReliabilityReport(
-        result=result,
-        tests=result.lrc_tests(confidence),
-        analytic_srgs=communicator_srgs(spec, implementation, arch),
     )

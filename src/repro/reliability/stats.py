@@ -22,14 +22,15 @@ baseline is about 4.9).  Fed pooled read counts, the intervals here
 are too narrow and the verdicts overconfident.  Independent runs (or
 writes) are the honest unit of evidence; moving the Monte-Carlo
 tooling to run-level statistics is ROADMAP's first open item.
+
+:mod:`scipy` is imported inside the two functions that evaluate a
+distribution, so importing :mod:`repro` does not need it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-from scipy import stats as scipy_stats
 
 from repro.errors import AnalysisError
 from repro.reliability.traces import AbstractTrace
@@ -72,6 +73,8 @@ def binomial_confidence_interval(
         raise AnalysisError(
             f"confidence must lie in (0, 1), got {confidence}"
         )
+    from scipy import stats as scipy_stats
+
     alpha = 1.0 - confidence
     if successes == 0:
         lower = 0.0
@@ -110,6 +113,8 @@ def lrc_test_from_counts(
         )
     if not 0.0 < lrc <= 1.0:
         raise AnalysisError(f"LRC must lie in (0, 1], got {lrc}")
+    from scipy import stats as scipy_stats
+
     alpha = 1.0 - confidence
     # P(X <= successes) under p = lrc: small means "too few successes
     # to be compatible with p >= lrc".

@@ -1,51 +1,56 @@
 """The E-machine: interpreter of compiled E-code.
 
 Executes the periodic E-code emitted by
-:func:`repro.htl.ecode.generate_ecode` against the same environment,
-fault-injection, and voting machinery as the reference simulator.  The
-E-machine is the runtime half of the paper's prototype: the compiler
-emits drivers (UPDATE/SNAPSHOT/VOTE) and scheduling commands
-(RELEASE/DISPATCH/BROADCAST), and this interpreter runs them.
+:func:`repro.htl.ecode.generate_ecode`.  The E-machine is the runtime
+half of the paper's prototype: the compiler emits drivers
+(VOTE/UPDATE/SNAPSHOT) and scheduling commands (RELEASE, plus the
+DISPATCH/BROADCAST timeline annotations), and this interpreter runs
+them.
+
+:class:`EMachine` is a :class:`~repro.runtime.engine.Simulator` that
+replaces only the per-instant timetable walk: instead of the compiled
+plan's tables, it walks the E-code instructions tagged with the
+current offset and calls the simulator's step actions — the one
+implementation of the vote, sensor, trace, snapshot, and release
+drivers.  Run framing, fault-injector resets, hook dispatch, and
+chained runs are inherited (a chained run's final-boundary flush
+commits from the plan's table).  Randomness is therefore consumed in the
+simulator's order by construction whenever the E-code emits the same
+instructions at the same offsets in the same order as the plan's
+timetable; with equal seeds the two then produce identical traces,
+which is what the test suite certifies about :func:`generate_ecode`.
 
 Within one time instant the opcode order guarantees the semantics
 constraint "update all replications first, then read": VOTE and UPDATE
 run before the trace is recorded and before SNAPSHOT/RELEASE.
-
-The E-machine intentionally consumes randomness in exactly the same
-order as :class:`repro.runtime.engine.Simulator`, so that with equal
-seeds the two produce identical traces — the test suite uses this to
-certify that compiled E-code implements the reference semantics.
+DISPATCH and BROADCAST are annotations the E-machine skips; logical
+values do not depend on them (LET semantics).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
-
-import numpy as np
+from typing import Iterable
 
 from repro.arch.architecture import Architecture
 from repro.errors import RuntimeSimulationError
 from repro.htl.ecode import ECode, Instruction, Opcode
 from repro.mapping.implementation import Implementation
 from repro.model.specification import Specification
-from repro.model.values import BOTTOM
-from repro.runtime.engine import SimulationResult
-from repro.runtime.environment import ConstantEnvironment, Environment
-from repro.runtime.faults import FaultInjector, NoFaults
+from repro.runtime.engine import Simulator, _RunState
+from repro.runtime.environment import Environment
+from repro.runtime.faults import FaultInjector
 from repro.runtime.voting import Voter, first_non_bottom
-from repro.telemetry.sink import HookSinks, InstrumentationSink
+from repro.telemetry.sink import InstrumentationSink
 
 
-class EMachine:
+class EMachine(Simulator):
     """Interpreter for compiled E-code programs.
 
     Parameters mirror :class:`~repro.runtime.engine.Simulator`; the
     implementation must be the (static) mapping the E-code was
-    generated for.  *sinks* subscribe to the same
-    :class:`~repro.telemetry.sink.InstrumentationSink` hook stream
-    the reference engine emits (run framing, access records, sensor
-    updates, releases, replica broadcasts, vote commits), so the same
-    tracer/metrics attach to interpreted E-code.
+    generated for.  *sinks* receive the simulator's
+    :class:`~repro.telemetry.sink.InstrumentationSink` hook stream, so
+    the same tracer/metrics attach to interpreted E-code.
     """
 
     def __init__(
@@ -61,247 +66,55 @@ class EMachine:
         seed: int = 0,
         sinks: Iterable[InstrumentationSink] = (),
     ) -> None:
-        self.ecode = ecode
-        self.spec = spec
-        self.arch = arch
-        self.implementation = implementation
-        implementation.validate(spec, arch)
-        self.environment = environment or ConstantEnvironment()
-        self.faults = faults or NoFaults()
-        self.voter = voter
-        self.actuators = (
-            frozenset(spec.output_communicators())
-            if actuator_communicators is None
-            else frozenset(actuator_communicators)
+        super().__init__(
+            spec,
+            arch,
+            implementation,
+            environment=environment,
+            faults=faults,
+            voter=voter,
+            actuator_communicators=actuator_communicators,
+            seed=seed,
+            sinks=sinks,
         )
-        self.rng = np.random.default_rng(seed)
-        self.sinks: tuple[InstrumentationSink, ...] = tuple(sinks)
-        self.hooks = HookSinks(self.sinks)
-        self.period = ecode.period
-        self.tick = spec.base_tick()
-        self.write_times = {
-            t.name: t.write_time(spec.periods())
-            for t in spec.tasks.values()
-        }
-        missing = sorted(
-            t.name for t in spec.tasks.values() if t.function is None
-        )
-        if missing:
+        if ecode.period != self.period:
             raise RuntimeSimulationError(
-                f"tasks {missing} have no function; bind functions before "
-                f"interpreting E-code"
+                f"E-code period {ecode.period} differs from the "
+                f"specification period {self.period}"
             )
+        self.ecode = ecode
         self._by_offset: dict[int, list[Instruction]] = {}
-        for instruction in ecode.instructions:
+        for instruction in sorted(ecode.instructions):
             self._by_offset.setdefault(instruction.time, []).append(
                 instruction
             )
-        for offset in self._by_offset:
-            self._by_offset[offset].sort()
 
-    def run(self, iterations: int) -> SimulationResult:
-        """Interpret the E-code for *iterations* periods."""
-        if iterations <= 0:
-            raise RuntimeSimulationError(
-                f"iterations must be positive, got {iterations}"
-            )
-        spec = self.spec
-        horizon = iterations * self.period
-        store: dict[str, Any] = {
-            name: comm.init for name, comm in spec.communicators.items()
-        }
-        values: dict[str, list[Any]] = {
-            name: [] for name in spec.communicators
-        }
-        snapshots: dict[tuple[str, int], list[Any]] = {}
-        pending: dict[tuple[str, int], list[tuple[Any, ...]]] = {}
-        attempts: dict[tuple[str, str], int] = {}
-        failures: dict[tuple[str, str], int] = {}
-        dispatch_log: list[tuple[int, str, str, str]] = []
-        hooks = self.hooks
-        iteration_sinks = hooks.on_iteration_start
+    def _instant(self, now: int, offset: int, state: _RunState) -> None:
+        """Execute the E-code instructions tagged with *offset*.
 
-        for sink in hooks.on_run_start:
-            sink.on_run_start(0, iterations, self.period)
-
-        for now in range(0, horizon, self.tick):
-            offset = now % self.period
-            if offset == 0 and iteration_sinks:
-                for sink in iteration_sinks:
-                    sink.on_iteration_start(now // self.period, now)
-            instructions = self._by_offset.get(offset, ())
-            recorded = False
-            for instruction in instructions:
-                if (
-                    not recorded
-                    and instruction.opcode >= Opcode.SNAPSHOT
-                ):
-                    self._record(now, store, values)
-                    recorded = True
-                self._execute(
-                    instruction,
-                    now,
-                    store,
-                    snapshots,
-                    pending,
-                    attempts,
-                    failures,
-                    dispatch_log,
-                )
-            if not recorded:
-                self._record(now, store, values)
-            self.environment.advance(now, self.tick)
-
-        for sink in hooks.on_run_end:
-            sink.on_run_end(horizon)
-
-        return SimulationResult(
-            spec=spec,
-            iterations=iterations,
-            values=values,
-            replica_attempts=attempts,
-            replica_failures=failures,
-        )
-
-    # ------------------------------------------------------------------
-
-    def _record(
-        self,
-        now: int,
-        store: dict[str, Any],
-        values: dict[str, list[Any]],
-    ) -> None:
-        access_sinks = self.hooks.on_access
-        for name, comm in self.spec.communicators.items():
-            if now % comm.period == 0:
-                value = store[name]
-                values[name].append(value)
-                if access_sinks:
-                    reliable = value is not BOTTOM
-                    for sink in access_sinks:
-                        sink.on_access(name, now, reliable)
-
-    def _execute(
-        self,
-        instruction: Instruction,
-        now: int,
-        store: dict[str, Any],
-        snapshots: dict[tuple[str, int], list[Any]],
-        pending: dict[tuple[str, int], list[tuple[Any, ...]]],
-        attempts: dict[tuple[str, str], int],
-        failures: dict[tuple[str, str], int],
-        dispatch_log: list[tuple[int, str, str, str]],
-    ) -> None:
-        opcode = instruction.opcode
-        if opcode is Opcode.VOTE:
-            (task_name,) = instruction.args
-            write_time = instruction.when
-            if now < write_time:
-                return
-            iteration = (now - write_time) // self.period
-            task = self.spec.tasks[task_name]
-            outputs = pending.pop((task_name, iteration), [])
-            for index, port in enumerate(task.outputs):
-                replica_values = [value[index] for value in outputs]
-                voted = (
-                    self.voter(replica_values) if replica_values else BOTTOM
-                )
-                store[port.communicator] = voted
-                if self.hooks.on_commit:
-                    for sink in self.hooks.on_commit:
-                        sink.on_commit(
-                            task_name,
-                            port.communicator,
-                            iteration,
-                            now,
-                            len(replica_values),
-                            voted is not BOTTOM,
-                        )
-                if port.communicator in self.actuators:
-                    self.environment.actuate(port.communicator, now, voted)
-        elif opcode is Opcode.UPDATE:
-            (name,) = instruction.args
-            iteration = now // self.period
-            sensors = self.implementation.sensors_of(name)
-            physical = self.environment.sense(name, now)
-            # One draw per sensor, unconditionally — the canonical
-            # order shared with the reference simulator.
-            failed = [
-                self.faults.sensor_fails(sensor, now, self.rng)
-                for sensor in sorted(sensors)
-            ]
-            delivered = not all(failed)
-            store[name] = physical if delivered else BOTTOM
-            if self.hooks.on_sensor_outcome:
-                for sensor, sensor_failed in zip(
-                    sorted(sensors), failed
-                ):
-                    for sink in self.hooks.on_sensor_outcome:
-                        sink.on_sensor_outcome(
-                            name, now, sensor, not sensor_failed
-                        )
-            if self.hooks.on_sensor_update:
-                for sink in self.hooks.on_sensor_update:
-                    sink.on_sensor_update(name, now, delivered)
-        elif opcode is Opcode.SNAPSHOT:
-            task_name, index, comm = instruction.args
-            iteration = now // self.period
-            task = self.spec.tasks[task_name]
-            key = (task_name, iteration)
-            if key not in snapshots:
-                snapshots[key] = [None] * len(task.inputs)
-            snapshots[key][index] = store[comm]
-        elif opcode is Opcode.RELEASE:
-            (task_name,) = instruction.args
-            iteration = now // self.period
-            task = self.spec.tasks[task_name]
-            key = (task_name, iteration)
-            snapshot = snapshots.pop(key, None)
-            if snapshot is None or any(v is None for v in snapshot):
-                raise RuntimeSimulationError(
-                    f"incomplete input snapshot for {task_name} at {now}"
-                )
-            deadline = (
-                iteration * self.period + self.write_times[task_name]
-            )
-            for sink in self.hooks.on_release_start:
-                sink.on_release_start(task_name, iteration, now)
-            result_cache: "tuple[Any, ...] | None | str" = "unset"
-            for host in sorted(
-                self.implementation.hosts_of(task_name)
-            ):
-                attempts[(task_name, host)] = (
-                    attempts.get((task_name, host), 0) + 1
-                )
-                invocation_failed = self.faults.replica_fails(
-                    task_name, host, iteration, now, deadline, self.rng
-                )
-                broadcast_failed = self.faults.broadcast_fails(
-                    task_name, host, iteration, self.rng
-                )
-                if self.hooks.on_replica:
-                    ok = not (invocation_failed or broadcast_failed)
-                    for sink in self.hooks.on_replica:
-                        sink.on_replica(task_name, host, iteration, now, ok)
-                if invocation_failed or broadcast_failed:
-                    failures[(task_name, host)] = (
-                        failures.get((task_name, host), 0) + 1
-                    )
-                    continue
-                if result_cache == "unset":
-                    result_cache = task.execute(snapshot)
-                if result_cache is None:
-                    continue
-                pending.setdefault(key, []).append(
-                    self.faults.corrupt_outputs(
-                        task_name, host, iteration, result_cache,
-                        self.rng,
-                    )
-                )
-            for sink in self.hooks.on_release_end:
-                sink.on_release_end(task_name, iteration, now)
-        elif opcode in (Opcode.DISPATCH, Opcode.BROADCAST):
-            task_name, host = instruction.args
-            dispatch_log.append(
-                (now, opcode.name.lower(), task_name, host)
-            )
+        The trace is sampled before the first opcode at SNAPSHOT or
+        later (after every VOTE and UPDATE), or at the end of an
+        instant with no such opcode.
+        """
+        sampled = False
+        for instruction in self._by_offset.get(offset, ()):
+            opcode = instruction.opcode
+            if not sampled and opcode >= Opcode.SNAPSHOT:
+                self._sample(now, state)
+                sampled = True
+            if opcode is Opcode.VOTE:
+                # ``when`` is the absolute write time: a write at the
+                # period boundary commits the previous iteration.
+                if now >= instruction.when:
+                    (task_name,) = instruction.args
+                    iteration = (now - instruction.when) // self.period
+                    self._commit(task_name, iteration, now, state)
+            elif opcode is Opcode.UPDATE:
+                self._update(instruction.args[0], now, state)
+            elif opcode is Opcode.SNAPSHOT:
+                task_name, index, comm = instruction.args
+                self._snapshot(task_name, index, comm, now, state)
+            elif opcode is Opcode.RELEASE:
+                self._release(instruction.args[0], now, state)
+        if not sampled:
+            self._sample(now, state)

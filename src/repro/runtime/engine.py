@@ -43,9 +43,6 @@ from repro.runtime.plan import SimulationPlan, compile_plan
 from repro.runtime.voting import Voter, first_non_bottom
 from repro.telemetry.sink import HookSinks, InstrumentationSink
 
-#: Shared empty dispatch table for un-instrumented helper calls.
-_NO_HOOKS = HookSinks()
-
 #: Configuration key of a chained run (see :func:`run_chained`).
 K = TypeVar("K", bound=Hashable)
 
@@ -117,6 +114,28 @@ class SimulationResult:
         return "\n".join(lines)
 
 
+@dataclass
+class _RunState:
+    """The mutable state of one run, shared by the step actions.
+
+    ``snapshots`` holds the input ports latched so far per invocation
+    ``(task, iteration)`` and ``pending`` the replica outputs
+    broadcast for it, awaiting the vote.  Commits of iterations before
+    ``start_iteration`` belong to the previous chained run.
+    """
+
+    hooks: HookSinks
+    start_iteration: int
+    store: dict[str, Any]
+    values: dict[str, list[Any]]
+    snapshots: dict[tuple[str, int], list[Any]] = field(default_factory=dict)
+    pending: dict[tuple[str, int], list[tuple[Any, ...]]] = field(
+        default_factory=dict
+    )
+    attempts: dict[tuple[str, str], int] = field(default_factory=dict)
+    failures: dict[tuple[str, str], int] = field(default_factory=dict)
+
+
 class Simulator:
     """Distributed LET runtime with replication, broadcast, and voting.
 
@@ -124,8 +143,13 @@ class Simulator:
     :class:`~repro.runtime.plan.SimulationPlan`: construction compiles
     the design into the plan, and :meth:`run` interprets it tick by
     tick, executing real task functions against the environment.  The
-    vectorized :class:`~repro.runtime.batch.BatchSimulator` consumes
-    the same plan; this class is the semantics oracle the batch path
+    work of one instant is five step actions over one run state
+    (commit-and-vote, sensor update, trace sample, input snapshot,
+    release); :meth:`_instant` walks the plan's timetable through
+    them, and :class:`~repro.runtime.emachine.EMachine` overrides only
+    that walk to follow compiled E-code instead.  The vectorized
+    :class:`~repro.runtime.batch.BatchSimulator` consumes the same
+    plan; this class is the semantics oracle the batch path
     is differentially tested against.
 
     Parameters
@@ -215,7 +239,22 @@ class Simulator:
                 f"simulating"
             )
         self.plan: SimulationPlan = compile_plan(spec, arch, implementation)
-        self.period = self.plan.period
+        self.period = period = self.plan.period
+        # Per-offset views of the timetable: the write time committing
+        # at each offset (write times lie in (0, period], so at most
+        # one per offset) with its tasks, and the communicators sampled.
+        self._commits_at = {
+            write_time % period: (write_time, tasks)
+            for write_time, tasks in self.plan.commit_plan.items()
+        }
+        self._sampled_at = {
+            offset: tuple(
+                name
+                for name, comm in spec.communicators.items()
+                if offset % comm.period == 0
+            )
+            for offset in range(0, period, self.plan.tick)
+        }
 
     # ------------------------------------------------------------------
 
@@ -249,9 +288,8 @@ class Simulator:
                 f"iterations must be positive, got {iterations}"
             )
         spec = self.spec
-        plan = self.plan
         period = self.period
-        tick = plan.tick
+        tick = self.plan.tick
         if start_time % period:
             raise RuntimeSimulationError(
                 f"start_time {start_time} must be a multiple of the "
@@ -267,11 +305,6 @@ class Simulator:
             ((self.monitor,) if self.monitor is not None else ())
             + self.sinks
         )
-        iteration_sinks = hooks.on_iteration_start
-        sensor_outcome_sinks = hooks.on_sensor_outcome
-        sensor_sinks = hooks.on_sensor_update
-        access_sinks = hooks.on_access
-
         store: dict[str, Any] = (
             dict(initial_store)
             if initial_store is not None
@@ -286,100 +319,23 @@ class Simulator:
                 f"initial store lacks communicators "
                 f"{sorted(missing_comms)}"
             )
-        values: dict[str, list[Any]] = {
-            name: [] for name in spec.communicators
-        }
-        snapshots: dict[tuple[str, int], list[Any]] = {}
-        pending: dict[tuple[str, int], list[tuple[Any, ...]]] = {}
-        attempts: dict[tuple[str, str], int] = {}
-        failures: dict[tuple[str, str], int] = {}
+        state = _RunState(
+            hooks=hooks,
+            start_iteration=start_time // period,
+            store=store,
+            values={name: [] for name in spec.communicators},
+        )
+        iteration_sinks = hooks.on_iteration_start
 
         for sink in hooks.on_run_start:
             sink.on_run_start(start_time, iterations, period)
 
         for now in range(start_time, horizon, tick):
             offset = now % period
-            iteration = now // period
             if offset == 0 and iteration_sinks:
                 for sink in iteration_sinks:
-                    sink.on_iteration_start(iteration, now)
-
-            # 1. Commit task outputs whose write time is due.  A write
-            # time equal to the period commits at offset 0 of the next
-            # period and belongs to the previous iteration; iterations
-            # before this run's first one belong to the previous
-            # (already flushed) run and are skipped.
-            start_iteration = start_time // period
-            for write_time, tasks in plan.commit_plan.items():
-                if now < write_time or (now - write_time) % period:
-                    continue
-                commit_iteration = (now - write_time) // period
-                if commit_iteration < start_iteration:
-                    continue
-                for name in tasks:
-                    self._commit(
-                        name, commit_iteration, store, pending, now, hooks
-                    )
-
-            # 2. Sensor updates of input communicators that are due.
-            # Every bound sensor is queried (no short-circuit on the
-            # first delivery): the canonical draw order consumes one
-            # uniform per sensor unconditionally, which is what lets
-            # the batch executor reproduce this stream from one flat
-            # sample per run.
-            for name in plan.sensor_plan.get(offset, ()):
-                sensors = plan.sensors_of(name, iteration)
-                physical = self.environment.sense(name, now)
-                failed = [
-                    self.faults.sensor_fails(sensor, now, self.rng)
-                    for sensor in sensors
-                ]
-                delivered = not all(failed)
-                store[name] = physical if delivered else BOTTOM
-                if sensor_outcome_sinks:
-                    for sensor, sensor_failed in zip(sensors, failed):
-                        for sink in sensor_outcome_sinks:
-                            sink.on_sensor_outcome(
-                                name, now, sensor, not sensor_failed
-                            )
-                if sensor_sinks:
-                    for sink in sensor_sinks:
-                        sink.on_sensor_update(name, now, delivered)
-
-            # 3. Record the trace at every due access instant; the
-            # sinks (online monitor, tracer, metrics) see exactly the
-            # recorded samples.
-            for name, comm in spec.communicators.items():
-                if now % comm.period == 0:
-                    value = store[name]
-                    values[name].append(value)
-                    if access_sinks:
-                        reliable = value is not BOTTOM
-                        for sink in access_sinks:
-                            sink.on_access(name, now, reliable)
-
-            # 4. Snapshot input ports whose instance time is due.
-            for task_name, index, comm in plan.snap_plan.get(offset, ()):
-                task = spec.tasks[task_name]
-                key = (task_name, iteration)
-                if key not in snapshots:
-                    snapshots[key] = [None] * len(task.inputs)
-                snapshots[key][index] = store[comm]
-
-            # 5. Release invocations whose read time is due: every
-            # replication computes on the identical snapshot.
-            for task_name in plan.release_plan.get(offset, ()):
-                self._release(
-                    task_name,
-                    iteration,
-                    now,
-                    snapshots,
-                    pending,
-                    attempts,
-                    failures,
-                    hooks,
-                )
-
+                    sink.on_iteration_start(now // period, now)
+            self._instant(now, offset, state)
             self.environment.advance(now, tick)
 
         if flush_final_commits:
@@ -387,17 +343,7 @@ class Simulator:
             # boundary (write time == period); they are not recorded in
             # this run's trace — a subsequent chained run records the
             # committed values at its first instant.
-            for write_time, tasks in plan.commit_plan.items():
-                if (horizon - write_time) % period or horizon < write_time:
-                    continue
-                commit_iteration = (horizon - write_time) // period
-                if commit_iteration < start_time // period:
-                    continue
-                for name in tasks:
-                    self._commit(
-                        name, commit_iteration, store, pending, horizon,
-                        hooks,
-                    )
+            self._commit_due(horizon, state)
 
         for sink in hooks.on_run_end:
             sink.on_run_end(horizon)
@@ -405,30 +351,62 @@ class Simulator:
         return SimulationResult(
             spec=spec,
             iterations=iterations,
-            values=values,
-            replica_attempts=attempts,
-            replica_failures=failures,
+            values=state.values,
+            replica_attempts=state.attempts,
+            replica_failures=state.failures,
             final_store=store,
         )
 
-    # ------------------------------------------------------------------
+    # -- the timetable walk ---------------------------------------------
+
+    def _instant(self, now: int, offset: int, state: _RunState) -> None:
+        """Run the plan's timetable at time *now* (period *offset*).
+
+        Updates happen before reads (semantics constraint 3): commits
+        and sensor updates, then the trace sample, then input
+        snapshots and releases.
+        """
+        plan = self.plan
+        self._commit_due(now, state)
+        for name in plan.sensor_plan.get(offset, ()):
+            self._update(name, now, state)
+        self._sample(now, state)
+        for task_name, index, comm in plan.snap_plan.get(offset, ()):
+            self._snapshot(task_name, index, comm, now, state)
+        for task_name in plan.release_plan.get(offset, ()):
+            self._release(task_name, now, state)
+
+    def _commit_due(self, now: int, state: _RunState) -> None:
+        """Commit every task whose write time falls on *now*.
+
+        A write time equal to the period commits at offset 0 of the
+        next period and belongs to the previous iteration.
+        """
+        period = self.period
+        due = self._commits_at.get(now % period)
+        if due is None or now < due[0]:
+            return
+        write_time, tasks = due
+        for name in tasks:
+            self._commit(name, (now - write_time) // period, now, state)
+
+    # -- the step actions -----------------------------------------------
 
     def _commit(
-        self,
-        task_name: str,
-        iteration: int,
-        store: dict[str, Any],
-        pending: dict[tuple[str, int], list[tuple[Any, ...]]],
-        now: int,
-        hooks: HookSinks = _NO_HOOKS,
+        self, task_name: str, iteration: int, now: int, state: _RunState
     ) -> None:
+        """Vote over the replica outputs of one invocation and commit."""
+        if iteration < state.start_iteration:
+            # The invocation belongs to the previous chained run, which
+            # already flushed its commit.
+            return
         task = self.spec.tasks[task_name]
-        outputs = pending.pop((task_name, iteration), [])
-        commit_sinks = hooks.on_commit
+        outputs = state.pending.pop((task_name, iteration), [])
+        commit_sinks = state.hooks.on_commit
         for index, port in enumerate(task.outputs):
             replica_values = [value[index] for value in outputs]
             voted = self.voter(replica_values) if replica_values else BOTTOM
-            store[port.communicator] = voted
+            state.store[port.communicator] = voted
             if commit_sinks:
                 for sink in commit_sinks:
                     sink.on_commit(
@@ -442,24 +420,80 @@ class Simulator:
             if port.communicator in self.actuators:
                 self.environment.actuate(port.communicator, now, voted)
 
-    def _release(
+    def _update(self, name: str, now: int, state: _RunState) -> None:
+        """Run the sensor driver of input communicator *name*.
+
+        Every bound sensor is queried (no short-circuit on the first
+        delivery): the canonical draw order consumes one uniform per
+        sensor unconditionally, which is what lets the batch executor
+        reproduce this stream from one flat sample per run.
+        """
+        sensors = self.plan.sensors_of(name, now // self.period)
+        physical = self.environment.sense(name, now)
+        failed = [
+            self.faults.sensor_fails(sensor, now, self.rng)
+            for sensor in sensors
+        ]
+        delivered = not all(failed)
+        state.store[name] = physical if delivered else BOTTOM
+        hooks = state.hooks
+        if hooks.on_sensor_outcome:
+            for sensor, sensor_failed in zip(sensors, failed):
+                for sink in hooks.on_sensor_outcome:
+                    sink.on_sensor_outcome(
+                        name, now, sensor, not sensor_failed
+                    )
+        for sink in hooks.on_sensor_update:
+            sink.on_sensor_update(name, now, delivered)
+
+    def _sample(self, now: int, state: _RunState) -> None:
+        """Record the trace at every access instant due at *now*.
+
+        The sinks (online monitor, tracer, metrics) see exactly the
+        recorded samples.
+        """
+        access_sinks = state.hooks.on_access
+        store = state.store
+        values = state.values
+        for name in self._sampled_at[now % self.period]:
+            value = store[name]
+            values[name].append(value)
+            if access_sinks:
+                reliable = value is not BOTTOM
+                for sink in access_sinks:
+                    sink.on_access(name, now, reliable)
+
+    def _snapshot(
         self,
         task_name: str,
-        iteration: int,
+        index: int,
+        comm: str,
         now: int,
-        snapshots: dict[tuple[str, int], list[Any]],
-        pending: dict[tuple[str, int], list[tuple[Any, ...]]],
-        attempts: dict[tuple[str, str], int],
-        failures: dict[tuple[str, str], int],
-        hooks: HookSinks = _NO_HOOKS,
+        state: _RunState,
     ) -> None:
+        """Latch input port *index* of *task_name* from *comm* (LET read)."""
+        key = (task_name, now // self.period)
+        snapshot = state.snapshots.get(key)
+        if snapshot is None:
+            snapshot = state.snapshots[key] = [None] * len(
+                self.spec.tasks[task_name].inputs
+            )
+        snapshot[index] = state.store[comm]
+
+    def _release(self, task_name: str, now: int, state: _RunState) -> None:
+        """Release one invocation: every replication computes on the
+        identical snapshot and broadcasts its outputs."""
+        iteration = now // self.period
         task = self.spec.tasks[task_name]
         key = (task_name, iteration)
-        snapshot = snapshots.pop(key, None)
+        snapshot = state.snapshots.pop(key, None)
         if snapshot is None or any(v is None for v in snapshot):
             raise RuntimeSimulationError(
                 f"incomplete input snapshot for {task_name} at {now}"
             )
+        hooks = state.hooks
+        attempts = state.attempts
+        failures = state.failures
         replica_sinks = hooks.on_replica
         for sink in hooks.on_release_start:
             sink.on_release_start(task_name, iteration, now)
@@ -494,7 +528,7 @@ class Simulator:
                 # The failure model suppressed execution (unreliable
                 # inputs); the replica stays silent.
                 continue
-            pending.setdefault(key, []).append(
+            state.pending.setdefault(key, []).append(
                 self.faults.corrupt_outputs(
                     task_name, host, iteration, result_cache, self.rng
                 )

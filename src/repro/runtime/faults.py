@@ -117,6 +117,75 @@ def _empty_masks(
     )
 
 
+def _down_during(
+    intervals: Sequence[tuple[float, float | None]], start: int, end: int
+) -> bool:
+    """Return whether an outage of *intervals* meets ``[start, end]``."""
+    for outage_start, outage_end in intervals:
+        if outage_end is None:
+            if end >= outage_start:
+                return True
+        elif start < outage_end and end >= outage_start:
+            return True
+    return False
+
+
+def _down_mask(
+    intervals: Sequence[tuple[float, float | None]],
+    starts: np.ndarray,
+    ends: np.ndarray,
+) -> np.ndarray:
+    """Vectorize :func:`_down_during` over parallel window arrays."""
+    down = np.zeros(starts.shape, dtype=bool)
+    for outage_start, outage_end in intervals:
+        if outage_end is None:
+            down |= ends >= outage_start
+        else:
+            down |= (starts < outage_end) & (ends >= outage_start)
+    return down
+
+
+def _outage_masks(
+    plan: "SimulationPlan",
+    iterations: int,
+    host_outages: Mapping[str, Sequence[tuple[float, float | None]]],
+    sensor_outages: Mapping[str, Sequence[tuple[float, float | None]]],
+    masks: PrecomputedFaults,
+    row: "int | slice",
+) -> None:
+    """Mask every slot whose entity is down, into run row(s) *row*.
+
+    The vectorized :meth:`ScriptedFaults.replica_fails` /
+    :meth:`ScriptedFaults.sensor_fails` lookups: a sensor slot fails
+    when its sensor is down at the update instant, a replica slot when
+    its host is down at any point of ``[release, deadline]``.
+    """
+    for p, iters in enumerate(_phase_iterations(plan, iterations)):
+        if not len(iters):
+            continue
+        schedule = plan.schedules[p]
+        starts = iters * plan.period
+        for j, name in enumerate(schedule.sensor_slot_name):
+            intervals = sensor_outages.get(name, ())
+            if not intervals:
+                continue
+            event = plan.sensor_events[int(schedule.sensor_slot_event[j])]
+            times = starts + event.offset
+            masks.sensor_fail[p][row, j, :] = _down_mask(
+                intervals, times, times
+            )
+        for j, host in enumerate(schedule.replica_slot_host):
+            intervals = host_outages.get(host, ())
+            if not intervals:
+                continue
+            event = plan.releases[int(schedule.replica_slot_event[j])]
+            masks.replica_fail[p][row, j, :] = _down_mask(
+                intervals,
+                starts + event.offset,
+                starts + event.write_time,
+            )
+
+
 class FaultInjector:
     """Interface queried by the simulator; default: nothing fails."""
 
@@ -325,40 +394,13 @@ class ScriptedFaults(FaultInjector):
                             f"({start}, {end}) is empty"
                         )
 
-    @staticmethod
-    def _down_during(
-        intervals: Sequence[tuple[int, int | None]], start: int, end: int
-    ) -> bool:
-        for outage_start, outage_end in intervals:
-            if outage_end is None:
-                if end >= outage_start:
-                    return True
-            elif start < outage_end and end >= outage_start:
-                return True
-        return False
-
     def replica_fails(self, task, host, iteration, release, deadline, rng):
         intervals = self.host_outages.get(host, ())
-        return self._down_during(intervals, release, deadline)
+        return _down_during(intervals, release, deadline)
 
     def sensor_fails(self, sensor, time, rng):
         intervals = self.sensor_outages.get(sensor, ())
-        return self._down_during(intervals, time, time)
-
-    @staticmethod
-    def _down_mask(
-        intervals: Sequence[tuple[int, int | None]],
-        starts: np.ndarray,
-        ends: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorize :meth:`_down_during` over parallel window arrays."""
-        down = np.zeros(starts.shape, dtype=bool)
-        for outage_start, outage_end in intervals:
-            if outage_end is None:
-                down |= ends >= outage_start
-            else:
-                down |= (starts < outage_end) & (ends >= outage_start)
-        return down
+        return _down_during(intervals, time, time)
 
     def precompute(self, plan, runs, iterations, rngs):
         """Evaluate the outage timetable for every slot and iteration.
@@ -367,33 +409,14 @@ class ScriptedFaults(FaultInjector):
         runs (broadcast over the run axis) and no RNG is consumed.
         """
         result = _empty_masks(plan, runs, iterations)
-        per_phase = _phase_iterations(plan, iterations)
-        for p, schedule in enumerate(plan.schedules):
-            iters = per_phase[p]
-            if not len(iters):
-                continue
-            starts = iters * plan.period
-            for j, name in enumerate(schedule.sensor_slot_name):
-                intervals = self.sensor_outages.get(name, ())
-                if not intervals:
-                    continue
-                event = plan.sensor_events[
-                    int(schedule.sensor_slot_event[j])
-                ]
-                times = starts + event.offset
-                result.sensor_fail[p][:, j, :] = self._down_mask(
-                    intervals, times, times
-                )
-            for j, host in enumerate(schedule.replica_slot_host):
-                intervals = self.host_outages.get(host, ())
-                if not intervals:
-                    continue
-                event = plan.releases[int(schedule.replica_slot_event[j])]
-                release = starts + event.offset
-                deadline = starts + event.write_time
-                result.replica_fail[p][:, j, :] = self._down_mask(
-                    intervals, release, deadline
-                )
+        _outage_masks(
+            plan,
+            iterations,
+            self.host_outages,
+            self.sensor_outages,
+            result,
+            slice(None),
+        )
         return result
 
 
@@ -683,8 +706,23 @@ class CrashRepairFaults(FaultInjector):
                         f"{label} {name!r}: MTTF/MTTR must be positive, "
                         f"got ({mttf}, {mttr})"
                     )
-        self._host_down: dict[str, list[tuple[float, float]]] = {}
-        self._sensor_down: dict[str, list[tuple[float, float]]] = {}
+        # The outage timeline of the current run, drawn in begin_run.
+        self.host_outages: dict[str, list[tuple[float, float]]] = {}
+        self.sensor_outages: dict[str, list[tuple[float, float]]] = {}
+
+    def _draw_outages(
+        self, rng: np.random.Generator, horizon: int
+    ) -> tuple[dict, dict]:
+        """Draw every entity's outage timeline (hosts, then sensors)."""
+        hosts = {
+            name: self._draw_timeline(rng, *self.hosts[name], horizon)
+            for name in sorted(self.hosts)
+        }
+        sensors = {
+            name: self._draw_timeline(rng, *self.sensors[name], horizon)
+            for name in sorted(self.sensors)
+        }
+        return hosts, sensors
 
     @staticmethod
     def _draw_timeline(
@@ -702,22 +740,13 @@ class CrashRepairFaults(FaultInjector):
         return intervals
 
     def begin_run(self, rng, horizon):
-        self._host_down = {
-            name: self._draw_timeline(rng, *self.hosts[name], horizon)
-            for name in sorted(self.hosts)
-        }
-        self._sensor_down = {
-            name: self._draw_timeline(rng, *self.sensors[name], horizon)
-            for name in sorted(self.sensors)
-        }
+        self.host_outages, self.sensor_outages = self._draw_outages(
+            rng, horizon
+        )
 
-    def replica_fails(self, task, host, iteration, release, deadline, rng):
-        intervals = self._host_down.get(host, ())
-        return ScriptedFaults._down_during(intervals, release, deadline)
-
-    def sensor_fails(self, sensor, time, rng):
-        intervals = self._sensor_down.get(sensor, ())
-        return ScriptedFaults._down_during(intervals, time, time)
+    # Queries are scripted-outage lookups over the drawn timeline.
+    replica_fails = ScriptedFaults.replica_fails
+    sensor_fails = ScriptedFaults.sensor_fails
 
     def precompute(self, plan, runs, iterations, rngs):
         """Replay each run's :meth:`begin_run` draws, then mask slots.
@@ -727,50 +756,14 @@ class CrashRepairFaults(FaultInjector):
         interval masks are then evaluated like scripted outages.
         """
         result = _empty_masks(plan, runs, iterations)
-        per_phase = _phase_iterations(plan, iterations)
         horizon = iterations * plan.period
         for run in range(runs):
-            rng = rngs[run]
-            host_down = {
-                name: self._draw_timeline(rng, *self.hosts[name], horizon)
-                for name in sorted(self.hosts)
-            }
-            sensor_down = {
-                name: self._draw_timeline(
-                    rng, *self.sensors[name], horizon
-                )
-                for name in sorted(self.sensors)
-            }
-            for p, schedule in enumerate(plan.schedules):
-                iters = per_phase[p]
-                if not len(iters):
-                    continue
-                starts = iters * plan.period
-                for j, name in enumerate(schedule.sensor_slot_name):
-                    intervals = sensor_down.get(name, ())
-                    if not intervals:
-                        continue
-                    event = plan.sensor_events[
-                        int(schedule.sensor_slot_event[j])
-                    ]
-                    times = starts + event.offset
-                    result.sensor_fail[p][run, j, :] = (
-                        ScriptedFaults._down_mask(intervals, times, times)
-                    )
-                for j, host in enumerate(schedule.replica_slot_host):
-                    intervals = host_down.get(host, ())
-                    if not intervals:
-                        continue
-                    event = plan.releases[
-                        int(schedule.replica_slot_event[j])
-                    ]
-                    release = starts + event.offset
-                    deadline = starts + event.write_time
-                    result.replica_fail[p][run, j, :] = (
-                        ScriptedFaults._down_mask(
-                            intervals, release, deadline
-                        )
-                    )
+            host_outages, sensor_outages = self._draw_outages(
+                rngs[run], horizon
+            )
+            _outage_masks(
+                plan, iterations, host_outages, sensor_outages, result, run
+            )
         return PrecomputedFaults(
             stochastic=bool(self.hosts or self.sensors),
             sensor_fail=result.sensor_fail,

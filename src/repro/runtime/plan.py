@@ -210,10 +210,6 @@ class SimulationPlan:
 
     # ------------------------------------------------------------------
 
-    def phase_of(self, iteration: int) -> int:
-        """Return the phase index governing task iteration *iteration*."""
-        return iteration % self.n_phases
-
     def hosts_of(self, task: str, iteration: int) -> tuple[str, ...]:
         """Return the replica hosts of *task* at *iteration* (voting order)."""
         event = self.releases[self.release_index[task]]
@@ -226,10 +222,6 @@ class SimulationPlan:
         except KeyError:
             raise KeyError(comm) from None
         return event.sensors[iteration % self.n_phases]
-
-    def draws_per_iteration(self, iteration: int) -> int:
-        """Return how many uniforms one iteration consumes."""
-        return self.schedules[iteration % self.n_phases].draws
 
     def draw_layout(self, iterations: int) -> tuple[np.ndarray, int]:
         """Return ``(base, total)`` for a run of *iterations* periods.

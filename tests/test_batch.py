@@ -452,7 +452,7 @@ def test_series_self_loop_collapses_as_predicted():
 # of t1/t2 at 1700, their deadline (write time) at 1900, and the phase
 # boundaries at 1500/2000.  Outage edges landing exactly on those
 # instants exercise the half-open interval convention of
-# ScriptedFaults._down_during — a precompute that is off by one at any
+# repro.runtime.faults._down_during — a precompute that is off by one at any
 # edge diverges from the scalar reference here.
 # ----------------------------------------------------------------------
 

@@ -7,7 +7,9 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import (
+    BRAKE_BY_WIRE_HTL,
     THREE_TANK_HTL,
+    brake_by_wire_architecture,
     baseline_implementation,
     scenario1_implementation,
     three_tank_architecture,
@@ -406,6 +408,118 @@ def test_lint_smoke_via_subprocess(tmp_path):
     )
     assert completed.returncode == 1
     assert "error" in completed.stdout
+
+
+# -- verify ---------------------------------------------------------------
+
+
+@pytest.fixture
+def verify_workspace(tmp_path):
+    (tmp_path / "three_tank.htl").write_text(three_tank_htl(lrc_u=0.99))
+    (tmp_path / "three_tank_tight.htl").write_text(three_tank_htl(lrc_u=1.0))
+    (tmp_path / "three_tank.arch.json").write_text(
+        json.dumps(architecture_to_dict(three_tank_architecture()))
+    )
+    (tmp_path / "brake_by_wire.htl").write_text(BRAKE_BY_WIRE_HTL)
+    (tmp_path / "brake_by_wire.arch.json").write_text(
+        json.dumps(architecture_to_dict(brake_by_wire_architecture()))
+    )
+    return tmp_path
+
+
+def _verify(workspace, design, *extra):
+    arch = "brake_by_wire" if design.startswith("brake") else "three_tank"
+    return main([
+        "verify",
+        "--htl", str(workspace / f"{design}.htl"),
+        "--arch", str(workspace / f"{arch}.arch.json"),
+        *extra,
+    ])
+
+
+def test_verify_text_feasible(verify_workspace, capsys):
+    assert _verify(verify_workspace, "three_tank") == 0
+    out = capsys.readouterr().out
+    assert "overall:" in out
+    assert "INFEASIBLE" not in out
+
+
+def test_verify_json_brake_by_wire(verify_workspace, capsys):
+    assert _verify(
+        verify_workspace, "brake_by_wire", "--format", "json"
+    ) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["feasible"] is True
+    assert len(data["selections"]) == 4
+
+
+def test_verify_sarif_parses(verify_workspace, capsys):
+    assert _verify(verify_workspace, "three_tank", "--format", "sarif") == 0
+    log = json.loads(capsys.readouterr().out)
+    assert log["version"] == "2.1.0"
+    assert len(log["runs"]) == 1
+
+
+def test_verify_explain_one_block_per_selection(verify_workspace, capsys):
+    assert _verify(verify_workspace, "three_tank", "--format", "json") == 0
+    selections = len(json.loads(capsys.readouterr().out)["selections"])
+    assert _verify(verify_workspace, "three_tank", "--explain", "u1") == 0
+    out = capsys.readouterr().out
+    assert out.count("u1 in selection") == selections
+    assert "certified bounds" in out
+
+
+def test_verify_infeasible_exits_1(verify_workspace, capsys):
+    assert _verify(verify_workspace, "three_tank_tight") == 1
+    assert "overall: INFEASIBLE" in capsys.readouterr().out
+
+
+def test_verify_explain_unknown_communicator_exits_2(
+    verify_workspace, capsys
+):
+    assert _verify(verify_workspace, "three_tank", "--explain", "nope") == 2
+    assert "nope" in capsys.readouterr().err
+
+
+def test_verify_syntax_error_names_file_line_column(
+    verify_workspace, capsys
+):
+    bad = verify_workspace / "bad.htl"
+    bad.write_text("program p { x\n")
+    assert _verify(verify_workspace, "bad") == 2
+    assert f"{bad}:1:13" in capsys.readouterr().err
+
+
+def test_verify_runs_without_scipy(verify_workspace):
+    # scipy is optional (only the statistical LRC tests need it): the
+    # CLI must import and verify with scipy unimportable.
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    blocker = verify_workspace / "no_scipy"
+    blocker.mkdir()
+    (blocker / "sitecustomize.py").write_text(
+        "import sys\nsys.modules['scipy'] = None\n"
+    )
+    source_root = pathlib.Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(blocker), str(source_root), env.get("PYTHONPATH", "")]
+    )
+    completed = subprocess.run(
+        [
+            sys.executable, "-m", "repro", "verify",
+            "--htl", str(verify_workspace / "three_tank.htl"),
+            "--arch", str(verify_workspace / "three_tank.arch.json"),
+        ],
+        capture_output=True, text=True, env=env,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "overall:" in completed.stdout
 
 
 # -- online monitoring and recovery ---------------------------------------

@@ -18,6 +18,9 @@ from repro.runtime import (
     BernoulliFaults,
     CallbackEnvironment,
     CompositeFaults,
+    CrashRepairFaults,
+    GilbertElliottChannel,
+    GilbertElliottFaults,
     ScriptedFaults,
     Simulator,
     ValueFaults,
@@ -37,6 +40,14 @@ def build_system(seed):
     return spec, arch, impl
 
 
+def gilbert_elliott(arch):
+    channel = GilbertElliottChannel(good_to_bad=0.05, bad_to_good=0.3)
+    return GilbertElliottFaults(
+        hosts={host: channel for host in arch.host_names()},
+        sensors={sensor: channel for sensor in arch.sensor_names()},
+    )
+
+
 def fault_regimes(arch):
     victim = arch.host_names()[0]
     return {
@@ -52,12 +63,22 @@ def fault_regimes(arch):
             BernoulliFaults(arch),
             ScriptedFaults(host_outages={victim: [(200, 280)]}),
         ]),
+        # Stateful injectors: the outage timeline is drawn in
+        # ``begin_run``, the Markov chains are reset there.
+        "crash-repair": lambda: CrashRepairFaults(
+            hosts={host: (300.0, 200.0) for host in arch.host_names()}
+        ),
+        "gilbert-elliott": lambda: gilbert_elliott(arch),
     }
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize(
-    "regime", ["none", "bernoulli", "scripted", "value", "composite"]
+    "regime",
+    [
+        "none", "bernoulli", "scripted", "value", "composite",
+        "crash-repair", "gilbert-elliott",
+    ],
 )
 def test_emachine_matches_simulator(seed, regime):
     spec, arch, impl = build_system(seed)
@@ -80,3 +101,27 @@ def test_emachine_matches_simulator(seed, regime):
     assert reference.values == compiled.values
     assert reference.replica_attempts == compiled.replica_attempts
     assert reference.replica_failures == compiled.replica_failures
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reused_runners_match_on_every_run(seed):
+    """Stateful injector state must not leak from one run into the next."""
+    spec, arch, impl = build_system(seed)
+    env = lambda: CallbackEnvironment(  # noqa: E731
+        sense_fn=lambda c, t: float(t % 97)
+    )
+    simulator = Simulator(
+        spec, arch, impl, environment=env(), faults=gilbert_elliott(arch),
+        voter=majority_vote, seed=seed,
+    )
+    machine = EMachine(
+        generate_ecode(spec, arch, impl), spec, arch, impl,
+        environment=env(), faults=gilbert_elliott(arch),
+        voter=majority_vote, seed=seed,
+    )
+    for _ in range(2):
+        reference = simulator.run(60)
+        compiled = machine.run(60)
+        assert reference.values == compiled.values
+        assert reference.replica_attempts == compiled.replica_attempts
+        assert reference.replica_failures == compiled.replica_failures

@@ -13,7 +13,7 @@ from repro.experiments import (
     three_tank_architecture,
     three_tank_spec,
 )
-from repro.htl import generate_ecode
+from repro.htl import ECode, generate_ecode
 from repro.mapping import Implementation
 from repro.model import Communicator, Specification, Task
 from repro.runtime import (
@@ -125,6 +125,14 @@ def test_emachine_requires_functions():
     ecode = generate_ecode(stripped, arch, impl)
     with pytest.raises(RuntimeSimulationError, match="no function"):
         EMachine(ecode, stripped, arch, impl)
+
+
+def test_emachine_rejects_ecode_of_another_period():
+    spec, arch, impl = pipeline_system()
+    ecode = generate_ecode(spec, arch, impl)
+    foreign = ECode(period=2 * ecode.period, instructions=ecode.instructions)
+    with pytest.raises(RuntimeSimulationError, match="period"):
+        EMachine(foreign, spec, arch, impl)
 
 
 def test_emachine_positive_iterations():
