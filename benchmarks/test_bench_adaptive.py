@@ -166,7 +166,7 @@ def test_bench_adaptive_stop_parity_sharded(report, bench_scale):
     _, serial_batch = _three_tank_batch()
     serial = serial_batch.grow(MAX_RUNS, iterations, rule=rule).adaptive
     _, sharded_batch = _three_tank_batch(
-        executor=SupervisedShardedExecutor(2, processes=False)
+        executor=SupervisedShardedExecutor(2)
     )
     sharded = sharded_batch.grow(
         MAX_RUNS, iterations, rule=rule

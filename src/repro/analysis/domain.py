@@ -76,14 +76,6 @@ class Interval:
         """Return the smallest interval containing both operands."""
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
-    def widen_to_bottom(self) -> "Interval":
-        """Drop the lower bound to 0 (the widening operator).
-
-        Sound for decreasing Kleene iteration: the true value lies
-        below the current upper bound, and 0 bounds it from below.
-        """
-        return Interval(0.0, self.hi)
-
     def distance(self, other: "Interval") -> float:
         """Return the largest per-endpoint movement between intervals."""
         return max(abs(self.lo - other.lo), abs(self.hi - other.hi))

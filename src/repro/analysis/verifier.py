@@ -26,7 +26,6 @@ from repro.analysis.engine import (
     analyze_specification,
 )
 from repro.analysis.report import (
-    CommunicatorBound,
     SpanLookup,
     VerificationReport,
 )
@@ -72,28 +71,6 @@ class ProgramVerification:
         return bool(self.selections) and all(
             report.proved for _, report in self.selections
         )
-
-    def joined_bounds(self) -> "dict[str, CommunicatorBound]":
-        """Hull of each communicator's bounds across selections.
-
-        The hull is the implementation-set summary ("over all mode
-        selections, the SRG lies here"); per-selection verdicts remain
-        available through :attr:`selections`.
-        """
-        joined: "dict[str, CommunicatorBound]" = {}
-        for _, report in self.selections:
-            for name, bound in report.bounds.items():
-                previous = joined.get(name)
-                if previous is None:
-                    joined[name] = bound
-                else:
-                    joined[name] = CommunicatorBound(
-                        communicator=name,
-                        lrc=bound.lrc,
-                        interval=previous.interval.hull(bound.interval),
-                        factors=previous.factors,
-                    )
-        return joined
 
     def diagnostics(
         self, span: "SpanLookup | None" = None

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
 import sys
 from typing import Any, Callable, Mapping
 
@@ -1625,10 +1626,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        # Flush here, so a reader that closed the pipe early is
+        # caught below rather than at interpreter exit.
+        sys.stdout.flush()
+        return status
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: point stdout at devnull so the
+        # exit-time flush cannot raise again, and fail without a
+        # traceback (``repro lint ... | head -1``).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -157,7 +157,6 @@ class BrakeByWireEnvironment(Environment):
     plant: BrakeByWirePlant = field(default_factory=BrakeByWirePlant)
     brake_at_ms: int = 1000
     speed_log: list[float] = field(default_factory=list)
-    slip_log: list[tuple[float, float]] = field(default_factory=list)
     bottom_actuations: int = 0
     _brake_onset_distance: float | None = field(default=None, repr=False)
 
@@ -187,28 +186,12 @@ class BrakeByWireEnvironment(Environment):
             self._brake_onset_distance = self.plant.distance
         self.plant.step(dt / 1000.0)
         self.speed_log.append(self.plant.speed)
-        self.slip_log.append((self.plant.slip(0), self.plant.slip(1)))
 
     def stopping_distance(self) -> float:
         """Distance travelled since the brake demand (so far)."""
         if self._brake_onset_distance is None:
             return 0.0
         return self.plant.distance - self._brake_onset_distance
-
-    def max_slip(self) -> float:
-        """The worst slip seen on either axle while moving fast.
-
-        Low-speed samples are excluded: the slip ratio degenerates as
-        the vehicle stops.
-        """
-        fast = [
-            max(front, rear)
-            for (front, rear), speed in zip(
-                self.slip_log, self.speed_log
-            )
-            if speed > 3.0
-        ]
-        return max(fast, default=0.0)
 
 
 def bind_brake_functions() -> dict[str, Callable[..., Any]]:

@@ -75,13 +75,6 @@ class AbstractTrace:
                 bits.append(int(is_reliable_value(value)))
         return cls(communicator, np.asarray(bits, dtype=np.int8))
 
-    @classmethod
-    def from_bits(
-        cls, communicator: str, bits: "Sequence[int] | np.ndarray"
-    ) -> "AbstractTrace":
-        """Wrap an already-abstracted 0/1 sequence as a trace."""
-        return cls(communicator, np.asarray(bits, dtype=np.int8))
-
     def __len__(self) -> int:
         return int(self.bits.size)
 

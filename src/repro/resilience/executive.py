@@ -473,7 +473,7 @@ def resilient_batch(
         return result, result.events
 
     return run_scalar_batch(
-        spec,
+        {name: comm.lrc for name, comm in spec.communicators.items()},
         np.random.SeedSequence(seed).spawn(runs),
         iterations,
         run,

@@ -113,9 +113,13 @@ class BatchResult:
     exactly the events the scalar monitor would emit.  A resilient
     batch (executor ``"scalar-resilient"``) holds each run's whole
     resilience stream there: monitor, watchdog and recovery events.
+    ``lrcs[c]`` is communicator ``c``'s LRC, in specification order:
+    the result is plain data (arrays, numbers, frozen events), so it
+    pickles and spills whatever task functions the specification
+    binds.
     """
 
-    spec: Specification
+    lrcs: dict[str, float]
     runs: int
     iterations: int
     reliable_counts: dict[str, np.ndarray]
@@ -194,8 +198,7 @@ class BatchResult:
         """
         estimates = self.srg_estimates()
         return {
-            name: estimates[name] - comm.lrc
-            for name, comm in self.spec.communicators.items()
+            name: estimates[name] - lrc for name, lrc in self.lrcs.items()
         }
 
     def lrc_tests(self, confidence: float = 0.99) -> dict:
@@ -208,18 +211,18 @@ class BatchResult:
                 name,
                 successes=pooled[name][0],
                 samples=pooled[name][1],
-                lrc=comm.lrc,
+                lrc=lrc,
                 confidence=confidence,
             )
-            for name, comm in sorted(self.spec.communicators.items())
+            for name, lrc in sorted(self.lrcs.items())
         }
 
     def satisfies_lrcs(self, slack: float = 0.0) -> bool:
         """Check every LRC against the pooled reliable fractions."""
         estimates = self.srg_estimates()
         return all(
-            estimates[name] >= comm.lrc - slack
-            for name, comm in self.spec.communicators.items()
+            estimates[name] >= lrc - slack
+            for name, lrc in self.lrcs.items()
         )
 
     def summary(self) -> str:
@@ -230,7 +233,7 @@ class BatchResult:
         ]
         estimates = self.srg_estimates()
         for name in sorted(estimates):
-            lrc = self.spec.communicators[name].lrc
+            lrc = self.lrcs[name]
             mark = "ok " if estimates[name] >= lrc else "LOW"
             lines.append(
                 f"  [{mark}] {name}: observed {estimates[name]:.6f} "
@@ -306,6 +309,9 @@ class BatchSimulator:
         executor: "BatchExecutor | None" = None,
     ) -> None:
         self.spec = spec
+        self.lrcs = {
+            name: comm.lrc for name, comm in spec.communicators.items()
+        }
         self.arch = arch
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         with self.profiler.stage("plan-compile"):
@@ -401,9 +407,6 @@ class BatchSimulator:
             )
         root = np.random.SeedSequence(self.seed if seed is None else seed)
         schedule = (runs,) if rule is None else rule.schedule(runs)
-        lrcs = {
-            name: comm.lrc for name, comm in self.spec.communicators.items()
-        }
         merged = prefix
         simulated = 0
         snapshots = []
@@ -438,7 +441,7 @@ class BatchSimulator:
             snapshot = snapshot_from_counts(
                 boundary,
                 merged.prefix_pooled_counts(boundary),
-                lrcs,
+                self.lrcs,
                 confidence=rule.confidence,
                 indifference=rule.indifference,
             )
@@ -511,7 +514,7 @@ class BatchSimulator:
             counts[name] = np.zeros(0, dtype=np.int64)
             samples[name] = int(plan.accesses_per_period[ci]) * iterations
         return BatchResult(
-            spec=self.spec,
+            lrcs=self.lrcs,
             runs=0,
             iterations=iterations,
             reliable_counts=counts,
@@ -636,7 +639,7 @@ class BatchSimulator:
                     run_offset,
                 )
         return BatchResult(
-            spec=self.spec,
+            lrcs=self.lrcs,
             runs=runs,
             iterations=iterations,
             reliable_counts=counts,
@@ -925,7 +928,7 @@ class BatchSimulator:
             )
 
         return run_scalar_batch(
-            self.spec,
+            self.lrcs,
             children,
             iterations,
             run,
@@ -936,7 +939,7 @@ class BatchSimulator:
 
 
 def run_scalar_batch(
-    spec: Specification,
+    lrcs: dict[str, float],
     children: Sequence[np.random.SeedSequence],
     iterations: int,
     run: Callable[
@@ -957,13 +960,11 @@ def run_scalar_batch(
     np.random.default_rng(child))`` — which returns the run's result
     and its resilience events — and records
     ``result.abstract()[c].reliable_count()`` as run ``k``'s count,
-    and the events tagged with ``run=k + run_offset``.
+    and the events tagged with ``run=k + run_offset``.  *lrcs* maps
+    every communicator to its LRC, in specification order.
     """
     runs = len(children)
-    counts = {
-        name: np.zeros(runs, dtype=np.int64)
-        for name in spec.communicators
-    }
+    counts = {name: np.zeros(runs, dtype=np.int64) for name in lrcs}
     samples: dict[str, int] = {}
     events: "list[ResilienceEvent]" = []
     for k, child in enumerate(children):
@@ -983,7 +984,7 @@ def run_scalar_batch(
             for event in run_events
         )
     return BatchResult(
-        spec=spec,
+        lrcs=lrcs,
         runs=runs,
         iterations=iterations,
         reliable_counts=counts,

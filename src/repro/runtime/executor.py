@@ -143,7 +143,7 @@ def merge_batch_results(
     # index monotone, per-run emission order preserved) unconditional.
     events.sort(key=lambda event: -1 if event.run is None else event.run)
     return BatchResult(
-        spec=first.spec,
+        lrcs=first.lrcs,
         runs=sum(shard.runs for shard in alive),
         iterations=first.iterations,
         reliable_counts=counts,
@@ -169,7 +169,7 @@ def slice_batch_result(result: BatchResult, runs: int) -> BatchResult:
     if runs == result.runs:
         return result
     return BatchResult(
-        spec=result.spec,
+        lrcs=result.lrcs,
         runs=runs,
         iterations=result.iterations,
         reliable_counts={

@@ -295,6 +295,9 @@ def _freeze(kind: str, value: Any) -> dict:
     if kind == "verify":
         return {"report": value}
     return {
+        # Pairs, not an object: sealing sorts object keys, and the
+        # LRCs keep specification order.
+        "lrcs": [[name, lrc] for name, lrc in value.lrcs.items()],
         "runs": int(value.runs),
         "iterations": int(value.iterations),
         "executor": value.executor,
@@ -310,7 +313,7 @@ def _freeze(kind: str, value: Any) -> dict:
     }
 
 
-def _thaw(kind: str, doc: dict, spec: Any) -> Any:
+def _thaw(kind: str, doc: dict) -> Any:
     """Rebuild the entry :func:`_freeze` wrote; raises if it cannot."""
     if kind == "verify":
         if not isinstance(doc["report"], dict):
@@ -320,7 +323,7 @@ def _thaw(kind: str, doc: dict, spec: Any) -> Any:
     from repro.runtime.batch import BatchResult
 
     return BatchResult(
-        spec=spec,
+        lrcs=dict(doc["lrcs"]),
         runs=int(doc["runs"]),
         iterations=int(doc["iterations"]),
         reliable_counts={
@@ -387,21 +390,17 @@ class ResultCache:
     # -- Monte-Carlo entries -------------------------------------------
 
     def plan(
-        self, key: McKey, runs: int, spec: Any = None
+        self, key: McKey, runs: int
     ) -> "tuple[str, BatchResult | None]":
         """Classify a query: ``(kind, cached)``.
 
         ``("hit", cached)`` — ``cached.runs >= runs``; slice, don't
         simulate.  ``("partial", cached)`` — simulate only runs
         ``cached.runs..runs-1`` and merge.  ``("miss", None)`` —
-        simulate everything.
-
-        A memory miss falls through to the spill directory (when
-        configured); *spec* is needed to rebuild a
-        :class:`BatchResult` from its serialised form, so without it
-        disk entries cannot be thawed and count as misses.
+        simulate everything.  A memory miss falls through to the
+        spill directory (when configured).
         """
-        cached = self._lookup("mc", key, spec)
+        cached = self._lookup("mc", key)
         if cached is None:
             return "miss", None
         if cached.runs >= runs:
@@ -426,7 +425,7 @@ class ResultCache:
 
     # -- the one store path ---------------------------------------------
 
-    def _lookup(self, kind: str, key: Any, spec: Any = None) -> Any:
+    def _lookup(self, kind: str, key: Any) -> Any:
         """Memory hit, else disk thaw (admitted, not re-spilled)."""
         store = self._stores[kind]
         with self._lock:
@@ -434,9 +433,9 @@ class ResultCache:
             if cached is not None:
                 store.move_to_end(key)
                 return cached
-        if self.root is None or (kind == "mc" and spec is None):
+        if self.root is None:
             return None
-        cached = self._load(kind, key, spec)
+        cached = self._load(kind, key)
         if cached is not None:
             self._bump(f"{kind}_cache_disk_hits")
             self._admit(kind, key, cached, spill=False)
@@ -497,7 +496,7 @@ class ResultCache:
             f"{kind}-{content_hash(_key_document(kind, key))}.json"
         )
 
-    def _load(self, kind: str, key: Any, spec: Any) -> Any:
+    def _load(self, kind: str, key: Any) -> Any:
         """Thaw one spill file; quarantine whatever does not rebuild."""
         path = self._path(kind, key)
         if not path.exists():
@@ -510,7 +509,7 @@ class ResultCache:
                 or doc.get("key") != _key_document(kind, key)
             ):
                 raise ValueError("corrupt or foreign spill file")
-            return _thaw(kind, doc, spec)
+            return _thaw(kind, doc)
         except Exception:
             # Unreadable, unsealed, another key's file (a hash
             # collision) or schema drift: all take the same path.

@@ -1099,7 +1099,7 @@ class ReliabilityService:
         )
 
         with profiler.stage("cache-lookup"):
-            kind, cached = self.cache.plan(key, runs, spec=spec)
+            kind, cached = self.cache.plan(key, runs)
         job.emit(
             "cache", cache=kind,
             cached_runs=0 if cached is None else cached.runs,
@@ -1194,10 +1194,7 @@ class ReliabilityService:
             "simulated_runs": growth.simulated,
             **(metrics or {}),
             "rates": rates,
-            "lrcs": {
-                name: comm.lrc
-                for name, comm in sorted(spec.communicators.items())
-            },
+            "lrcs": dict(sorted(result.lrcs.items())),
             "satisfied": bool(result.satisfies_lrcs(slack=options.slack)),
             "monitor_events": len(result.monitor_events),
             "ledger_entry": entry,

@@ -5,12 +5,14 @@
 of a batch into contiguous shards
 (:func:`~repro.runtime.executor.shard_slices`), executes them in
 forked worker processes, and merges them back
-(:func:`~repro.runtime.executor.merge_batch_results`).  Workers ship a
-reduced picklable payload (count arrays + monitor events) back over a
-pipe; the specification — which may hold unpicklable task lambdas —
-never crosses the process boundary (workers inherit it via ``fork``).
-Platforms without ``fork`` (or single-shard chunks) execute the shards
-inline in the parent, through the identical slice/merge path.
+(:func:`~repro.runtime.executor.merge_batch_results`).  A worker
+sends its :class:`~repro.runtime.batch.BatchResult` (plain data:
+count arrays, LRCs, monitor events) and its spans back over a pipe;
+the specification, which may hold unpicklable task lambdas, never
+crosses the process boundary (workers inherit it via ``fork``).
+Platforms without ``fork`` (or single-shard chunks) execute each
+shard once, inline in the parent, through the same slice/merge path,
+without supervision.
 
 A bare fork/merge would be fail-silent: a crashed worker aborts the
 whole batch, and a hung worker blocks the parent forever.  The
@@ -169,51 +171,6 @@ def _unit_noise(shard: int, attempt: int) -> float:
     return int.from_bytes(digest[:8], "big") / float(2**64)
 
 
-@dataclass
-class _ShardPayload:
-    """The picklable slice result a worker ships back to the parent.
-
-    Deliberately *not* a :class:`BatchResult`: the specification may
-    hold task lambdas that cannot cross a pipe.  Everything here is
-    plain arrays, ints, and frozen event dataclasses.
-    """
-
-    runs: int
-    reliable_counts: dict[str, np.ndarray]
-    samples_per_run: dict[str, int]
-    executor: str
-    monitor_events: tuple
-    #: The worker's span dicts: its kernel stage spans and its
-    #: ``shard`` span.  They ride NEXT TO the batch data, never inside
-    #: it, so merge — and therefore the bit-identity contract — is
-    #: unaffected by them.
-    spans: list
-
-
-def _payload_of(result: BatchResult, spans: list) -> _ShardPayload:
-    return _ShardPayload(
-        runs=result.runs,
-        reliable_counts=result.reliable_counts,
-        samples_per_run=result.samples_per_run,
-        executor=result.executor,
-        monitor_events=result.monitor_events,
-        spans=spans,
-    )
-
-
-def _result_of(payload: _ShardPayload, simulator: "BatchSimulator",
-               iterations: int) -> BatchResult:
-    return BatchResult(
-        spec=simulator.spec,
-        runs=payload.runs,
-        iterations=iterations,
-        reliable_counts=payload.reliable_counts,
-        samples_per_run=payload.samples_per_run,
-        executor=payload.executor,
-        monitor_events=tuple(payload.monitor_events),
-    )
-
-
 def _fork_context() -> "Any | None":
     """The fork multiprocessing context, or ``None`` when unsupported."""
     try:
@@ -248,6 +205,18 @@ def _run_shard(simulator, children, iterations, monitor, offset):
     return result, spans
 
 
+def _stamp(spans: list, shard: int, attempt: int) -> list:
+    """*spans*, stamped with their *shard* and *attempt*.
+
+    Workers don't know which attempt they are; stamping happens
+    parent-side, so the surviving spans name the rescue attempt.
+    """
+    for span in spans:
+        span["shard"] = shard
+        span["attempt"] = attempt
+    return spans
+
+
 def _supervised_worker(
     simulator, children, iterations, monitor, offset, conn, action,
 ):
@@ -274,10 +243,9 @@ def _supervised_worker(
                 raise RuntimeSimulationError(
                     "chaos: injected worker error"
                 )
-        result, spans = _run_shard(
+        conn.send(("ok", _run_shard(
             simulator, children, iterations, monitor, offset
-        )
-        conn.send(("ok", _payload_of(result, spans)))
+        )))
     except BaseException as error:  # ship the failure to the parent
         try:
             conn.send(("error", f"{type(error).__name__}: {error}"))
@@ -306,17 +274,6 @@ class _ShardState:
         self.deadline_at: "float | None" = None
         self.result: "BatchResult | None" = None
 
-    def stamp(self, spans: list) -> list:
-        """*spans*, stamped with this shard and its current attempt.
-
-        Workers don't know which attempt they are; stamping happens
-        parent-side, so the surviving spans name the rescue attempt.
-        """
-        for span in spans:
-            span["shard"] = self.index
-            span["attempt"] = self.attempt
-        return spans
-
     def kill(self) -> None:
         """Best-effort terminate of a live worker."""
         if self.conn is not None:
@@ -342,18 +299,16 @@ class SupervisedShardedExecutor:
     ----------
     jobs:
         Worker shard count (>= 1).  ``jobs=1`` degenerates to the
-        serial path without forking.
+        serial path without forking or supervision.
     policy:
         :class:`RetryPolicy` bounding re-executions and backoff.
     deadline_s:
         Per-shard wall-clock deadline; a worker still silent past it
         is killed and retried.  ``None`` disables hang detection
         (crash/error supervision still applies).
-    processes:
-        ``False`` (or a platform without ``fork``) executes shards
-        inline with the same retry loop around each slice.
     chaos:
-        Optional :class:`WorkerFaults` plan (testing/chaos only).
+        Optional :class:`WorkerFaults` plan (testing/chaos only),
+        consulted for forked workers only.
 
     Every shard's successful attempt adds its spans to
     ``simulator.profiler``, stamped with ``shard`` and ``attempt``:
@@ -370,7 +325,6 @@ class SupervisedShardedExecutor:
         jobs: int,
         policy: "RetryPolicy | None" = None,
         deadline_s: "float | None" = None,
-        processes: bool = True,
         chaos: "WorkerFaults | None" = None,
     ) -> None:
         if jobs < 1:
@@ -384,7 +338,6 @@ class SupervisedShardedExecutor:
         self.jobs = jobs
         self.policy = policy or RetryPolicy()
         self.deadline_s = deadline_s
-        self.processes = processes
         self.chaos = chaos
         #: Retry events of the most recent :meth:`execute` call.
         self.retry_events: list[ShardRetryEvent] = []
@@ -402,19 +355,22 @@ class SupervisedShardedExecutor:
     ) -> BatchResult:
         self.retry_events = []
         slices = shard_slices(len(children), self.jobs)
-        context = _fork_context() if self.processes else None
+        context = _fork_context()
         if not slices:
             return simulator.run_slice(
                 children, iterations, monitor, run_offset=run_offset
             )
         if len(slices) <= 1 or context is None:
-            shards = [
-                self._execute_inline(
-                    simulator, children, iterations, monitor,
-                    index, start, stop, run_offset,
+            shards = []
+            for index, (start, stop) in enumerate(slices):
+                result, spans = _run_shard(
+                    simulator, children[start:stop], iterations,
+                    monitor, run_offset + start,
                 )
-                for index, (start, stop) in enumerate(slices)
-            ]
+                # The stage spans are already on the profiler (stamped
+                # in place); only the shard span is new to it.
+                simulator.profiler.extend(_stamp(spans, index, 0)[-1:])
+                shards.append(result)
         else:
             shards = self._supervise(
                 context, simulator, children, iterations, monitor,
@@ -446,48 +402,6 @@ class SupervisedShardedExecutor:
             f"shard {state.index} (runs {first}..{last})"
             f" failed after {state.attempt + 1} attempt(s): {detail}"
         )
-
-    # -- inline path -----------------------------------------------------
-
-    def _execute_inline(
-        self, simulator, children, iterations, monitor,
-        index, start, stop, run_offset=0,
-    ) -> BatchResult:
-        state = _ShardState(index, start, stop, offset=run_offset)
-        while True:
-            action = (
-                self.chaos.action(state.index, state.attempt)
-                if self.chaos is not None else None
-            )
-            try:
-                if action is not None and action.kind in (
-                    "kill", "hang", "error",
-                ):
-                    # Inline, every injected fault class degenerates
-                    # to a raised error (there is no process to kill).
-                    raise RuntimeSimulationError(
-                        f"chaos: injected {action.kind}"
-                    )
-                if action is not None and action.kind == "slow":
-                    time.sleep(action.delay_s)
-                result, spans = _run_shard(
-                    simulator, children[start:stop], iterations,
-                    monitor, run_offset + start,
-                )
-                # The stage spans are already on the profiler; only
-                # the shard span is new to it.
-                simulator.profiler.extend(state.stamp(spans)[-1:])
-                return result
-            except RuntimeSimulationError as error:
-                if state.attempt >= self.policy.retries:
-                    self._give_up(state, str(error))
-                delay = self.policy.delay(
-                    state.index, state.attempt + 1
-                )
-                self._note_retry(state, "error", str(error), delay)
-                if delay > 0:
-                    time.sleep(delay)
-                state.attempt += 1
 
     # -- process path ----------------------------------------------------
 
@@ -576,25 +490,23 @@ class SupervisedShardedExecutor:
                 for conn in ready:
                     state = active[conn]
                     try:
-                        status, payload = conn.recv()
+                        status, reply = conn.recv()
                     except EOFError:
                         self._retire(state, "crash",
                                      "worker died before replying",
                                      parked)
                         continue
                     if status == "ok":
-                        state.result = _result_of(
-                            payload, simulator, iterations
-                        )
+                        state.result, spans = reply
                         simulator.profiler.extend(
-                            state.stamp(payload.spans)
+                            _stamp(spans, state.index, state.attempt)
                         )
                         conn.close()
                         state.conn = None
                         state.process.join()
                         state.process = None
                     else:
-                        self._retire(state, "error", str(payload),
+                        self._retire(state, "error", str(reply),
                                      parked)
                 # Hang detection: anyone past their deadline?
                 now = time.monotonic()

@@ -427,6 +427,36 @@ def verify_workspace(tmp_path):
     return tmp_path
 
 
+@pytest.mark.parametrize("command", ["lint", "verify"])
+def test_sarif_into_a_closed_pipe_exits_without_traceback(
+    verify_workspace, command
+):
+    # `repro lint ... --format sarif | head -1`: the reader is gone
+    # before the output is written.  Closing the read end first makes
+    # the broken pipe certain rather than a race with the reader.
+    import os
+    import subprocess
+    import sys
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro", command,
+                "--htl", str(verify_workspace / "three_tank.htl"),
+                "--arch", str(verify_workspace / "three_tank.arch.json"),
+                "--format", "sarif",
+            ],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in completed.stderr
+    assert completed.returncode == 1
+
+
 def _verify(workspace, design, *extra):
     arch = "brake_by_wire" if design.startswith("brake") else "three_tank"
     return main([

@@ -8,7 +8,7 @@ Hypothesis-generated systems:
   stopping rule only chooses *where* to cut the same deterministic
   run sequence, never *what* is simulated;
 * **stop parity**: the stop point is a function of pooled counts at
-  global checkpoint boundaries only, so serial, inline-sharded, and
+  global checkpoint boundaries only, so serial, in-process-sharded, and
   supervised-with-injected-kill executions stop at the same run;
 * **stream sanity**: the snapshot stream of a sharded growth is
   run-monotone with non-decreasing counts — one global convergence
@@ -48,6 +48,7 @@ from repro.telemetry.convergence import (
     snapshot_from_counts,
 )
 
+from sharding import InProcessSharder
 from strategies import systems
 
 RELAXED = settings(
@@ -276,7 +277,7 @@ def test_stop_point_identical_serial_vs_sharded(system, seed, jobs):
         ).grow(12, 6, rule=rule).adaptive
 
     serial = run(SerialExecutor())
-    sharded = run(SupervisedShardedExecutor(jobs, processes=False))
+    sharded = run(InProcessSharder(jobs))
     assert sharded.stopped_at == serial.stopped_at
     assert sharded.decision.to_dict() == serial.decision.to_dict()
     assert_identical(serial.result, sharded.result)
@@ -327,7 +328,7 @@ def test_merged_checkpoint_stream_is_monotone(system, seed, jobs):
     BatchSimulator(
         spec, arch, impl,
         faults=BernoulliFaults(arch), seed=seed,
-        executor=SupervisedShardedExecutor(jobs, processes=False),
+        executor=InProcessSharder(jobs),
     ).grow(
         12, 6, rule=rule,
         on_snapshot=lambda snapshot, _: snapshots.append(snapshot),

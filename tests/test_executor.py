@@ -12,6 +12,8 @@ the unit tests pin down the shard arithmetic, the merge edge cases,
 and the spawn-key identity the service's delta simulation rests on.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -41,6 +43,7 @@ from repro.telemetry import (
     record_from_result,
 )
 
+from sharding import InProcessSharder
 from strategies import systems
 
 RELAXED = settings(
@@ -67,6 +70,7 @@ def assert_identical(left, right):
     assert left.runs == right.runs
     assert left.iterations == right.iterations
     assert left.executor == right.executor
+    assert list(left.lrcs.items()) == list(right.lrcs.items())
     assert left.samples_per_run == right.samples_per_run
     assert set(left.reliable_counts) == set(right.reliable_counts)
     for name in left.reliable_counts:
@@ -162,10 +166,10 @@ def test_sharded_is_bit_identical_on_generated_systems(
         ).run_batch(runs, 6, monitor=monitor)
 
     serial = run(SerialExecutor())
-    # Inline shards exercise the slice/merge arithmetic on every
-    # example; the fork path is covered by the process tests below.
-    sharded = run(SupervisedShardedExecutor(jobs, processes=False))
-    assert_identical(serial, sharded)
+    # In-process shards exercise the slice/merge arithmetic on every
+    # example; the fork path is covered by the process tests below and
+    # by the supervision suite.
+    assert_identical(serial, run(InProcessSharder(jobs)))
 
 
 @pytest.mark.parametrize("jobs", [2, 3, 5, 23, 64])
@@ -200,6 +204,21 @@ def test_sharded_ledger_record_matches_serial():
         )
 
     assert record(serial) == record(sharded)
+
+
+def test_batch_result_crosses_a_pipe_with_bound_task_functions():
+    # The specification binds task lambdas; the batch carries only
+    # its LRCs, so it pickles, and a forked worker can return it.
+    _, _, simulator = three_tank_simulator()
+    serial = simulator.run_batch(6, 10, monitor=MonitorConfig(window=4))
+    assert_identical(serial, pickle.loads(pickle.dumps(serial)))
+    _, _, sharded = three_tank_simulator(
+        executor=SupervisedShardedExecutor(2)
+    )
+    assert_identical(
+        serial,
+        sharded.run_batch(6, 10, monitor=MonitorConfig(window=4)),
+    )
 
 
 def test_default_executor_is_serial():
@@ -330,11 +349,18 @@ def test_slice_batch_result_is_prefix_identical():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("processes", [True, False])
-def test_sharded_executor_records_stage_spans_per_shard(processes):
+@pytest.mark.parametrize(
+    "jobs, expected",
+    [
+        (3, [(0, 4, 0), (4, 7, 1), (7, 10, 2)]),
+        (1, [(0, 10, 0)]),  # one slice, run in this process
+    ],
+    ids=["forked", "single-slice"],
+)
+def test_sharded_executor_records_stage_spans_per_shard(jobs, expected):
     profiler = StageProfiler()
     _, _, simulator = three_tank_simulator(
-        executor=SupervisedShardedExecutor(3, processes=processes),
+        executor=SupervisedShardedExecutor(jobs),
         profiler=profiler,
     )
     simulator.run_batch(10, 30, monitor=MonitorConfig(window=3))
@@ -342,8 +368,8 @@ def test_sharded_executor_records_stage_spans_per_shard(processes):
         (span["run_start"], span["run_stop"], span["shard"])
         for span in profiler.spans if span["name"] == "shard"
     )
-    assert shards == [(0, 4, 0), (4, 7, 1), (7, 10, 2)]
-    for shard in range(3):
+    assert shards == expected
+    for shard in range(jobs):
         stages = [
             span["name"] for span in profiler.spans
             if span.get("shard") == shard and span["name"] != "shard"

@@ -954,9 +954,41 @@ def test_evicted_entry_thaws_from_disk_bit_identically(tmp_path):
     again = run_job(service, simulate_document(runs=4, seed=950))
     assert again.result["cache"] == "hit"
     assert service.metrics.get("mc_cache_disk_hits") == 1
-    assert again.result["rates"] == first.result["rates"]
+    # The spill file carries the LRCs: the thawed batch needs no
+    # specification to answer with the same rates and verdict.
+    assert {
+        **again.result, "cache": "miss", "simulated_runs": 4,
+    } == first.result
     # No extra simulation happened for the disk-served answer.
     assert service.metrics.get("runs_simulated_total") == 8
+
+
+def test_spill_file_without_lrcs_is_quarantined_once(tmp_path):
+    from repro.telemetry.ledger import seal, unseal
+
+    spill = tmp_path / "spill"
+    service = make_service(cache_entries=1, cache_dir=str(spill))
+    first = run_job(service, simulate_document(runs=4, seed=970))
+    run_job(service, simulate_document(runs=4, seed=971))  # evicts
+    # Rewrite every spill file as a well-sealed record of the older
+    # format, which had no "lrcs" field.
+    for path in spill.glob("mc-*.json"):
+        doc = unseal(path.read_text())
+        del doc["lrcs"]
+        path.write_text(seal(doc))
+    again = run_job(service, simulate_document(runs=4, seed=970))
+    assert again.result["cache"] == "miss"
+    assert again.result["rates"] == first.result["rates"]
+    assert service.metrics.get("cache_corrupt_quarantined") == 1
+    # The other older file is quarantined on its first thaw too.
+    other = run_job(service, simulate_document(runs=4, seed=971))
+    assert other.result["cache"] == "miss"
+    assert service.metrics.get("cache_corrupt_quarantined") == 2
+    # Recomputed and spilled in the new format: a disk hit now.
+    third = run_job(service, simulate_document(runs=4, seed=970))
+    assert third.result["cache"] == "hit"
+    assert service.metrics.get("mc_cache_disk_hits") == 1
+    assert service.metrics.get("cache_corrupt_quarantined") == 2
 
 
 def verify_document(lrc_u):

@@ -39,7 +39,7 @@ from repro.service.supervision import (
 from strategies import systems
 
 RELAXED = settings(
-    max_examples=15,
+    max_examples=6,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -77,17 +77,18 @@ class HashFaults:
     """Deterministic chaos plan: fault classes drawn per (shard,
     attempt) from a seed, never on the final allowed attempt."""
 
-    KINDS = ("kill", "hang", "error", None)
-
-    def __init__(self, seed, retries=2):
+    def __init__(
+        self, seed, retries=2, kinds=("kill", "hang", "error", None)
+    ):
         self.seed = seed
         self.retries = retries
+        self.kinds = kinds
 
     def action(self, shard, attempt):
         if attempt >= self.retries:
             return None
         draw = _unit_noise(self.seed * 1000 + shard, attempt)
-        kind = self.KINDS[int(draw * len(self.KINDS))]
+        kind = self.kinds[int(draw * len(self.kinds))]
         if kind == "hang":
             # Keep process-path hangs short via the explicit delay.
             return ChaosAction("hang", delay_s=30.0)
@@ -135,12 +136,15 @@ def test_retry_policy_rejects_nonsense():
 @given(
     systems(),
     st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=2, max_value=10),
     st.integers(min_value=2, max_value=4),
 )
-def test_supervised_inline_is_bit_identical_under_faults(
+def test_supervised_processes_are_bit_identical_under_faults(
     system, seed, runs, jobs
 ):
+    # Two or more runs and jobs, so every example forks its workers;
+    # hangs are left to the three-tank test below, which waits out
+    # their deadline.
     spec, arch, impl = system
     monitor = MonitorConfig(window=4)
 
@@ -154,8 +158,8 @@ def test_supervised_inline_is_bit_identical_under_faults(
     serial = run(SerialExecutor())
     supervised = run(
         SupervisedShardedExecutor(
-            jobs, policy=FAST_POLICY, processes=False,
-            chaos=HashFaults(seed),
+            jobs, policy=FAST_POLICY,
+            chaos=HashFaults(seed, kinds=("kill", "error", None)),
         )
     )
     assert_identical(serial, supervised)
@@ -204,6 +208,19 @@ class AlwaysFault:
         return ChaosAction(self.kind)
 
 
+def test_single_slice_chunk_runs_once_without_chaos():
+    # One slice runs in this process: no supervision, so a chaos plan
+    # that would fail every forked attempt is never consulted.
+    executor = SupervisedShardedExecutor(
+        1, policy=RetryPolicy(retries=0), chaos=AlwaysFault("error"),
+    )
+    serial = three_tank_simulator().run_batch(6, 8)
+    assert_identical(
+        serial, three_tank_simulator(executor=executor).run_batch(6, 8)
+    )
+    assert executor.retry_events == []
+
+
 def test_hang_is_detected_and_retried_to_exhaustion():
     executor = SupervisedShardedExecutor(
         2,
@@ -229,18 +246,6 @@ def test_crash_exhaustion_names_the_shard_and_runs():
         RuntimeSimulationError, match=r"shard \d+ \(runs"
     ):
         three_tank_simulator(executor=executor).run_batch(4, 6)
-
-
-def test_inline_path_retries_errors():
-    executor = SupervisedShardedExecutor(
-        2, policy=FAST_POLICY, processes=False,
-        chaos=HashFaults(5),
-    )
-    serial = three_tank_simulator().run_batch(6, 8)
-    supervised = three_tank_simulator(
-        executor=executor
-    ).run_batch(6, 8)
-    assert_identical(serial, supervised)
 
 
 # ----------------------------------------------------------------------
