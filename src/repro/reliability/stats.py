@@ -31,6 +31,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro.errors import AnalysisError
 from repro.reliability.traces import AbstractTrace
@@ -67,7 +70,27 @@ def binomial_confidence_interval(
     successes: int, samples: int, confidence: float = 0.99
 ) -> tuple[float, float]:
     """Return the Clopper–Pearson interval for a binomial proportion."""
-    if samples <= 0:
+    return binomial_confidence_intervals(
+        [successes], [samples], confidence
+    )[0]
+
+
+def binomial_confidence_intervals(
+    successes: Sequence[int],
+    samples: Sequence[int],
+    confidence: float = 0.99,
+) -> list[tuple[float, float]]:
+    """Clopper–Pearson intervals of several binomial proportions.
+
+    Interval ``i`` is that of ``successes[i]`` out of ``samples[i]``.
+    Every bound of every proportion comes from one ``beta.ppf`` call,
+    whose elements are computed exactly as one call per bound would
+    compute them: scipy's per-call overhead, not the arithmetic, is
+    what a handful of intervals costs.
+    """
+    k = np.asarray(successes)
+    n = np.asarray(samples)
+    if (n <= 0).any():
         raise AnalysisError("confidence interval needs samples > 0")
     if not 0.0 < confidence < 1.0:
         raise AnalysisError(
@@ -76,19 +99,21 @@ def binomial_confidence_interval(
     from scipy import stats as scipy_stats
 
     alpha = 1.0 - confidence
-    if successes == 0:
-        lower = 0.0
-    else:
-        lower = scipy_stats.beta.ppf(
-            alpha / 2.0, successes, samples - successes + 1
+    lower = np.zeros(k.shape)
+    upper = np.ones(k.shape)
+    # The lower bound is 0 without successes, the upper 1 without
+    # failures; every other bound is a beta quantile.
+    some, short = k != 0, k != n
+    q = np.repeat([alpha / 2.0, 1.0 - alpha / 2.0], [some.sum(), short.sum()])
+    if q.size:
+        bounds = scipy_stats.beta.ppf(
+            q,
+            np.concatenate([k[some], k[short] + 1]),
+            np.concatenate([n[some] - k[some] + 1, n[short] - k[short]]),
         )
-    if successes == samples:
-        upper = 1.0
-    else:
-        upper = scipy_stats.beta.ppf(
-            1.0 - alpha / 2.0, successes + 1, samples - successes
-        )
-    return float(lower), float(upper)
+        lower[some] = bounds[: some.sum()]
+        upper[short] = bounds[some.sum():]
+    return [(float(lo), float(hi)) for lo, hi in zip(lower, upper)]
 
 
 def lrc_test_from_counts(

@@ -18,10 +18,15 @@ Two integration points consume it:
   :meth:`LrcMonitor.observe` from its per-write hook, once per
   communicator access in timetable order;
 * the vectorized :class:`~repro.runtime.batch.BatchSimulator` calls
-  :func:`batch_monitor_events` on its per-access status tensors —
-  windowed counts via one cumulative sum and a vectorized set/reset
-  latch, no per-run Python loop — producing the *same* events (per
-  run, per communicator) the scalar monitor would emit.
+  :func:`monitor_events_from_failures` on the sparse positions of
+  each run block's unreliable accesses — a set/reset latch over the
+  failures' window neighbourhoods, no per-run Python loop — producing
+  the *same* events (per run, per communicator) the scalar monitor
+  would emit.
+
+:func:`batch_monitor_events` is the dense reference the sparse pass is
+tested against: windowed counts over a whole ``(runs, samples)``
+status tensor via one cumulative sum.
 """
 
 from __future__ import annotations
@@ -341,6 +346,8 @@ def monitor_events_from_failures(
     alarm_below: float,
     clear_above: float,
     window: int,
+    *,
+    run_offset: int = 0,
 ) -> list[ResilienceEvent]:
     """Sparse monitor pass from access-failure *positions* alone.
 
@@ -356,7 +363,9 @@ def monitor_events_from_failures(
 
     ``fail_runs``/``fail_steps`` hold the run and access index of every
     unreliable access, sorted by ``(run, step)``; *times* maps access
-    index to simulation time.
+    index to simulation time.  Events are stamped with run
+    ``run_offset + r`` for row ``r``: the batch kernel passes the
+    global index of its block's first run.
     """
     steps_total = samples - window + 1
     if steps_total <= 0 or fail_steps.size == 0:
@@ -426,7 +435,7 @@ def monitor_events_from_failures(
         # below-threshold window of each run emits anything.
         seen: set[int] = set()
         for i in np.flatnonzero(below):
-            r = int(run[i])
+            r = int(run[i]) + run_offset
             if r in seen:
                 continue
             seen.add(r)
@@ -486,7 +495,7 @@ def monitor_events_from_failures(
             events.append(
                 LrcAlarm(
                     time=int(times[t[i] + window - 1]),
-                    run=int(run[i]),
+                    run=int(run[i]) + run_offset,
                     communicator=communicator,
                     rate=(window - int(f[i])) / window,
                     threshold=alarm_below,
@@ -497,7 +506,7 @@ def monitor_events_from_failures(
             events.append(
                 LrcClear(
                     time=int(times[t[i] + window - 1]),
-                    run=int(run[i]),
+                    run=int(run[i]) + run_offset,
                     communicator=communicator,
                     rate=(window - int(f[i])) / window,
                     threshold=clear_above,
@@ -508,7 +517,7 @@ def monitor_events_from_failures(
             events.append(
                 LrcClear(
                     time=int(times[t[i] + window]),
-                    run=int(run[i]),
+                    run=int(run[i]) + run_offset,
                     communicator=communicator,
                     rate=1.0,
                     threshold=clear_above,

@@ -4,11 +4,29 @@
 :class:`~repro.runtime.plan.SimulationPlan` as the scalar reference
 :class:`~repro.runtime.engine.Simulator`, but evaluates only the
 reliability abstraction: instead of executing task functions on
-values, it samples the fault model for all runs at once as
+values, it samples the fault model for a block of runs at once as
 ``(runs, slots, iterations)`` boolean tensors, propagates
 reliable/``BOTTOM`` status through the plan's dependency order with
 array operations, and aggregates per-communicator reliable-access
 counts without materializing per-run value traces.
+
+Run blocks
+----------
+The kernel is row-parallel along the run axis, so
+:meth:`BatchSimulator.run_slice` walks its runs in contiguous blocks:
+each block precomputes its fault masks from its own generators, goes
+through every stage (status collapse, propagation, reduction, the
+monitor) and writes its per-run counts and events into the slice's
+result.  A slice is cut into as few near-equal blocks as keep each
+block's fault masks within :data:`BLOCK_BYTES` (32 runs of 4000
+iterations x 8 slots), and the status planes are reused block after
+block, so the kernel's arrays stay cache-sized and the memory it
+touches is bounded by the block, not by the slice: a freshly forked
+shard worker pays page faults for about one block's arrays instead of
+the whole slice's.
+Slices whose kernel steps iterations in Python (a plan with a cyclic
+component, a Gilbert–Elliott precompute) run as one block, since
+blocking would repeat that loop once per block.
 
 Seed contract
 -------------
@@ -96,6 +114,12 @@ if TYPE_CHECKING:  # pragma: no cover
         StopDecision,
         StoppingRule,
     )
+
+#: Byte budget of one run block's fault masks (32 runs of 4000
+#: iterations x 8 slots).  The kernel walks a slice in blocks within
+#: it, so its per-block arrays stay cache-sized and a forked shard
+#: touches little new memory however many runs it holds.
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -320,6 +344,36 @@ class BatchSimulator:
             )
         self.faults = faults or NoFaults()
         self.seed = seed
+        plan = self.plan
+        # Per phase, the (event, slots) pairs the status collapse
+        # reduces: sensor events, then release events.
+        self._slot_groups = [
+            tuple(
+                [
+                    (index, np.flatnonzero(slot_event == index).tolist())
+                    for index in range(count)
+                ]
+                for slot_event, count in (
+                    (schedule.sensor_slot_event, len(plan.sensor_events)),
+                    (schedule.replica_slot_event, len(plan.releases)),
+                )
+            )
+            for schedule in plan.schedules
+        ]
+        self._slots = max(
+            1,
+            *(
+                len(schedule.sensor_slot_event)
+                + len(schedule.replica_slot_event)
+                for schedule in plan.schedules
+            ),
+        )
+        self._stepped = self.faults.steps_iterations or any(
+            component.cyclic for component in plan.batch_order
+        )
+        self._declaration_order = {
+            name: i for i, name in enumerate(spec.communicators)
+        }
         self.environment_factory = environment_factory
         if executor is None:
             from repro.runtime.executor import SerialExecutor
@@ -344,9 +398,9 @@ class BatchSimulator:
         same spawned seeds (bit-identical counts either way).
 
         With a *monitor* config, the online LRC monitor runs over
-        every batch run: vectorized as windowed counts over the
-        per-access status tensors (no per-run Python loop), or as one
-        scalar monitor per run on the fallback path.  The resulting
+        every batch run: vectorized from each run block's sparse
+        failure positions (no per-run Python loop), or as one scalar
+        monitor per run on the fallback path.  The resulting
         alarm/clear events land in ``BatchResult.monitor_events``.
 
         This is :meth:`grow` with no prefix and no stopping rule.
@@ -485,85 +539,157 @@ class BatchSimulator:
         *global* indices, so disjoint slices of one batch merge (via
         :func:`~repro.runtime.executor.merge_batch_results`) into
         exactly the unsharded result.
+
+        The slice is walked in the contiguous run blocks of
+        :meth:`_block_bounds`.  Each block precomputes its masks from
+        its own generators and runs every kernel stage on them, then
+        writes its per-run counts into the slice's arrays and appends
+        its monitor events, which keeps them in run order.  The scalar
+        fallback is decided by the first block's precompute.
         """
         runs = len(children)
-        if runs == 0:
-            return self._empty_result(iterations)
-        rngs = [np.random.default_rng(child) for child in children]
-        with self.profiler.stage("fault-precompute"):
-            masks = self.faults.precompute(
-                self.plan, runs, iterations, rngs
-            )
-        if masks is None:
-            # A declining precompute may have consumed draws; the
-            # fallback rebuilds every generator from its spawn key.
-            with self.profiler.stage("scalar-fallback"):
-                return self._run_scalar(
-                    children, iterations, monitor, run_offset
-                )
-        return self._run_vectorized(
-            masks, runs, iterations, monitor, run_offset
-        )
-
-    def _empty_result(self, iterations: int) -> BatchResult:
-        """The zero-run result (identity element of a merge)."""
         plan = self.plan
-        counts = {}
-        samples = {}
-        for ci, name in enumerate(plan.comm_names):
-            counts[name] = np.zeros(0, dtype=np.int64)
-            samples[name] = int(plan.accesses_per_period[ci]) * iterations
+        samples = {
+            name: int(plan.accesses_per_period[ci]) * iterations
+            for ci, name in enumerate(plan.comm_names)
+        }
+        counts = {name: np.empty(runs, dtype=np.int64) for name in samples}
+        watch = (
+            None if monitor is None
+            else self._watch(monitor, iterations)
+        )
+        events: "list[ResilienceEvent]" = []
+        bounds = self._block_bounds(runs, iterations)
+        status: "list[np.ndarray] | None" = None
+        for start, stop in zip(bounds, bounds[1:]):
+            rngs = [
+                np.random.default_rng(child)
+                for child in children[start:stop]
+            ]
+            with self.profiler.stage("fault-precompute"):
+                masks = self.faults.precompute(
+                    plan, stop - start, iterations, rngs
+                )
+            if masks is None:
+                if start:
+                    raise RuntimeSimulationError(
+                        "fault precompute declined after its first "
+                        "block of the slice"
+                    )
+                # A declining precompute may have consumed draws; the
+                # fallback rebuilds every generator from its spawn key.
+                with self.profiler.stage("scalar-fallback"):
+                    return self._run_scalar(
+                        children, iterations, monitor, run_offset
+                    )
+            if status is None:
+                # The (runs, iterations) status planes every block
+                # overwrites: sensor deliveries, release survivals, a
+                # scratch.  Made only once the first block's masks are:
+                # held across that precompute too, they raised the peak
+                # RSS of a daemon running two kernels at once by ~2 MB.
+                block = -(-runs // (len(bounds) - 1))  # the largest
+                status = [
+                    np.empty((block, iterations), dtype=bool)
+                    for _ in range(
+                        len(plan.sensor_events) + len(plan.releases) + 1
+                    )
+                ]
+            task_ok, delivered = self._run_block(
+                masks, [plane[: stop - start] for plane in status],
+                counts, start,
+            )
+            if watch is not None:
+                with self.profiler.stage("monitor"):
+                    events.extend(
+                        self._monitor_events(
+                            watch, monitor.window, task_ok, delivered,
+                            stop - start, iterations, run_offset + start,
+                        )
+                    )
         return BatchResult(
             lrcs=self.lrcs,
-            runs=0,
+            runs=runs,
             iterations=iterations,
             reliable_counts=counts,
             samples_per_run=samples,
             executor="vectorized",
+            monitor_events=tuple(events),
         )
+
+    def _block_bounds(self, runs: int, iterations: int) -> list[int]:
+        """Where the run blocks of a slice start, then where it ends.
+
+        A slice of *runs* runs x *iterations* periods is cut into as
+        few blocks as keep every block's fault masks (one byte per
+        slot, iteration and run) within :data:`BLOCK_BYTES`, with sizes
+        differing by at most one run: equal blocks leave no short tail
+        block, and repeated allocations of one size reuse the memory
+        the previous block freed.  A plan with a cyclic component, and
+        an injector whose ``precompute`` steps through iterations, loop
+        over iterations in Python once per block; blocking would
+        multiply that loop, so their slices run as one block.
+        """
+        if not runs:
+            return [0]
+        most = (
+            runs if self._stepped
+            else max(1, BLOCK_BYTES // (iterations * self._slots))
+        )
+        blocks = -(-runs // most)
+        return [k * runs // blocks for k in range(blocks + 1)]
 
     # ------------------------------------------------------------------
 
-    def _run_vectorized(
+    def _run_block(
         self,
         masks: PrecomputedFaults,
-        runs: int,
-        iterations: int,
-        monitor: "MonitorConfig | None" = None,
-        run_offset: int = 0,
-    ) -> BatchResult:
+        status: list[np.ndarray],
+        counts: dict[str, np.ndarray],
+        start: int,
+    ) -> tuple[list, list]:
+        """Run one block's kernel stages; return its status arrays.
+
+        *status* holds the block's ``(runs, iterations)`` planes, which
+        this block overwrites: one per sensor event, one per release
+        event, then a scratch plane.  Writes the block's per-run counts into
+        rows ``start:start + runs`` of *counts* and returns
+        ``(task_ok, delivered)``, every array ``(runs, iterations)``,
+        for the monitor.
+        """
         plan = self.plan
         profiler = self.profiler
+        runs, iterations = status[-1].shape
+        sensors = len(plan.sensor_events)
+        delivered = status[:sensors]
+        survive = status[sensors:-1]
+        scratch = status[-1]
         with profiler.stage("status-collapse"):
-            delivered = [
-                np.zeros((runs, iterations), dtype=bool)
-                for _ in plan.sensor_events
-            ]
-            survive = [
-                np.zeros((runs, iterations), dtype=bool)
-                for _ in plan.releases
-            ]
-            for p, schedule in enumerate(plan.schedules):
-                iters = np.arange(p, iterations, plan.n_phases)
-                if not len(iters):
-                    continue
-                sensor_fail = masks.sensor_fail[p]
-                replica_fail = masks.replica_fail[p]
-                for event in plan.sensor_events:
-                    slots = schedule.sensor_slot_event == event.index
-                    if slots.any():
-                        delivered[event.index][:, iters] = ~np.all(
-                            sensor_fail[:, slots, :], axis=1
-                        )
-                for event in plan.releases:
-                    slots = schedule.replica_slot_event == event.index
-                    if slots.any():
-                        survive[event.index][:, iters] = ~np.all(
-                            replica_fail[:, slots, :], axis=1
-                        )
+            # A sensor event is delivered unless every slot of it
+            # fails; a release survives unless every replica slot
+            # fails.  Each phase reduces its slots in place on the
+            # phase's strided columns.
+            for p, (sensor_groups, replica_groups) in enumerate(
+                self._slot_groups
+            ):
+                for fail, groups, out in (
+                    (masks.sensor_fail[p], sensor_groups, delivered),
+                    (masks.replica_fail[p], replica_groups, survive),
+                ):
+                    for index, slots in groups:
+                        bits = out[index][:, p::plan.n_phases]
+                        if not slots:  # nothing to deliver or run
+                            bits.fill(False)
+                            continue
+                        first, *rest = slots
+                        np.copyto(bits, fail[:, first, :])
+                        for slot in rest:
+                            np.logical_and(bits, fail[:, slot, :], out=bits)
+                        np.logical_not(bits, out=bits)
 
         # Propagate reliable/BOTTOM status component by component;
-        # every task_ok array is (runs, iterations).
+        # every task_ok array is (runs, iterations).  An acyclic event
+        # folds its ports into its own survival bits in place.
         with profiler.stage("propagate"):
             task_ok: list[np.ndarray | None] = [None] * len(plan.releases)
             for component in plan.batch_order:
@@ -576,27 +702,27 @@ class BatchSimulator:
                 (index,) = component.events
                 event = plan.releases[index]
                 ok = survive[index]
-                if event.model is not FailureModel.INDEPENDENT:
-                    port_bits = [
-                        self._port_bits(
-                            port, task_ok, delivered, runs, iterations
+                if event.model is FailureModel.SERIES:
+                    for port in event.ports:
+                        self._fold_port(
+                            np.logical_and, ok, port, task_ok, delivered
                         )
-                        for port in event.ports
-                    ]
-                    if event.model is FailureModel.SERIES:
-                        inputs_ok = np.logical_and.reduce(port_bits)
-                    else:  # PARALLEL: fails only when all inputs are BOTTOM
-                        inputs_ok = np.logical_or.reduce(port_bits)
-                    ok = ok & inputs_ok
+                elif event.model is FailureModel.PARALLEL:
+                    # Fails only when all inputs are BOTTOM.
+                    scratch.fill(False)
+                    for port in event.ports:
+                        self._fold_port(
+                            np.logical_or, scratch, port, task_ok,
+                            delivered,
+                        )
+                    np.logical_and(ok, scratch, out=ok)
                 task_ok[index] = ok
 
         with profiler.stage("reduce"):
-            counts: dict[str, np.ndarray] = {}
-            samples: dict[str, int] = {}
+            stop = start + runs
             for ci, name in enumerate(plan.comm_names):
                 pi = int(plan.comm_periods[ci])
                 n_acc = int(plan.accesses_per_period[ci])
-                samples[name] = n_acc * iterations
                 writer = int(plan.writer_event[ci])
                 if writer >= 0:
                     write_time = plan.releases[writer].write_time
@@ -611,42 +737,25 @@ class BatchSimulator:
                             :, :-1
                         ].sum(axis=1, dtype=np.int64)
                         per_run = per_run + prev * carried
-                    counts[name] = per_run
+                    counts[name][start:stop] = per_run
                     continue
                 events = [
                     e for e in plan.sensor_events if e.comm_index == ci
                 ]
                 if events:
-                    total = np.zeros(runs, dtype=np.int64)
+                    total = counts[name][start:stop]
+                    total[:] = 0
                     for event in events:
                         total += delivered[event.index].sum(
                             axis=1, dtype=np.int64
                         )
-                    counts[name] = total
                 else:
                     # Neither written nor sensor-updated: the initial
                     # value is observed at every access.
-                    counts[name] = np.full(
-                        runs,
-                        int(plan.init_reliable[ci]) * samples[name],
-                        dtype=np.int64,
+                    counts[name][start:stop] = (
+                        int(plan.init_reliable[ci]) * n_acc * iterations
                     )
-        monitor_events: "tuple[ResilienceEvent, ...]" = ()
-        if monitor is not None:
-            with profiler.stage("monitor"):
-                monitor_events = self._monitor_events(
-                    monitor, task_ok, delivered, runs, iterations,
-                    run_offset,
-                )
-        return BatchResult(
-            lrcs=self.lrcs,
-            runs=runs,
-            iterations=iterations,
-            reliable_counts=counts,
-            samples_per_run=samples,
-            executor="vectorized",
-            monitor_events=monitor_events,
-        )
+        return task_ok, delivered
 
     def _access_failures(
         self,
@@ -655,18 +764,17 @@ class BatchSimulator:
         delivered: Sequence[np.ndarray],
         runs: int,
         iterations: int,
-    ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Positions of the *unreliable* accesses of one communicator.
 
         Access ``s = i * n_acc + j`` of communicator ``ci`` happens at
-        ``times[s] = i * period + j * pi_c``; a written communicator
-        observes the current iteration's write from offsets at or past
-        the write time and the previous iteration's write (or the
-        initial value) before it, while an input communicator observes
-        its own sensor event at every access offset.  Instead of the
-        full ``(runs, samples)`` status tensor this returns
-        ``(fail_runs, fail_steps, samples, times)`` where the paired
-        arrays list every access that observes BOTTOM, sorted by
+        ``i * period + j * pi_c``; a written communicator observes the
+        current iteration's write from offsets at or past the write
+        time and the previous iteration's write (or the initial value)
+        before it, while an input communicator observes its own sensor
+        event at every access offset.  Instead of the full ``(runs,
+        samples)`` status tensor this returns ``(fail_runs,
+        fail_steps)``, every access that observes BOTTOM, sorted by
         ``(run, step)``.  Failures are rare, so this is what the
         monitor pass works from.
         """
@@ -675,10 +783,6 @@ class BatchSimulator:
         n_acc = int(plan.accesses_per_period[ci])
         samples = n_acc * iterations
         offsets = np.arange(0, plan.period, pi)
-        times = (
-            np.arange(iterations, dtype=np.int64)[:, None] * plan.period
-            + offsets[None, :]
-        ).ravel()
         parts_r: list[np.ndarray] = []
         parts_s: list[np.ndarray] = []
         writer = int(plan.writer_event[ci])
@@ -686,7 +790,7 @@ class BatchSimulator:
             write_time = plan.releases[writer].write_time
             ok = task_ok[writer]
             assert ok is not None
-            rows, iters = np.nonzero(~ok)
+            rows, iters = _false_positions(ok)
             same_j = np.flatnonzero(offsets >= write_time)
             prev_j = np.flatnonzero(offsets < write_time)
             if same_j.size and rows.size:
@@ -718,7 +822,9 @@ class BatchSimulator:
             )
             if events:
                 for j, event in enumerate(events):
-                    rows, iters = np.nonzero(~delivered[event.index])
+                    rows, iters = _false_positions(
+                        delivered[event.index]
+                    )
                     if rows.size:
                         parts_r.append(rows)
                         parts_s.append(iters * n_acc + j)
@@ -731,58 +837,71 @@ class BatchSimulator:
                 parts_s.append(np.tile(np.arange(samples), runs))
         if not parts_r:
             empty = np.empty(0, dtype=np.int64)
-            return empty, empty, samples, times
+            return empty, empty
         key = np.sort(
             np.concatenate(parts_r).astype(np.int64) * samples
             + np.concatenate(parts_s).astype(np.int64)
         )
-        return key // samples, key % samples, samples, times
+        return key // samples, key % samples
+
+    def _watch(self, monitor: "MonitorConfig", iterations: int) -> list:
+        """Per monitored communicator, what every block's pass needs.
+
+        ``(ci, name, times, alarm, clear)``, where ``times[s]`` is the
+        simulation time of access ``s``.
+        """
+        plan = self.plan
+        thresholds = monitor.thresholds(self.spec)
+        watch = []
+        for ci, name in enumerate(plan.comm_names):
+            if name not in thresholds:
+                continue
+            offsets = np.arange(0, plan.period, int(plan.comm_periods[ci]))
+            times = (
+                np.arange(iterations, dtype=np.int64)[:, None]
+                * plan.period
+                + offsets[None, :]
+            ).ravel()
+            watch.append((ci, name, times, *thresholds[name]))
+        return watch
 
     def _monitor_events(
         self,
-        monitor: "MonitorConfig",
+        watch: list,
+        window: int,
         task_ok: "Sequence[np.ndarray | None]",
         delivered: Sequence[np.ndarray],
         runs: int,
         iterations: int,
-        run_offset: int = 0,
-    ) -> "tuple[ResilienceEvent, ...]":
-        """Vectorized online-monitor pass over the whole batch.
+        run_offset: int,
+    ) -> "list[ResilienceEvent]":
+        """Vectorized online-monitor pass over one block.
 
         Works from sparse failure positions
         (:meth:`_access_failures` + the failure-neighbourhood latch of
         :func:`~repro.resilience.monitor.monitor_events_from_failures`)
         so its cost tracks the number of failures, not
-        ``runs x samples``.
+        ``runs x samples``.  Events carry global run indices, the
+        block's first run being *run_offset*.
         """
         from repro.resilience.monitor import monitor_events_from_failures
 
-        plan = self.plan
-        thresholds = monitor.thresholds(self.spec)
         events = []
-        for ci, name in enumerate(plan.comm_names):
-            if name not in thresholds:
-                continue
-            fail_runs, fail_steps, samples, times = self._access_failures(
+        for ci, name, times, alarm, clear in watch:
+            fail_runs, fail_steps = self._access_failures(
                 ci, task_ok, delivered, runs, iterations
             )
-            alarm, clear = thresholds[name]
             events.extend(
                 monitor_events_from_failures(
-                    name, fail_runs, fail_steps, runs, samples, times,
-                    alarm, clear, monitor.window,
+                    name, fail_runs, fail_steps, runs, times.size, times,
+                    alarm, clear, window, run_offset=run_offset,
                 )
             )
         # Tie-break same-instant events the way the scalar engine emits
         # them: communicators in specification declaration order.
-        order = {name: i for i, name in enumerate(self.spec.communicators)}
+        order = self._declaration_order
         events.sort(key=lambda e: (e.run, e.time, order[e.communicator]))
-        if run_offset:
-            events = [
-                dataclasses.replace(event, run=event.run + run_offset)
-                for event in events
-            ]
-        return tuple(events)
+        return events
 
     def _step_cycle(
         self,
@@ -818,14 +937,18 @@ class BatchSimulator:
         for index in events:
             event = plan.releases[index]
             series = event.model is FailureModel.SERIES
+            if series:
+                fixed = survive[index]
+                gate = None
+            else:  # PARALLEL: survival gates the OR over every port
+                fixed = np.zeros((runs, iterations), dtype=bool)
+                gate = list(np.ascontiguousarray(survive[index].T))
+            combine = np.logical_and if series else np.logical_or
             sources = []
-            outer = []
             for port in event.ports:
                 if port.sensor_event >= 0 or port.writer_event not in rows:
-                    outer.append(
-                        self._port_bits(
-                            port, task_ok, delivered, runs, iterations
-                        )
+                    self._fold_port(
+                        combine, fixed, port, task_ok, delivered
                     )
                 elif port.same_iteration:
                     sources.append(rows[port.writer_event])
@@ -834,21 +957,12 @@ class BatchSimulator:
                         runs, plan.init_reliable[port.comm_index]
                     )
                     sources.append([init] + rows[port.writer_event][:-1])
-            if series:
-                fixed = np.logical_and.reduce([survive[index], *outer])
-                gate = None
-            else:  # PARALLEL: survival gates the OR over every port
-                fixed = (
-                    np.logical_or.reduce(outer) if outer
-                    else np.zeros((runs, iterations), dtype=bool)
-                )
-                gate = list(np.ascontiguousarray(survive[index].T))
             steps.append(
                 (
                     rows[index],
                     list(np.ascontiguousarray(fixed.T)),
                     gate,
-                    np.logical_and if series else np.logical_or,
+                    combine,
                     sources[0],
                     sources[1:],
                 )
@@ -867,32 +981,37 @@ class BatchSimulator:
         for index in events:
             task_ok[index] = np.ascontiguousarray(out[index].T)
 
-    def _port_bits(
+    def _fold_port(
         self,
+        combine: np.ufunc,
+        bits: np.ndarray,
         port: PortSlot,
         task_ok: "Sequence[np.ndarray | None]",
         delivered: Sequence[np.ndarray],
-        runs: int,
-        iterations: int,
-    ) -> np.ndarray:
-        """Reliability bits seen by one input port, per run/iteration."""
+    ) -> None:
+        """``combine`` one input port's bits into *bits*, in place.
+
+        A sensor port reads its event's delivery bits, a written port
+        its writer's ``task_ok`` (a lagged one shifted by an iteration
+        and seeded with the initial-value reliability), any other port
+        the initial-value reliability.  Nothing is copied.
+        """
         plan = self.plan
         if port.sensor_event >= 0:
-            return delivered[port.sensor_event]
-        if port.writer_event >= 0:
+            combine(bits, delivered[port.sensor_event], out=bits)
+        elif port.writer_event < 0:
+            combine(bits, bool(plan.init_reliable[port.comm_index]), out=bits)
+        else:
             source = task_ok[port.writer_event]
             assert source is not None, "batch order violated"
             if port.same_iteration:
-                return source
-            shifted = np.empty_like(source)
-            shifted[:, 0] = plan.init_reliable[port.comm_index]
-            shifted[:, 1:] = source[:, :-1]
-            return shifted
-        return np.full(
-            (runs, iterations),
-            bool(plan.init_reliable[port.comm_index]),
-            dtype=bool,
-        )
+                combine(bits, source, out=bits)
+            else:  # lagged: iteration t reads the writer's t - 1
+                combine(bits[:, 1:], source[:, :-1], out=bits[:, 1:])
+                combine(
+                    bits[:, 0], bool(plan.init_reliable[port.comm_index]),
+                    out=bits[:, 0],
+                )
 
     # ------------------------------------------------------------------
 
@@ -936,6 +1055,15 @@ class BatchSimulator:
             executor="scalar-fallback",
             run_offset=run_offset,
         )
+
+
+def _false_positions(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.nonzero(~bits)`` of a 2-D bool array, through a flat index.
+
+    The same ``(rows, columns)``, in the same row-major order; numpy's
+    2-D ``nonzero`` is several times slower than the 1-D one.
+    """
+    return np.divmod(np.flatnonzero(~bits), bits.shape[1])
 
 
 def run_scalar_batch(

@@ -189,6 +189,11 @@ def _outage_masks(
 class FaultInjector:
     """Interface queried by the simulator; default: nothing fails."""
 
+    #: Whether :meth:`precompute` loops over iterations in Python.  The
+    #: batch kernel precomputes a slice block by block, which would
+    #: repeat such a loop per block, so it runs these slices whole.
+    steps_iterations = False
+
     def begin_run(
         self, rng: np.random.Generator, horizon: int
     ) -> None:
@@ -311,10 +316,12 @@ class BernoulliFaults(FaultInjector):
     def precompute(self, plan, runs, iterations, rngs):
         """Sample every run's full uniform stream in one shot.
 
-        One ``Generator.random(total)`` call per run yields the exact
-        stream the scalar executor would consume draw by draw; the
-        per-slot draws are then gathered out of it with the plan's
-        flat offsets and compared against the reliability vectors.
+        One ``Generator.random`` call per run yields the exact stream
+        the scalar executor would consume draw by draw; the per-slot
+        draws are then gathered out of it with the plan's flat offsets
+        and compared against the reliability vectors.  The stream, the
+        gather positions and the gathered draws live in buffers made
+        once per call, so a run allocates nothing.
         """
         brel = self.arch.network.reliability
         if (brel < 1.0) != plan.broadcast_drawn:
@@ -323,45 +330,49 @@ class BernoulliFaults(FaultInjector):
             return None
         result = _empty_masks(plan, runs, iterations)
         base, total = plan.draw_layout(iterations)
-        per_phase = _phase_iterations(plan, iterations)
-        srel = [
-            np.array(
-                [self.arch.srel(s) for s in sched.sensor_slot_name],
-                dtype=np.float64,
-            )
-            for sched in plan.schedules
-        ]
-        hrel = [
-            np.array(
-                [self.arch.hrel(h) for h in sched.replica_slot_host],
-                dtype=np.float64,
-            )
-            for sched in plan.schedules
-        ]
-        for run in range(runs):
-            stream = rngs[run].random(total)
-            for p, schedule in enumerate(plan.schedules):
-                iters = per_phase[p]
-                if not len(iters):
+        # (stream positions, reliabilities, masks, union) of every
+        # gather: per phase its sensor slots, its replica slots and,
+        # with a lossy network, their broadcast draws right after them,
+        # which a replica's invocation outcome is unioned with.
+        gathers = []
+        for p, (schedule, iters) in enumerate(
+            zip(plan.schedules, _phase_iterations(plan, iterations))
+        ):
+            anchors = base[iters]
+            for offsets, rel, masks in (
+                (
+                    schedule.sensor_slot_offset,
+                    [self.arch.srel(s) for s in schedule.sensor_slot_name],
+                    result.sensor_fail[p],
+                ),
+                (
+                    schedule.replica_slot_offset,
+                    [self.arch.hrel(h) for h in schedule.replica_slot_host],
+                    result.replica_fail[p],
+                ),
+            ):
+                if not masks.size:
                     continue
-                anchors = base[iters]
-                if len(schedule.sensor_slot_offset):
-                    at = (
-                        schedule.sensor_slot_offset[:, None]
-                        + anchors[None, :]
-                    )
-                    result.sensor_fail[p][run] = (
-                        stream[at] >= srel[p][:, None]
-                    )
-                if len(schedule.replica_slot_offset):
-                    at = (
-                        schedule.replica_slot_offset[:, None]
-                        + anchors[None, :]
-                    )
-                    fail = stream[at] >= hrel[p][:, None]
-                    if plan.broadcast_drawn:
-                        fail |= stream[at + 1] >= brel
-                    result.replica_fail[p][run] = fail
+                at = offsets[:, None] + anchors[None, :]
+                rel = np.array(rel, dtype=np.float64)[:, None]
+                gathers.append((at, rel, masks, False))
+                if plan.broadcast_drawn and masks is result.replica_fail[p]:
+                    gathers.append((at + 1, brel, masks, True))
+        stream = np.empty(total)
+        size = max((at.size for at, *_ in gathers), default=0)
+        draws = np.empty(size)
+        failed = np.empty(size, dtype=bool)
+        for run in range(runs):
+            rngs[run].random(out=stream)
+            for at, rel, masks, union in gathers:
+                drawn = draws[: at.size].reshape(at.shape)
+                np.take(stream, at, out=drawn)
+                if union:
+                    fail = failed[: at.size].reshape(at.shape)
+                    np.greater_equal(drawn, rel, out=fail)
+                    np.logical_or(masks[run], fail, out=masks[run])
+                else:
+                    np.greater_equal(drawn, rel, out=masks[run])
         return PrecomputedFaults(
             stochastic=True,
             sensor_fail=result.sensor_fail,
@@ -487,6 +498,8 @@ class GilbertElliottFaults(FaultInjector):
     Chains are per-run state: :meth:`begin_run` resets every chain to
     its ``start_bad`` state, so equal seeds give equal runs.
     """
+
+    steps_iterations = True
 
     def __init__(
         self,
@@ -834,6 +847,10 @@ class CompositeFaults(FaultInjector):
 
     def __init__(self, injectors: Iterable[FaultInjector]):
         object.__setattr__(self, "injectors", tuple(injectors))
+
+    @property
+    def steps_iterations(self) -> bool:
+        return any(i.steps_iterations for i in self.injectors)
 
     def begin_run(self, rng, horizon):
         for injector in self.injectors:

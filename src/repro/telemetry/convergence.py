@@ -215,17 +215,26 @@ def snapshot_from_counts(
     snapshot, so stopping decisions taken on snapshots cannot depend
     on scheduling.
     """
-    from repro.reliability.stats import binomial_confidence_interval
+    from repro.reliability.stats import binomial_confidence_intervals
 
+    sampled = [name for name in sorted(pooled) if pooled[name][1] > 0]
+    intervals = dict(
+        zip(
+            sampled,
+            binomial_confidence_intervals(
+                [pooled[name][0] for name in sampled],
+                [pooled[name][1] for name in sampled],
+                confidence,
+            ),
+        )
+    )
     diagnostics = []
     for name in sorted(pooled):
         successes, samples = pooled[name]
         lrc = float(lrcs.get(name, 0.0))
         if samples > 0:
             rate = successes / samples
-            lower, upper = binomial_confidence_interval(
-                successes, samples, confidence
-            )
+            lower, upper = intervals[name]
             half_width = (upper - lower) / 2.0
         else:
             rate = 0.0

@@ -86,7 +86,10 @@ class StageProfiler:
     ``plan-compile``, ``fault-precompute``, ``status-collapse``,
     ``propagate`` (cyclic components' iteration steps included),
     ``reduce``, ``monitor`` and ``scalar-fallback`` (only injectors
-    without ``precompute`` take it).
+    without ``precompute`` take it).  The kernel stages from
+    ``fault-precompute`` to ``monitor`` record one span per run block
+    of a slice, so a slice of several blocks lists each of them
+    several times.
     *clock* returns epoch seconds; it stamps both ends of a span, so
     spans one process records nest exactly.
     """

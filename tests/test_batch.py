@@ -20,12 +20,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from repro.arch import Architecture, ExecutionMetrics, Host, Sensor
+from repro.arch import (
+    Architecture,
+    BroadcastNetwork,
+    ExecutionMetrics,
+    Host,
+    Sensor,
+)
 from repro.errors import RuntimeSimulationError
 from repro.experiments import (
     bind_control_functions,
     cyclic_specification,
     cyclic_specification_with_input,
+    random_architecture,
+    random_implementation,
+    random_specification,
     scenario1_implementation,
     three_tank_architecture,
     three_tank_spec,
@@ -50,6 +59,8 @@ from repro.runtime import (
     ScriptedFaults,
     Simulator,
 )
+from repro.runtime import batch as batch_module
+from repro.telemetry import StageProfiler
 
 from strategies import cyclic_systems, systems
 
@@ -508,6 +519,193 @@ def test_scripted_precompute_interval_boundaries(intervals):
 
 
 # ----------------------------------------------------------------------
+# Run blocks: run_slice walks a slice in the blocks of
+# ``_block_bounds``; no block boundary may show in the counts or the
+# events.
+# ----------------------------------------------------------------------
+
+BLOCK = 3
+BLOCK_ITERATIONS = 40
+BLOCK_OFFSET = 5
+
+
+def block_system(network=None):
+    """A small random design whose hosts fail often enough to alarm."""
+    spec = random_specification(11, layers=2, tasks_per_layer=2, inputs=2)
+    arch = random_architecture(
+        1011, hosts=3, reliability_range=(0.85, 0.999)
+    )
+    if network is not None:
+        arch = Architecture(
+            arch.hosts.values(), arch.sensors.values(), arch.metrics,
+            network,
+        )
+    impl = random_implementation(spec, arch, 2011, max_replicas=2)
+    return spec, arch, impl
+
+
+def block_regimes(arch):
+    victim = arch.host_names()[0]
+    channel = GilbertElliottChannel(good_to_bad=0.05, bad_to_good=0.3)
+    return {
+        "bernoulli": lambda: BernoulliFaults(arch),
+        "scripted": lambda: ScriptedFaults(
+            host_outages={victim: [(80, 400)]}
+        ),
+        "gilbert-elliott": lambda: GilbertElliottFaults(
+            hosts={host: channel for host in arch.host_names()},
+            sensors={sensor: channel for sensor in arch.sensor_names()},
+        ),
+        "crash-repair": lambda: CrashRepairFaults(
+            hosts={host: (300.0, 200.0) for host in arch.host_names()}
+        ),
+        "composite": lambda: CompositeFaults([
+            BernoulliFaults(arch),
+            ScriptedFaults(host_outages={victim: [(200, 280)]}),
+        ]),
+    }
+
+
+def assert_slice_matches_scalar(system, faults, runs, monitor, monkeypatch):
+    """``run_slice`` at a run offset, in blocks of BLOCK runs, equals
+    the scalar reference run by run: counts and monitor events."""
+    spec, arch, impl = system
+    batch = BatchSimulator(spec, arch, impl, faults=faults(), seed=4)
+    # Shrink the byte budget so that a block holds at most BLOCK runs
+    # (an iteration-stepped slice still runs whole).
+    monkeypatch.setattr(
+        batch_module, "BLOCK_BYTES", BLOCK * BLOCK_ITERATIONS * batch._slots
+    )
+    children = np.random.SeedSequence(4).spawn(BLOCK_OFFSET + runs)[
+        BLOCK_OFFSET:
+    ]
+    result = batch.run_slice(
+        children, BLOCK_ITERATIONS, monitor, run_offset=BLOCK_OFFSET
+    )
+    assert result.executor == "vectorized"
+    assert result.runs == runs
+    events = []
+    for k, child in enumerate(children):
+        run_monitor = None if monitor is None else LrcMonitor(spec, monitor)
+        scalar = Simulator(
+            spec, arch, impl,
+            faults=faults(),
+            seed=np.random.default_rng(child),
+            monitor=run_monitor,
+        ).run(BLOCK_ITERATIONS)
+        for name, trace in scalar.abstract().items():
+            assert result.reliable_counts[name][k] == trace.reliable_count()
+            assert result.samples_per_run[name] == len(trace)
+        if run_monitor is not None:
+            events.extend(
+                dataclasses.replace(event, run=BLOCK_OFFSET + k)
+                for event in run_monitor.events
+            )
+    assert list(result.monitor_events) == events
+
+
+@pytest.mark.parametrize("monitor", [None, MonitorConfig(window=4)])
+@pytest.mark.parametrize(
+    "runs", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+)
+@pytest.mark.parametrize(
+    "regime",
+    ["bernoulli", "scripted", "gilbert-elliott", "crash-repair",
+     "composite"],
+)
+def test_run_blocks_match_scalar(regime, runs, monitor, monkeypatch):
+    system = block_system()
+    assert_slice_matches_scalar(
+        system, block_regimes(system[1])[regime], runs, monitor,
+        monkeypatch,
+    )
+
+
+@pytest.mark.parametrize("monitor", [None, MonitorConfig(window=4)])
+@pytest.mark.parametrize("runs", [1, 2 * BLOCK + 1])
+def test_run_blocks_match_scalar_over_a_lossy_network(
+    runs, monitor, monkeypatch
+):
+    """Broadcast draws follow each replica's invocation draw."""
+    system = block_system(BroadcastNetwork(reliability=0.9))
+    arch = system[1]
+    assert BatchSimulator(*system).plan.broadcast_drawn
+    assert_slice_matches_scalar(
+        system, lambda: BernoulliFaults(arch), runs, monitor, monkeypatch
+    )
+
+
+def test_run_blocks_emit_monitor_events():
+    """The block tests above compare events that actually exist."""
+    spec, arch, impl = block_system()
+    batch = BatchSimulator(
+        spec, arch, impl, faults=BernoulliFaults(arch), seed=4
+    )
+    result = batch.run_batch(
+        2 * BLOCK + 1, BLOCK_ITERATIONS, monitor=MonitorConfig(window=4)
+    )
+    assert len({event.run for event in result.monitor_events}) > 1
+
+
+@pytest.mark.parametrize("monitor", [None, MonitorConfig(window=3)])
+@pytest.mark.parametrize("runs", [1, 2 * BLOCK + 1])
+def test_cycle_slice_matches_scalar(runs, monitor, monkeypatch):
+    arch = cycle_architecture()
+    system = (
+        cyclic_specification_with_input(),
+        arch,
+        Implementation({"integrate": {"h1"}}, {"ext": {"s1"}}),
+    )
+    assert_slice_matches_scalar(
+        system, lambda: BernoulliFaults(arch), runs, monitor, monkeypatch
+    )
+
+
+def test_blocks_follow_the_byte_budget():
+    spec, arch = three_tank_spec(), three_tank_architecture()
+    impl = scenario1_implementation()
+    tank = BatchSimulator(spec, arch, impl, faults=BernoulliFaults(arch))
+    most = batch_module.BLOCK_BYTES // (4000 * tank._slots)
+    for runs in (1, most - 1, most, most + 1, 768):
+        bounds = tank._block_bounds(runs, 4000)
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == runs
+        assert len(sizes) == -(-runs // most)
+        assert sizes.max() <= most and sizes.max() - sizes.min() <= 1
+    assert tank._block_bounds(3, 10**9) == [0, 1, 2, 3]
+    assert tank._block_bounds(0, 4000) == [0]
+    # Slices whose kernel steps iterations in Python run as one block.
+    channel = GilbertElliottChannel(good_to_bad=0.05, bad_to_good=0.3)
+    bursty = GilbertElliottFaults(hosts={"h1": channel})
+    for faults in (bursty, CompositeFaults([BernoulliFaults(arch), bursty])):
+        stepped = BatchSimulator(spec, arch, impl, faults=faults)
+        assert stepped._block_bounds(768, 4000) == [0, 768]
+    cycle = BatchSimulator(
+        cyclic_specification_with_input(),
+        cycle_architecture(),
+        Implementation({"integrate": {"h1"}}, {"ext": {"s1"}}),
+    )
+    assert cycle._block_bounds(768, 4000) == [0, 768]
+
+
+def test_kernel_stages_record_one_span_per_block(monkeypatch):
+    spec, arch = three_tank_spec(), three_tank_architecture()
+    profiler = StageProfiler()
+    batch = BatchSimulator(
+        spec, arch, scenario1_implementation(),
+        faults=BernoulliFaults(arch), profiler=profiler,
+    )
+    monkeypatch.setattr(batch_module, "BLOCK_BYTES", BLOCK * 20 * batch._slots)
+    batch.run_batch(2 * BLOCK + 1, 20, monitor=MonitorConfig(window=3))
+    stages = [span["name"] for span in profiler.spans]
+    assert stages[0] == "plan-compile"
+    assert stages[1:] == 3 * [
+        "fault-precompute", "status-collapse", "propagate", "reduce",
+        "monitor",
+    ]
+
+
+# ----------------------------------------------------------------------
 # Fallback rules.
 # ----------------------------------------------------------------------
 
@@ -519,17 +717,20 @@ class _FlakySensor(FaultInjector):
         return rng.random() >= 0.5
 
 
-def test_custom_injector_without_precompute_falls_back():
+def test_custom_injector_without_precompute_falls_back(monkeypatch):
     spec = three_tank_spec(functions=bind_control_functions())
     arch = three_tank_architecture()
     impl = scenario1_implementation()
     batch = BatchSimulator(
         spec, arch, impl, faults=_FlakySensor(), seed=5
     )
-    result = batch.run_batch(2, 30)
+    # The first block's decline sends the whole slice down the scalar
+    # path, every run from its spawn key.
+    monkeypatch.setattr(batch_module, "BLOCK_BYTES", 30 * batch._slots)
+    result = batch.run_batch(3, 30)
     assert result.executor == "scalar-fallback"
 
-    children = np.random.SeedSequence(5).spawn(2)
+    children = np.random.SeedSequence(5).spawn(3)
     for k, child in enumerate(children):
         expected = scalar_counts(
             spec, arch, impl, _FlakySensor(), child, 30

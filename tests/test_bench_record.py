@@ -1,0 +1,85 @@
+"""The perf-trajectory recorder's perfbench mode.
+
+``tools/bench_record.py --perfbench`` shells out to ``perfbench/run.py``
+per workload and seed and summarizes every end-to-end metric by its
+median and quartiles.  These tests replace the subprocess with canned
+benchmark output, so they check the parsing and the arithmetic without
+running the benchmark.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import pathlib
+import subprocess
+import sys
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+TOOL = REPO_ROOT / "tools" / "bench_record.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("bench_record", TOOL)
+    assert spec is not None and spec.loader is not None
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault("bench_record", module)
+    spec.loader.exec_module(module)
+    return module
+
+
+tool = _load_tool()
+
+
+def _fake_run(values, correct=True):
+    """A subprocess.run stand-in printing one perfbench result per call."""
+    calls = []
+
+    def run(command, **kwargs):
+        calls.append(command)
+        value = values[len(calls) - 1]
+        result = {
+            "correct": correct,
+            "attempted": 10,
+            "failed": 0,
+            "metrics": {
+                "jobs_per_s": {"value": value, "unit": "1/s"},
+                "peak_rss_mb": {"value": 2 * value, "unit": "MB"},
+            },
+        }
+        stdout = "breakdown table\n" + json.dumps(result) + "\n"
+        return subprocess.CompletedProcess(command, 0, stdout=stdout)
+
+    return run, calls
+
+
+def test_perfbench_mode_records_runs_medians_and_quartiles(monkeypatch):
+    run, calls = _fake_run([1.0, 2.0, 3.0, 4.0, 10.0])
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    document = tool.record_perfbench(["cold-sharded"], [1, 2, 3, 4, 5], 15.0)
+
+    assert document["exit_status"] == 0
+    assert calls[0][-8:] == [
+        "--workload", "cold-sharded", "--seed", "1",
+        "--seconds", "15.0", "--trace", "0",
+    ]
+    workload = document["workloads"]["cold-sharded"]
+    assert [r["seed"] for r in workload["runs"]] == [1, 2, 3, 4, 5]
+    assert workload["runs"][4]["metrics"] == {
+        "jobs_per_s": 10.0, "peak_rss_mb": 20.0,
+    }
+    assert workload["metrics"]["jobs_per_s"] == {
+        "unit": "1/s", "median": 3.0, "q1": 2.0, "q3": 4.0,
+        "iqr": 2.0, "n": 5,
+    }
+    assert workload["metrics"]["peak_rss_mb"]["median"] == 6.0
+
+
+def test_perfbench_mode_fails_on_a_wrong_answer(monkeypatch):
+    run, _ = _fake_run([1.0], correct=False)
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    document = tool.record_perfbench(["warm-sweep"], [1], 5.0)
+    assert document["exit_status"] == 1
+    assert document["workloads"]["warm-sweep"]["metrics"][
+        "jobs_per_s"
+    ]["iqr"] == 0.0

@@ -31,6 +31,37 @@ queryable trajectory across the repository's history instead of
 scrolling away in job logs.  The runner is stdlib-only and returns
 pytest's own exit status, so wiring it into CI cannot mask a red
 benchmark run.
+
+Perfbench mode
+--------------
+``python tools/bench_record.py --perfbench --workloads cold-sharded
+warm-sweep cycle-fallback --seeds 1 2 3 4 5 --seconds 15 --out
+BENCH_26.json`` instead runs the service benchmark, ``python3
+perfbench/run.py --workload W --seed N --seconds S --trace 0``, once
+per workload and seed, one run at a time, and records the end-to-end
+metrics of every run with their median and quartiles::
+
+    {
+      "suite": "perfbench",
+      "seconds": 15.0,
+      "cpus": 2,                    # os.cpu_count() of the host
+      "exit_status": 0,             # 1 if any run failed or was wrong
+      "workloads": {
+        "<workload>": {
+          "runs": [                 # one entry per seed, in order
+            {"seed": 1, "correct": true, "attempted": 92,
+             "failed": 0, "metrics": {"jobs_per_s": 5.9, ...}},
+          ],
+          "metrics": {              # over the runs that completed
+            "<metric>": {"unit": "1/s", "median": ..., "q1": ...,
+                         "q3": ..., "iqr": ..., "n": 5},
+          }
+        }
+      }
+    }
+
+A perf change commits the document as ``BENCH_<n>.json``, so its
+numbers stay comparable with the next change's at the same scale.
 """
 
 from __future__ import annotations
@@ -39,6 +70,7 @@ import argparse
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -150,6 +182,101 @@ def run_suite(
     return completed.returncode, completed.stdout
 
 
+def perfbench_run(
+    workload: str, seed: int, seconds: float
+) -> tuple[dict, dict[str, str]]:
+    """One ``perfbench/run.py --trace 0`` run: its result and units.
+
+    The result is the JSON document the benchmark prints as its last
+    stdout line, with ``seed`` and the exit ``status`` added and each
+    metric reduced to its value; a run that printed none records
+    ``correct: false`` and no metrics.
+    """
+    command = [
+        sys.executable, str(REPO_ROOT / "perfbench" / "run.py"),
+        "--workload", workload, "--seed", str(seed),
+        "--seconds", str(seconds), "--trace", "0",
+    ]
+    completed = subprocess.run(
+        command, cwd=REPO_ROOT, stdout=subprocess.PIPE, text=True,
+    )
+    lines = completed.stdout.strip().splitlines()
+    try:
+        document = json.loads(lines[-1]) if lines else {}
+    except json.JSONDecodeError:
+        document = {}
+    metrics = document.get("metrics", {})
+    run = {
+        "seed": seed,
+        "status": completed.returncode,
+        "correct": bool(document.get("correct", False)),
+        "attempted": document.get("attempted"),
+        "failed": document.get("failed"),
+        "metrics": {
+            name: entry["value"] for name, entry in metrics.items()
+        },
+    }
+    return run, {name: entry["unit"] for name, entry in metrics.items()}
+
+
+def summarize_runs(
+    runs: list[dict], units: dict[str, str]
+) -> dict[str, dict]:
+    """Median and quartiles of every metric over *runs*."""
+    summary: dict[str, dict] = {}
+    names = sorted({name for run in runs for name in run["metrics"]})
+    for name in names:
+        values = [
+            run["metrics"][name] for run in runs if name in run["metrics"]
+        ]
+        if len(values) > 1:
+            q1, _, q3 = statistics.quantiles(
+                values, n=4, method="inclusive"
+            )
+        else:
+            q1 = q3 = values[0]
+        summary[name] = {
+            "unit": units[name],
+            "median": statistics.median(values),
+            "q1": q1,
+            "q3": q3,
+            "iqr": q3 - q1,
+            "n": len(values),
+        }
+    return summary
+
+
+def record_perfbench(
+    workloads: list[str], seeds: list[int], seconds: float
+) -> dict:
+    """Run perfbench per workload and seed; the trajectory document."""
+    document: dict = {
+        "suite": "perfbench",
+        "seconds": seconds,
+        "cpus": os.cpu_count(),
+        "exit_status": 0,
+        "workloads": {},
+    }
+    for workload in workloads:
+        runs = []
+        units: dict[str, str] = {}
+        for seed in seeds:
+            run, run_units = perfbench_run(workload, seed, seconds)
+            units.update(run_units)
+            print(
+                f"{workload} seed {seed}: status {run['status']}, "
+                f"correct {run['correct']}, {run['metrics']}",
+                flush=True,
+            )
+            if run["status"] != 0 or not run["correct"]:
+                document["exit_status"] = 1
+            runs.append(run)
+        document["workloads"][workload] = {
+            "runs": runs, "metrics": summarize_runs(runs, units),
+        }
+    return document
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         description="run the benchmark suite and write an "
@@ -168,7 +295,34 @@ def main(argv: "list[str] | None" = None) -> int:
         help="run with --benchmark-disable (CI smoke mode): the "
         "artifact then carries report tables and multipliers only",
     )
+    parser.add_argument(
+        "--perfbench", action="store_true",
+        help="run perfbench/run.py --trace 0 per workload and seed "
+        "instead of the benchmarks suite",
+    )
+    parser.add_argument(
+        "--workloads", nargs="+", metavar="W",
+        default=["cold-sharded", "warm-sweep", "cycle-fallback"],
+        help="perfbench workloads (default: all three)",
+    )
+    parser.add_argument(
+        "--seeds", nargs="+", type=int, metavar="N", default=[1, 2, 3],
+        help="perfbench workload seeds (default: 1 2 3)",
+    )
+    parser.add_argument(
+        "--seconds", type=float, default=15.0,
+        help="perfbench timed phase per run (default 15)",
+    )
     args = parser.parse_args(argv)
+
+    if args.perfbench:
+        document = record_perfbench(
+            args.workloads, args.seeds, args.seconds
+        )
+        out = Path(args.out)
+        out.write_text(json.dumps(document, indent=2, sort_keys=True))
+        print(f"wrote {out} (exit status {document['exit_status']})")
+        return document["exit_status"]
 
     with tempfile.TemporaryDirectory() as scratch:
         bench_json = Path(scratch) / "pytest-benchmark.json"
