@@ -88,6 +88,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, ContextManager, Sequence
 
 import numpy as np
@@ -292,7 +293,7 @@ class BatchSimulator:
     Parameters
     ----------
     spec, arch, implementation:
-        The design to execute; compiled once into a
+        The design to execute; compiled once, on first use, into a
         :class:`SimulationPlan` shared by every batch.
     faults:
         Fault injector; defaults to :class:`NoFaults`.  Injectors
@@ -338,16 +339,37 @@ class BatchSimulator:
         }
         self.arch = arch
         self.profiler = profiler if profiler is not None else NULL_PROFILER
-        with self.profiler.stage("plan-compile"):
-            self.plan: SimulationPlan = compile_plan(
-                spec, arch, implementation
-            )
+        self.implementation = implementation
         self.faults = faults or NoFaults()
         self.seed = seed
+        self._declaration_order = {
+            name: i for i, name in enumerate(spec.communicators)
+        }
+        self.environment_factory = environment_factory
+        if executor is None:
+            from repro.runtime.executor import SerialExecutor
+
+            executor = SerialExecutor()
+        self.executor = executor
+
+    @cached_property
+    def plan(self) -> SimulationPlan:
+        """The compiled plan, compiled on first use (``plan-compile``).
+
+        A batch served whole from a cache executes no chunk, so it
+        compiles nothing; :meth:`grow` compiles in the calling process
+        before its first chunk, so compile errors never move into
+        shard workers.
+        """
+        with self.profiler.stage("plan-compile"):
+            return compile_plan(self.spec, self.arch, self.implementation)
+
+    @cached_property
+    def _slot_groups(self) -> list:
+        """Per phase, the (event, slots) pairs the status collapse
+        reduces: sensor events, then release events."""
         plan = self.plan
-        # Per phase, the (event, slots) pairs the status collapse
-        # reduces: sensor events, then release events.
-        self._slot_groups = [
+        return [
             tuple(
                 [
                     (index, np.flatnonzero(slot_event == index).tolist())
@@ -360,26 +382,25 @@ class BatchSimulator:
             )
             for schedule in plan.schedules
         ]
-        self._slots = max(
+
+    @cached_property
+    def _slots(self) -> int:
+        """Draw slots of the widest phase (at least one)."""
+        return max(
             1,
             *(
                 len(schedule.sensor_slot_event)
                 + len(schedule.replica_slot_event)
-                for schedule in plan.schedules
+                for schedule in self.plan.schedules
             ),
         )
-        self._stepped = self.faults.steps_iterations or any(
-            component.cyclic for component in plan.batch_order
-        )
-        self._declaration_order = {
-            name: i for i, name in enumerate(spec.communicators)
-        }
-        self.environment_factory = environment_factory
-        if executor is None:
-            from repro.runtime.executor import SerialExecutor
 
-            executor = SerialExecutor()
-        self.executor = executor
+    @cached_property
+    def _stepped(self) -> bool:
+        """Whether a slice must run whole, stepping over iterations."""
+        return self.faults.steps_iterations or any(
+            component.cyclic for component in self.plan.batch_order
+        )
 
     # ------------------------------------------------------------------
 
@@ -477,6 +498,7 @@ class BatchSimulator:
                     )
                     for k in range(have, boundary)
                 ]
+                self.plan  # compile here, never in a shard worker
                 with (
                     contextlib.nullcontext() if on_chunk is None
                     else on_chunk(have, boundary)

@@ -91,6 +91,7 @@ from repro.telemetry.distributed import (
     mint_trace_id,
 )
 from repro.telemetry.convergence import StoppingRule
+from repro.telemetry.ledger import RunLedger
 from repro.telemetry.profiler import StageProfiler
 
 #: Cache outcome of a simulate job -> the ``/metrics`` counter it bumps.
@@ -414,8 +415,9 @@ class ReliabilityService:
         Worker-thread count (each drains the shared job queue).
     ledger:
         Optional ledger directory; completed jobs append a
-        :class:`~repro.telemetry.ledger.RunRecord` (the advisory
-        append lock makes concurrent workers safe).
+        :class:`~repro.telemetry.ledger.RunRecord` through the one
+        :class:`~repro.telemetry.ledger.RunLedger` the service keeps
+        (the advisory append lock makes concurrent workers safe).
     functions / conditions:
         Callable registries bound into submitted specifications,
         exactly like the CLI's ``--bindings`` module.
@@ -497,6 +499,10 @@ class ReliabilityService:
             metrics=self.metrics,
         )
         self.ledger_dir = ledger
+        # One ledger for the daemon's life: it remembers its last
+        # append, so the next one reads nothing unless another writer
+        # touched the file.
+        self.ledger = None if ledger is None else RunLedger(ledger)
         self.functions = dict(functions or {})
         self.conditions = dict(conditions or {})
         self.queue_limit = queue_limit
@@ -1236,13 +1242,9 @@ class ReliabilityService:
         self, job: Job, spec, arch, impl, result, seed: int,
         metrics: "dict | None" = None,
     ) -> "int | None":
-        if self.ledger_dir is None:
+        if self.ledger is None:
             return None
-        from repro.telemetry import (
-            RunLedger,
-            derive_run_id,
-            record_from_result,
-        )
+        from repro.telemetry import derive_run_id, record_from_result
 
         record = record_from_result(
             spec, arch, impl, result,
@@ -1252,6 +1254,6 @@ class ReliabilityService:
             runs=result.runs,
             metrics=metrics,
         )
-        index = RunLedger(self.ledger_dir).append(record)
+        index = self.ledger.append(record)
         job.emit("ledger", entry=index)
         return index

@@ -28,6 +28,23 @@ entry indices.  A corrupt line therefore costs exactly the one record
 it garbled — committed neighbours are never lost, which the chaos
 harness (:mod:`repro.chaos`) asserts.
 
+A torn final line is corrupt to an unlocked reader, since it may be
+an append still in flight.  Under the append lock no append is in
+flight, so there it is a crashed writer's line: it counts as a record
+when it unseals (the writer died after the JSON, before its newline),
+and as corrupt otherwise.  The append that repairs it therefore
+returns the same index :meth:`RunLedger.records` later gives.
+
+Appends cost O(1) in the ledger's length.  A :class:`RunLedger`
+remembers the file's identity ``(st_dev, st_ino, st_size,
+st_mtime_ns)`` and its intact-record count as its own last append
+left them.  The next append, under the lock, compares one ``os.stat``
+with that identity: when it matches, nobody touched the file since,
+so the count is the new entry's index and the file ends in a newline.
+Any other writer — another process or instance appending, injected
+garbage, a reader's quarantine rewrite, a deleted file — changes the
+identity, and the append falls back to one full scan.
+
 ``repro runs list|show|diff|regress`` is the CLI over this module;
 ``repro simulate --ledger DIR`` records into it from every execution
 path (scalar, batch, resilient, resilient batch).
@@ -372,13 +389,20 @@ def record_from_result(
     )
 
 
+def _identity(stat: os.stat_result) -> "tuple[int, int, int, int]":
+    """What tells one state of the ledger file from another."""
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
 class RunLedger:
     """Append-only JSONL store of :class:`RunRecord` entries.
 
     Crash-safe: lines carry a content checksum, appends repair torn
     final lines, and reads quarantine corrupt lines to
     ``ledger.jsonl.corrupt`` instead of raising (pass ``strict=True``
-    to :meth:`records` to get the old fail-fast behaviour).
+    to :meth:`records` to get the old fail-fast behaviour).  Keep one
+    instance per writer: it remembers its last append, so its next
+    append reads no bytes unless someone else changed the file.
     """
 
     def __init__(
@@ -389,17 +413,20 @@ class RunLedger:
         self.corrupt_path = self.root / "ledger.jsonl.corrupt"
         #: Corrupt lines moved aside by the most recent scan.
         self.quarantined = 0
+        # ``(identity, intact records)`` of the file as this instance's
+        # last append left it; read and written under the append lock.
+        self._tail: "tuple[tuple[int, int, int, int], int] | None" = None
 
     def _scan(
-        self,
+        self, locked: bool = False
     ) -> "tuple[list[tuple[str, dict]], list[str], bool]":
         """Split the file into survivors, corrupt raws and a torn flag.
 
         Returns ``(valid, corrupt, torn_tail)``: ``(line, doc)`` pairs
         of intact records, the raw corrupt lines, and whether the file
-        ends without a newline.  Such a final line is a torn append
-        and counts as corrupt even if it happens to parse — the writer
-        never commits a line without its newline.
+        ends without a newline.  Such a final line counts as corrupt
+        even if it parses, unless the scan is *locked* (runs under the
+        append lock, where no append is in flight) and it unseals.
         """
         if not self.path.exists():
             return [], [], False
@@ -412,7 +439,7 @@ class RunLedger:
             if not line.strip():
                 continue
             doc = (
-                None if torn_tail and lineno == len(lines)
+                None if torn_tail and lineno == len(lines) and not locked
                 else unseal(line)
             )
             if doc is None:
@@ -429,7 +456,7 @@ class RunLedger:
         unlocked scan is only the cheap detection pass.
         """
         with _AppendLock(self.root / "ledger.lock"):
-            valid, corrupt, _ = self._scan()
+            valid, corrupt, _ = self._scan(locked=True)
             if not corrupt:
                 return valid
             with self.corrupt_path.open(
@@ -452,32 +479,48 @@ class RunLedger:
         The count-then-append runs under an advisory file lock
         (``ledger.lock`` next to the JSONL), so concurrent daemon
         jobs and CLI runs get distinct entry indices and whole,
-        un-interleaved lines.  A torn final line left by a crashed
-        writer is sealed off with a newline first (the scan will
-        quarantine it), so the new record starts on a clean line.
+        un-interleaved lines.  The count is the one this instance
+        remembered from its last append when the file's identity is
+        unchanged since, and one full scan otherwise (see the module
+        docstring).  A torn final line left by a crashed writer is
+        sealed off with a newline first, so the new record starts on
+        a clean line; it counts towards the index when it unseals
+        (the next read keeps it) and is quarantined otherwise.
         """
         self.root.mkdir(parents=True, exist_ok=True)
+        line = seal(record.to_dict()) + "\n"
         with _AppendLock(self.root / "ledger.lock"):
-            # Count only *intact* lines: corrupt ones will be moved
-            # aside by the next read, so the new record's index must
-            # already skip them.
-            valid, _, torn_tail = self._scan()
-            index = len(valid)
+            try:
+                identity = _identity(os.stat(self.path))
+            except FileNotFoundError:
+                identity = None
+            if self._tail is not None and self._tail[0] == identity:
+                index, torn_tail = self._tail[1], False
+            else:
+                # Count only *intact* lines: corrupt ones will be
+                # moved aside by the next read, so the new record's
+                # index must already skip them.
+                valid, _, torn_tail = self._scan(locked=True)
+                index = len(valid)
             with self.path.open("a", encoding="utf-8") as handle:
                 if torn_tail:
                     handle.write("\n")
-                handle.write(seal(record.to_dict()) + "\n")
+                handle.write(line)
                 handle.flush()
                 os.fsync(handle.fileno())
+                self._tail = (
+                    _identity(os.fstat(handle.fileno())), index + 1
+                )
         record.entry = index
         return index
 
     def records(self, strict: bool = False) -> list[RunRecord]:
         """Every intact ledger entry, oldest first, ``entry`` stamped.
 
-        Corrupt lines (bad JSON, checksum mismatch, torn final line)
-        are quarantined to ``ledger.jsonl.corrupt`` and skipped; with
-        ``strict=True`` the first corrupt line raises instead.
+        Corrupt lines (bad JSON, checksum mismatch, a torn final line
+        that does not unseal) are quarantined to
+        ``ledger.jsonl.corrupt`` and skipped; with ``strict=True`` the
+        first corrupt line raises instead, a torn final line included.
         """
         valid, corrupt, _ = self._scan()
         if corrupt:

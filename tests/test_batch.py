@@ -705,6 +705,33 @@ def test_kernel_stages_record_one_span_per_block(monkeypatch):
     ]
 
 
+def test_prefix_hit_compiles_no_plan():
+    spec, arch = three_tank_spec(), three_tank_architecture()
+    impl = scenario1_implementation()
+
+    def batch(profiler):
+        return BatchSimulator(
+            spec, arch, impl, faults=BernoulliFaults(arch), seed=6,
+            profiler=profiler,
+        )
+
+    full = batch(StageProfiler()).grow(8, 20).batch
+    # A request the prefix covers executes no chunk and compiles nothing.
+    profiler = StageProfiler()
+    hit = batch(profiler).grow(5, 20, prefix=full)
+    assert hit.simulated == 0
+    assert profiler.spans == []
+    # A tail compiles once, before its chunk, and matches a fresh batch.
+    profiler = StageProfiler()
+    tail = batch(profiler).grow(12, 20, prefix=full)
+    stages = [span["name"] for span in profiler.spans]
+    assert stages.count("plan-compile") == 1
+    assert stages[0] == "plan-compile"
+    fresh = batch(StageProfiler()).run_batch(12, 20)
+    for name, counts in fresh.reliable_counts.items():
+        assert np.array_equal(tail.result.reliable_counts[name], counts)
+
+
 # ----------------------------------------------------------------------
 # Fallback rules.
 # ----------------------------------------------------------------------

@@ -237,6 +237,189 @@ def test_unchecked_ledger_line_is_quarantined(tmp_path):
     assert '"run_id": "s2"' in ledger.corrupt_path.read_text()
 
 
+def test_append_counts_a_torn_tail_that_is_a_whole_record(tmp_path):
+    # A writer that crashed after the JSON but before its newline left
+    # a whole record: the append that completes it must count it, or
+    # the new record's index points at its predecessor.
+    ledger = RunLedger(tmp_path)
+    ledger.append(make_record("s0"))
+    ledger.append(make_record("s1"))
+    ledger.path.write_text(ledger.path.read_text()[:-1])
+    # Unlocked, the torn tail may be an append in flight: corrupt.
+    with pytest.raises(ReproError, match="corrupt line"):
+        ledger.records(strict=True)
+    assert ledger.append(make_record("s2")) == 2
+    records = ledger.records(strict=True)
+    assert [(r.run_id, r.entry) for r in records] == [
+        ("s0", 0), ("s1", 1), ("s2", 2)
+    ]
+
+
+def test_read_keeps_a_torn_tail_that_is_a_whole_record(tmp_path):
+    ledger = RunLedger(tmp_path)
+    ledger.append(make_record("s0"))
+    ledger.path.write_text(ledger.path.read_text()[:-1])
+    # The quarantine pass runs under the lock and keeps the record,
+    # so a read numbers it as the next append will.
+    assert [r.run_id for r in RunLedger(tmp_path).records()] == ["s0"]
+    assert ledger.append(make_record("s1")) == 1
+
+
+# ----------------------------------------------------------------------
+# The cached tail state: appends read nothing unless the file changed.
+# ----------------------------------------------------------------------
+
+
+def _assert_indices_match(ledger, returned):
+    """Each of our surviving records sits at the index append returned;
+    returns every surviving run id in entry order."""
+    records = ledger.records()
+    assert [record.entry for record in records] == list(range(len(records)))
+    for record in records:
+        if record.run_id in returned:
+            assert returned[record.run_id] == record.entry, record.run_id
+    return [record.run_id for record in records]
+
+
+def test_append_to_unchanged_file_reads_nothing(tmp_path, monkeypatch):
+    import repro.telemetry.ledger as ledger_module
+
+    ledger = RunLedger(tmp_path)
+    returned = {"s0": ledger.append(make_record("s0"))}
+    calls = {"scan": 0, "unseal": 0}
+    scan, unseal_ = RunLedger._scan, ledger_module.unseal
+
+    def counted_scan(self, *args, **kwargs):
+        calls["scan"] += 1
+        return scan(self, *args, **kwargs)
+
+    def counted_unseal(text):
+        calls["unseal"] += 1
+        return unseal_(text)
+
+    monkeypatch.setattr(RunLedger, "_scan", counted_scan)
+    monkeypatch.setattr(ledger_module, "unseal", counted_unseal)
+    for index in range(1, 6):
+        returned[f"s{index}"] = ledger.append(make_record(f"s{index}"))
+    assert calls == {"scan": 0, "unseal": 0}
+    assert returned == {f"s{index}": index for index in range(6)}
+    # A second instance knows nothing yet: its first append scans once,
+    # its next one reads nothing again.
+    other = RunLedger(tmp_path)
+    returned["o0"] = other.append(make_record("o0"))
+    assert calls["scan"] == 1
+    returned["o1"] = other.append(make_record("o1"))
+    assert calls["scan"] == 1
+    monkeypatch.undo()
+    _assert_indices_match(ledger, returned)
+
+
+def _fork_append(root, run_id):
+    RunLedger(root).append(make_record(run_id))
+
+
+def _other_instance_appends(ledger):
+    RunLedger(ledger.root).append(make_record("other"))
+    return {"other"}
+
+
+def _forked_process_appends(ledger):
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    process = context.Process(
+        target=_fork_append, args=(ledger.root, "forked")
+    )
+    process.start()
+    process.join(timeout=60)
+    assert not process.is_alive()
+    assert process.exitcode == 0
+    return {"forked"}
+
+
+def _garbage_and_torn_line(ledger):
+    # The two lines the chaos harness injects: a crashed writer's
+    # garbage, and a torn append that does not unseal.
+    with ledger.path.open("a") as handle:
+        handle.write('{"run_id": "chaos-garbage", "broken": tru\n')
+        handle.write('{"run_id": "chaos-torn-append"')
+    return set()
+
+
+def _other_reader_quarantines(ledger):
+    _other_instance_appends(ledger)
+    _garbage_and_torn_line(ledger)
+    reader = RunLedger(ledger.root)
+    reader.records()
+    assert reader.quarantined == 2
+    return {"other"}
+
+
+def _file_deleted(ledger):
+    ledger.path.unlink()
+    return None  # nothing before the deletion survives
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        _other_instance_appends,
+        _forked_process_appends,
+        _garbage_and_torn_line,
+        _other_reader_quarantines,
+        _file_deleted,
+    ],
+)
+def test_append_rescans_a_file_changed_by_someone_else(tmp_path, change):
+    ledger = RunLedger(tmp_path)
+    returned = {
+        run_id: ledger.append(make_record(run_id)) for run_id in ("a", "b")
+    }
+    foreign = change(ledger)
+    returned["c"] = ledger.append(make_record("c"))
+    returned["d"] = ledger.append(make_record("d"))
+    survivors = _assert_indices_match(ledger, returned)
+    if foreign is None:
+        assert survivors == ["c", "d"]
+    else:
+        assert survivors == ["a", "b", *sorted(foreign), "c", "d"]
+
+
+def test_one_ledger_shared_by_threads_gets_dense_indices(tmp_path):
+    import sys
+    import threading
+
+    ledger = RunLedger(tmp_path)
+    workers, per_worker = 4, 12
+    returned: dict[str, int] = {}
+    guard = threading.Lock()
+
+    def work(worker):
+        for index in range(per_worker):
+            run_id = f"t{worker}-{index}"
+            entry = ledger.append(make_record(run_id))
+            with guard:
+                returned[run_id] = entry
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=work, args=(w,)) for w in range(workers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(returned.values()) == list(range(workers * per_worker))
+    assert len(_assert_indices_match(ledger, returned)) == (
+        workers * per_worker
+    )
+
+
 #: ``make_record("s1")`` as a sealed ledger line, byte for byte; ledgers
 #: and cache spill directories already on disk hold this format.
 SEALED_S1 = (
