@@ -12,10 +12,11 @@ The workload is the steady-state case the ceiling is about: the
 replicated (LRC-compliant) 3TS implementation watched with an alarm
 margin below the declared LRCs — the operating configuration in which
 a monitor runs for days without firing.  Alarm-storm behaviour (alarm
-threshold exactly at ``mu_c`` on a violating implementation, where
-event construction dominates) is exercised functionally by the
-detect-and-recover experiment instead; its cost scales with the number
-of emitted events, not with ``runs x samples``.
+threshold exactly at ``mu_c`` on an implementation that hovers there,
+thousands of events per shard) has its own guard,
+``benchmarks/test_bench_monitor_storm.py``: the kernel emits events as
+columns, so a storm's cost is the window arithmetic over the failure
+neighbourhoods, and no event object is built on the batch path.
 
 Both timings run the identical workload (same seed, same fault
 tensors) so the ratio isolates the monitor pass itself, and the

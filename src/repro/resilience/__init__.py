@@ -21,6 +21,7 @@ from repro.resilience.events import (
     HostSuspected,
     LrcAlarm,
     LrcClear,
+    MonitorEvents,
     RecoveryCommitted,
     RecoveryFailed,
     ResilienceEvent,
@@ -62,6 +63,7 @@ __all__ = [
     "LrcClear",
     "LrcMonitor",
     "MonitorConfig",
+    "MonitorEvents",
     "RecoveryCommitted",
     "RecoveryContext",
     "RecoveryFailed",

@@ -22,7 +22,10 @@ Two integration points consume it:
   each run block's unreliable accesses — a set/reset latch over the
   failures' window neighbourhoods, no per-run Python loop — producing
   the *same* events (per run, per communicator) the scalar monitor
-  would emit.
+  would emit.  It returns them as a
+  :class:`~repro.resilience.events.MonitorEvents` column table, not as
+  objects: an event object is built only when someone iterates the
+  table.
 
 :func:`batch_monitor_events` is the dense reference the sparse pass is
 tested against: windowed counts over a whole ``(runs, samples)``
@@ -33,12 +36,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from repro.errors import RuntimeSimulationError
-from repro.resilience.events import LrcAlarm, LrcClear, ResilienceEvent
+from repro.resilience.events import (
+    LrcAlarm,
+    LrcClear,
+    MonitorEvents,
+    ResilienceEvent,
+)
 from repro.telemetry.sink import InstrumentationSink
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -313,6 +322,7 @@ def batch_monitor_events(
     return events
 
 
+@lru_cache(maxsize=256)
 def _count_thresholds(
     alarm_below: float, clear_above: float, window: int
 ) -> tuple[int, int]:
@@ -348,7 +358,7 @@ def monitor_events_from_failures(
     window: int,
     *,
     run_offset: int = 0,
-) -> list[ResilienceEvent]:
+) -> MonitorEvents:
     """Sparse monitor pass from access-failure *positions* alone.
 
     Produces exactly the events of :func:`batch_monitor_events` without
@@ -366,15 +376,24 @@ def monitor_events_from_failures(
     index to simulation time.  Events are stamped with run
     ``run_offset + r`` for row ``r``: the batch kernel passes the
     global index of its block's first run.
+
+    The events come back as a
+    :class:`~repro.resilience.events.MonitorEvents` table over the one
+    name *communicator*, in ``(run, time)`` order, and no event object
+    is built.  Rates are ``(window - f) / window`` in float64 for a
+    window with ``f`` failures — the scalar monitor's division — and a
+    terminal clear (the first failure-free window after an alarm) has
+    rate 1.0.
     """
     steps_total = samples - window + 1
     if steps_total <= 0 or fail_steps.size == 0:
-        return []
+        return MonitorEvents.empty()
     need_fails, max_clear_fails = _count_thresholds(
         alarm_below, clear_above, window
     )
     if need_fails > window:
-        return []  # not even an all-failed window alarms
+        # Not even an all-failed window alarms.
+        return MonitorEvents.empty()
     if need_fails < 1:
         raise RuntimeSimulationError(
             f"communicator {communicator!r}: alarm threshold "
@@ -412,7 +431,7 @@ def monitor_events_from_failures(
     eidx = np.r_[sidx[1:], fkey.size]
     qualifying = eidx - sidx >= need_fails
     if not qualifying.any():
-        return []
+        return MonitorEvents.empty()
     first = fkey[sidx[qualifying]]
     last = fkey[eidx[qualifying] - 1]
     base = (first // pad) * pad
@@ -427,29 +446,38 @@ def monitor_events_from_failures(
     t = key - run * pad
     gap = np.zeros(total, dtype=bool)
     gap[starts] = True
-    f = np.searchsorted(fkey, key + window) - np.searchsorted(fkey, key)
+    # Failures per candidate window, from one cumulative count over the
+    # blocks laid end to end, each widened by a window: candidate k of
+    # block b sits at k - lo_b + at_b, and its window's failures all
+    # belong to block b and lie within the widened span.  (int32 holds
+    # the count: it never exceeds the number of failures in fkey.)
+    spans = lengths + window
+    at = np.cumsum(spans) - spans
+    rank = np.cumsum(qualifying) - 1
+    block = np.cumsum(block_start) - 1
+    kept = qualifying[block]
+    owner = rank[block[kept]]
+    marks = np.zeros(int(spans.sum()) + 1, dtype=np.int32)
+    marks[fkey[kept] - lo[owner] + at[owner] + 1] = 1
+    np.cumsum(marks, out=marks)
+    pos = key - np.repeat(lo - at, lengths)
+    f = marks[pos + window] - marks[pos]
     below = f >= need_fails
-    events: list[ResilienceEvent] = []
     if max_clear_fails < 0:
         # clear_above > 1: an alarm can never clear, so only the first
         # below-threshold window of each run emits anything.
-        seen: set[int] = set()
-        for i in np.flatnonzero(below):
-            r = int(run[i]) + run_offset
-            if r in seen:
-                continue
-            seen.add(r)
-            events.append(
-                LrcAlarm(
-                    time=int(times[t[i] + window - 1]),
-                    run=r,
-                    communicator=communicator,
-                    rate=(window - int(f[i])) / window,
-                    threshold=alarm_below,
-                    window=window,
-                )
-            )
-        return events
+        first = np.flatnonzero(below)
+        first = first[np.diff(run[first], prepend=-1) != 0]
+        return MonitorEvents(
+            (communicator,),
+            window,
+            run[first] + run_offset,
+            times[t[first] + window - 1],
+            np.zeros(first.size, dtype=np.int32),
+            np.zeros(first.size, dtype=bool),
+            (window - f[first]) / window,
+            np.full(first.size, alarm_below),
+        )
     # Set/reset latch over the candidate sequence.  A gap between
     # candidates is a stretch of rate-1.0 windows, so it clears the
     # latch; encode that as a clear marker ranked below a same-step
@@ -477,8 +505,6 @@ def monitor_events_from_failures(
         alarmed & last_in_block & (t < steps_total - 1)
     )
     ev_i = np.concatenate([rising, falling, terminal])
-    if ev_i.size == 0:
-        return events
     kind = np.concatenate(
         [
             np.zeros(rising.size, dtype=np.int8),
@@ -486,42 +512,19 @@ def monitor_events_from_failures(
             np.full(terminal.size, 2, dtype=np.int8),
         ]
     )
-    # Emit in (run, time) order directly; (run, time) pairs are unique
-    # across the three event classes.
-    ev_t = t[ev_i] + (window - 1) + (kind == 2)
-    for j in np.argsort(run[ev_i] * pad + ev_t, kind="stable"):
-        i = int(ev_i[j])
-        if kind[j] == 0:
-            events.append(
-                LrcAlarm(
-                    time=int(times[t[i] + window - 1]),
-                    run=int(run[i]) + run_offset,
-                    communicator=communicator,
-                    rate=(window - int(f[i])) / window,
-                    threshold=alarm_below,
-                    window=window,
-                )
-            )
-        elif kind[j] == 1:
-            events.append(
-                LrcClear(
-                    time=int(times[t[i] + window - 1]),
-                    run=int(run[i]) + run_offset,
-                    communicator=communicator,
-                    rate=(window - int(f[i])) / window,
-                    threshold=clear_above,
-                    window=window,
-                )
-            )
-        else:
-            events.append(
-                LrcClear(
-                    time=int(times[t[i] + window]),
-                    run=int(run[i]) + run_offset,
-                    communicator=communicator,
-                    rate=1.0,
-                    threshold=clear_above,
-                    window=window,
-                )
-            )
-    return events
+    # Emit in (run, time) order; (run, time) pairs are unique across
+    # the three event classes.  A terminal clear is stamped one step
+    # past its candidate, with the failure-free window's rate 1.0.
+    step = t[ev_i] + (window - 1) + (kind == 2)
+    order = np.argsort(run[ev_i] * pad + step, kind="stable")
+    ev_i, kind, step = ev_i[order], kind[order], step[order]
+    return MonitorEvents(
+        (communicator,),
+        window,
+        run[ev_i] + run_offset,
+        times[step],
+        np.zeros(ev_i.size, dtype=np.int32),
+        kind != 0,
+        np.where(kind == 2, 1.0, (window - f[ev_i]) / window),
+        np.where(kind == 0, alarm_below, clear_above),
+    )

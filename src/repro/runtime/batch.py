@@ -105,7 +105,7 @@ from repro.runtime.plan import PortSlot, SimulationPlan, compile_plan
 from repro.telemetry.profiler import NULL_PROFILER, StageProfiler
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.resilience.events import ResilienceEvent
+    from repro.resilience.events import MonitorEvents, ResilienceEvent
     from repro.resilience.monitor import MonitorConfig
     from repro.runtime.engine import SimulationResult
     from repro.runtime.executor import BatchExecutor
@@ -123,6 +123,12 @@ if TYPE_CHECKING:  # pragma: no cover
 BLOCK_BYTES = 1 << 20
 
 
+def _no_monitor_events() -> "MonitorEvents":
+    from repro.resilience.events import MonitorEvents
+
+    return MonitorEvents.empty()
+
+
 @dataclass
 class BatchResult:
     """Per-communicator reliable-access counts of a batch of runs.
@@ -134,10 +140,16 @@ class BatchResult:
     number of accesses per run (iterations times accesses per
     period).  ``monitor_events`` holds the online monitor's alarm and
     clear events (empty unless a monitor config was passed), each
-    tagged with its batch run index — per run and per communicator
-    exactly the events the scalar monitor would emit.  A resilient
-    batch (executor ``"scalar-resilient"``) holds each run's whole
-    resilience stream there: monitor, watchdog and recovery events.
+    tagged with its batch run index and ordered by run — per run and
+    per communicator exactly the events the scalar monitor would emit.
+    They are a :class:`~repro.resilience.events.MonitorEvents` column
+    table: the kernel emits columns, and the merge, the prefix slice,
+    the shard pipe and the result cache move columns, building no
+    event object.  Every batch that reaches a merge, a slice or the
+    cache carries one.  Only a resilient batch (executor
+    ``"scalar-resilient"``) holds a tuple of objects there instead:
+    each run's whole resilience stream (monitor, watchdog and recovery
+    events), which no merge, slice or cache ever sees.
     ``lrcs[c]`` is communicator ``c``'s LRC, in specification order:
     the result is plain data (arrays, numbers, frozen events), so it
     pickles and spills whatever task functions the specification
@@ -150,11 +162,16 @@ class BatchResult:
     reliable_counts: dict[str, np.ndarray]
     samples_per_run: dict[str, int]
     executor: str  # "vectorized" | "scalar-fallback" | "scalar-resilient"
-    monitor_events: "tuple[ResilienceEvent, ...]" = field(default=())
+    monitor_events: "MonitorEvents | tuple[ResilienceEvent, ...]" = field(
+        default_factory=_no_monitor_events
+    )
 
     def monitor_events_for_run(self, run: int) -> "list[ResilienceEvent]":
         """Return run *run*'s monitor events, in emission order."""
-        return [e for e in self.monitor_events if e.run == run]
+        events = self.monitor_events
+        if isinstance(events, tuple):  # a resilient batch's streams
+            return [e for e in events if e.run == run]
+        return list(events.for_run(run))
 
     def limit_averages(self) -> dict[str, np.ndarray]:
         """Return the per-run reliable fraction per communicator."""
@@ -342,9 +359,8 @@ class BatchSimulator:
         self.implementation = implementation
         self.faults = faults or NoFaults()
         self.seed = seed
-        self._declaration_order = {
-            name: i for i, name in enumerate(spec.communicators)
-        }
+        #: Monitor events index communicators in declaration order.
+        self._names = tuple(spec.communicators)
         self.environment_factory = environment_factory
         if executor is None:
             from repro.runtime.executor import SerialExecutor
@@ -565,10 +581,13 @@ class BatchSimulator:
         The slice is walked in the contiguous run blocks of
         :meth:`_block_bounds`.  Each block precomputes its masks from
         its own generators and runs every kernel stage on them, then
-        writes its per-run counts into the slice's arrays and appends
-        its monitor events, which keeps them in run order.  The scalar
-        fallback is decided by the first block's precompute.
+        writes its per-run counts into the slice's arrays and keeps its
+        monitor-event table; the blocks' tables are concatenated once,
+        which keeps them in run order.  The scalar fallback is decided
+        by the first block's precompute.
         """
+        from repro.resilience.events import MonitorEvents
+
         runs = len(children)
         plan = self.plan
         samples = {
@@ -580,7 +599,7 @@ class BatchSimulator:
             None if monitor is None
             else self._watch(monitor, iterations)
         )
-        events: "list[ResilienceEvent]" = []
+        events: "list[MonitorEvents]" = []
         bounds = self._block_bounds(runs, iterations)
         status: "list[np.ndarray] | None" = None
         for start, stop in zip(bounds, bounds[1:]):
@@ -623,7 +642,7 @@ class BatchSimulator:
             )
             if watch is not None:
                 with self.profiler.stage("monitor"):
-                    events.extend(
+                    events.append(
                         self._monitor_events(
                             watch, monitor.window, task_ok, delivered,
                             stop - start, iterations, run_offset + start,
@@ -636,7 +655,7 @@ class BatchSimulator:
             reliable_counts=counts,
             samples_per_run=samples,
             executor="vectorized",
-            monitor_events=tuple(events),
+            monitor_events=MonitorEvents.concat(events, self._names),
         )
 
     def _block_bounds(self, runs: int, iterations: int) -> list[int]:
@@ -896,7 +915,7 @@ class BatchSimulator:
         runs: int,
         iterations: int,
         run_offset: int,
-    ) -> "list[ResilienceEvent]":
+    ) -> "MonitorEvents":
         """Vectorized online-monitor pass over one block.
 
         Works from sparse failure positions
@@ -904,26 +923,32 @@ class BatchSimulator:
         :func:`~repro.resilience.monitor.monitor_events_from_failures`)
         so its cost tracks the number of failures, not
         ``runs x samples``.  Events carry global run indices, the
-        block's first run being *run_offset*.
+        block's first run being *run_offset*, and come back as one
+        column table; no event object is built.
         """
+        from repro.resilience.events import MonitorEvents
         from repro.resilience.monitor import monitor_events_from_failures
 
-        events = []
-        for ci, name, times, alarm, clear in watch:
-            fail_runs, fail_steps = self._access_failures(
-                ci, task_ok, delivered, runs, iterations
-            )
-            events.extend(
+        events = MonitorEvents.concat(
+            [
                 monitor_events_from_failures(
-                    name, fail_runs, fail_steps, runs, times.size, times,
-                    alarm, clear, window, run_offset=run_offset,
+                    name,
+                    *self._access_failures(
+                        ci, task_ok, delivered, runs, iterations
+                    ),
+                    runs, times.size, times, alarm, clear, window,
+                    run_offset=run_offset,
                 )
-            )
-        # Tie-break same-instant events the way the scalar engine emits
-        # them: communicators in specification declaration order.
-        order = self._declaration_order
-        events.sort(key=lambda e: (e.run, e.time, order[e.communicator]))
-        return events
+                for ci, name, times, alarm, clear in watch
+            ],
+            self._names,
+        )
+        # Order by (run, time) and tie-break same-instant events the
+        # way the scalar engine emits them: communicators in
+        # specification declaration order, which the indices follow.
+        return events.select(
+            np.lexsort((events.comm, events.time, events.run))
+        )
 
     def _step_cycle(
         self,
@@ -1044,7 +1069,13 @@ class BatchSimulator:
         monitor: "MonitorConfig | None" = None,
         run_offset: int = 0,
     ) -> BatchResult:
-        """Loop the scalar reference executor over the spawned seeds."""
+        """Loop the scalar reference executor over the spawned seeds.
+
+        Each run's monitor events come from its own scalar
+        :class:`~repro.resilience.monitor.LrcMonitor`; they are packed
+        into one column table once, as the vectorized path emits them.
+        """
+        from repro.resilience.events import MonitorEvents
         from repro.runtime.engine import Simulator
 
         def run(
@@ -1068,7 +1099,7 @@ class BatchSimulator:
                 run_monitor.events if run_monitor is not None else ()
             )
 
-        return run_scalar_batch(
+        result = run_scalar_batch(
             self.lrcs,
             children,
             iterations,
@@ -1076,6 +1107,12 @@ class BatchSimulator:
             environment_factory=self.environment_factory,
             executor="scalar-fallback",
             run_offset=run_offset,
+        )
+        return dataclasses.replace(
+            result,
+            monitor_events=MonitorEvents.from_events(
+                result.monitor_events, self._names
+            ),
         )
 
 

@@ -18,7 +18,7 @@ per-run work happens.
   every count/monitor derivation in the vectorized kernel is per-run
   along axis 0 — so a shard computes exactly its slice of the
   unsharded tensors, and the merge is the bit-identical whole (per-run
-  arrays in run order, monitor-event streams re-sequenced by run
+  arrays in run order, monitor-event tables re-sequenced by run
   index).  The differential suite in ``tests/test_executor.py`` holds
   sharded output to exact equality with serial output over
   Hypothesis-generated systems.
@@ -97,11 +97,14 @@ def merge_batch_results(
     produced by :meth:`~repro.runtime.batch.BatchSimulator.run_slice`
     with its global ``run_offset`` (so monitor events already carry
     global run indices).  Per-run count arrays are concatenated in
-    run order, pooled statistics follow from them, and the merged
-    monitor-event stream is re-sequenced by run index (within a run,
-    shard emission order — the scalar emission order — is preserved).
-    Zero-run shards are legal and contribute nothing.
+    run order, pooled statistics follow from them, and the shards'
+    monitor-event tables are concatenated and re-sequenced by run
+    index with one stable argsort (within a run, shard emission order
+    — the scalar emission order — is preserved); no event object is
+    built.  Zero-run shards are legal and contribute nothing.
     """
+    from repro.resilience.events import MonitorEvents
+
     if not shards:
         raise RuntimeSimulationError("cannot merge zero batch results")
     alive = [shard for shard in shards if shard.runs]
@@ -135,13 +138,14 @@ def merge_batch_results(
         )
         for name in first.reliable_counts
     }
-    events = [
-        event for shard in alive for event in shard.monitor_events
-    ]
+    events = MonitorEvents.concat(
+        [shard.monitor_events for shard in alive]
+    )
     # Stable sort by run index: shards arrive in run order so this is
-    # usually a no-op, but it makes the re-sequencing contract (run
-    # index monotone, per-run emission order preserved) unconditional.
-    events.sort(key=lambda event: -1 if event.run is None else event.run)
+    # usually the identity, but it makes the re-sequencing contract
+    # (run index monotone, per-run emission order preserved)
+    # unconditional.
+    events = events.select(np.argsort(events.run, kind="stable"))
     return BatchResult(
         lrcs=first.lrcs,
         runs=sum(shard.runs for shard in alive),
@@ -149,7 +153,7 @@ def merge_batch_results(
         reliable_counts=counts,
         samples_per_run=dict(first.samples_per_run),
         executor=first.executor,
-        monitor_events=tuple(events),
+        monitor_events=events,
     )
 
 
@@ -160,7 +164,8 @@ def slice_batch_result(result: BatchResult, runs: int) -> BatchResult:
     batch are exactly the children of a ``runs``-sized batch, so the
     slice is bit-identical to re-simulating at the smaller size —
     which is what lets the service answer shrunk ``runs`` queries
-    from cache without simulating.
+    from cache without simulating.  The monitor events are the table's
+    rows with ``run < runs``, selected by one mask.
     """
     if runs < 0 or runs > result.runs:
         raise RuntimeSimulationError(
@@ -178,10 +183,8 @@ def slice_batch_result(result: BatchResult, runs: int) -> BatchResult:
         },
         samples_per_run=dict(result.samples_per_run),
         executor=result.executor,
-        monitor_events=tuple(
-            event
-            for event in result.monitor_events
-            if event.run is not None and event.run < runs
+        monitor_events=result.monitor_events.select(
+            result.monitor_events.run < runs
         ),
     )
 

@@ -35,7 +35,12 @@ reports (``"verify"``) — go through one store path:
   ``<name>.corrupt`` and treated as a cache miss — a half-written
   cache can cost a recomputation, never a wrong answer or a crash.
   Memory eviction keeps the disk copy, so a bounded memory cache
-  still answers from disk.
+  still answers from disk.  An ``mc`` file holds the batch's LRCs,
+  per-run counts and its monitor events as columns
+  (``monitor_events``, :meth:`MonitorEvents.to_dict
+  <repro.resilience.events.MonitorEvents.to_dict>`); a file of an
+  older format (no ``lrcs``, or events as a list of event objects)
+  fails to thaw once, is quarantined, and its entry is recomputed.
 """
 
 from __future__ import annotations
@@ -277,12 +282,15 @@ class ServiceMetrics:
 
 
 def _estimate_bytes(result: "BatchResult") -> int:
-    """Rough in-memory footprint of one cached batch result."""
+    """In-memory footprint of one cached batch result.
+
+    The arrays' ``nbytes`` — per-run counts and the monitor-event
+    columns — plus a flat 512 B for the objects around them.
+    """
     size = 512  # object + dict overhead
     for counts in result.reliable_counts.values():
-        size += int(getattr(counts, "nbytes", 64))
-    size += 128 * len(result.monitor_events)
-    return size
+        size += int(counts.nbytes)
+    return size + result.monitor_events.nbytes
 
 
 def _key_document(kind: str, key: Any) -> Any:
@@ -309,7 +317,7 @@ def _freeze(kind: str, value: Any) -> dict:
             name: [int(v) for v in counts]
             for name, counts in value.reliable_counts.items()
         },
-        "events": [event.to_dict() for event in value.monitor_events],
+        "monitor_events": value.monitor_events.to_dict(),
     }
 
 
@@ -319,7 +327,7 @@ def _thaw(kind: str, doc: dict) -> Any:
         if not isinstance(doc["report"], dict):
             raise ValueError("verify report is not an object")
         return doc["report"]
-    from repro.resilience.events import event_from_dict
+    from repro.resilience.events import MonitorEvents
     from repro.runtime.batch import BatchResult
 
     return BatchResult(
@@ -335,9 +343,7 @@ def _thaw(kind: str, doc: dict) -> Any:
             for name, count in doc["samples_per_run"].items()
         },
         executor=str(doc["executor"]),
-        monitor_events=tuple(
-            event_from_dict(event) for event in doc["events"]
-        ),
+        monitor_events=MonitorEvents.from_dict(doc["monitor_events"]),
     )
 
 

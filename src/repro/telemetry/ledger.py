@@ -33,7 +33,10 @@ an append still in flight.  Under the append lock no append is in
 flight, so there it is a crashed writer's line: it counts as a record
 when it unseals (the writer died after the JSON, before its newline),
 and as corrupt otherwise.  The append that repairs it therefore
-returns the same index :meth:`RunLedger.records` later gives.
+returns the same index :meth:`RunLedger.records` later gives.  A read
+that meets a torn line takes the lock once; when the line unseals, it
+adds the missing newline there, so later reads find the file whole and
+take no lock.
 
 Appends cost O(1) in the ledger's length.  A :class:`RunLedger`
 remembers the file's identity ``(st_dev, st_ino, st_size,
@@ -453,11 +456,19 @@ class RunLedger:
 
         Runs under the append lock and rescans there, so a concurrent
         append cannot be dropped by the rewrite — the caller's
-        unlocked scan is only the cheap detection pass.
+        unlocked scan is only the cheap detection pass.  A torn final
+        line that unseals is the only "corrupt" line an unlocked scan
+        sees that survives here: it gets its missing newline, so the
+        next read finds the file whole and takes no lock.
         """
         with _AppendLock(self.root / "ledger.lock"):
-            valid, corrupt, _ = self._scan(locked=True)
+            valid, corrupt, torn_tail = self._scan(locked=True)
             if not corrupt:
+                if torn_tail:
+                    with self.path.open("a", encoding="utf-8") as handle:
+                        handle.write("\n")
+                        handle.flush()
+                        os.fsync(handle.fileno())
                 return valid
             with self.corrupt_path.open(
                 "a", encoding="utf-8"

@@ -83,3 +83,47 @@ def test_perfbench_mode_fails_on_a_wrong_answer(monkeypatch):
     assert document["workloads"]["warm-sweep"]["metrics"][
         "jobs_per_s"
     ]["iqr"] == 0.0
+
+
+def test_parent_mode_runs_alternating_pairs_and_counts_wins(
+    monkeypatch, tmp_path
+):
+    # Calls alternate parent/change per seed, the parent first on
+    # seeds 1 and 3: the values are the parent's 2.0 and the change's
+    # 3.0 on seed 1, and so on.
+    run, calls = _fake_run([2.0, 3.0, 5.0, 4.0, 2.0, 6.0])
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    document = tool.record_perfbench(
+        ["cold-sharded"], [1, 2, 3], 15.0, parent=tmp_path
+    )
+
+    roots = [pathlib.Path(command[1]).parents[1] for command in calls]
+    assert roots == [
+        tmp_path, REPO_ROOT, REPO_ROOT, tmp_path, tmp_path, REPO_ROOT,
+    ]
+    workload = document["workloads"]["cold-sharded"]
+    assert [r["metrics"]["jobs_per_s"] for r in workload["runs"]] == [
+        3.0, 5.0, 6.0,
+    ]
+    parent = workload["parent"]
+    assert [r["metrics"]["jobs_per_s"] for r in parent["runs"]] == [
+        2.0, 4.0, 2.0,
+    ]
+    assert parent["metrics"]["jobs_per_s"]["median"] == 2.0
+    assert workload["metrics"]["jobs_per_s"]["median"] == 5.0
+    # jobs_per_s is better higher: the change won all three pairs;
+    # peak_rss_mb (twice the value) is better lower: it lost them all.
+    assert workload["pairs"] == {
+        "jobs_per_s": {"better": "higher", "won": 3, "of": 3},
+        "peak_rss_mb": {"better": "lower", "won": 0, "of": 3},
+    }
+    assert document["exit_status"] == 0
+
+
+def test_unpaired_document_has_no_parent_side(monkeypatch):
+    run, _ = _fake_run([1.0])
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    workload = tool.record_perfbench(["warm-sweep"], [1], 5.0)[
+        "workloads"
+    ]["warm-sweep"]
+    assert set(workload) == {"runs", "metrics"}

@@ -265,6 +265,36 @@ def test_read_keeps_a_torn_tail_that_is_a_whole_record(tmp_path):
     assert ledger.append(make_record("s1")) == 1
 
 
+def test_read_repairs_a_torn_tail_that_is_a_whole_record(
+    tmp_path, monkeypatch
+):
+    ledger = RunLedger(tmp_path)
+    ledger.append(make_record("s0"))
+    ledger.append(make_record("s1"))
+    ledger.path.write_text(ledger.path.read_text()[:-1])
+    passes = []
+    quarantine = RunLedger._quarantine
+
+    def counted(self):
+        passes.append(1)
+        return quarantine(self)
+
+    monkeypatch.setattr(RunLedger, "_quarantine", counted)
+    reader = RunLedger(tmp_path)
+    assert [r.run_id for r in reader.records()] == ["s0", "s1"]
+    assert len(passes) == 1
+    # The locked pass sealed the line off: the file is whole again, so
+    # the next read takes no lock and rewrites nothing.
+    assert ledger.path.read_text().endswith("\n")
+    assert [r.run_id for r in reader.records(strict=True)] == ["s0", "s1"]
+    assert len(passes) == 1
+    assert reader.quarantined == 0
+    index = ledger.append(make_record("s2"))
+    records = reader.records(strict=True)
+    assert records[index].run_id == "s2"
+    assert [r.entry for r in records] == [0, 1, 2]
+
+
 # ----------------------------------------------------------------------
 # The cached tail state: appends read nothing unless the file changed.
 # ----------------------------------------------------------------------

@@ -991,6 +991,44 @@ def test_spill_file_without_lrcs_is_quarantined_once(tmp_path):
     assert service.metrics.get("cache_corrupt_quarantined") == 2
 
 
+def test_spill_file_with_event_objects_is_quarantined_once(tmp_path):
+    from repro.telemetry.ledger import seal, unseal
+
+    spill = tmp_path / "spill"
+    service = make_service(cache_entries=1, cache_dir=str(spill))
+    monitored = simulate_document(runs=4, iterations=200, seed=972,
+                                  monitor_window=10)
+    first = run_job(service, monitored)
+    assert first.result["monitor_events"] > 0
+    run_job(service, simulate_document(runs=4, seed=973))  # evicts
+    # Rewrite the spill file in the older format, which listed every
+    # monitor event as an object instead of the columns.
+    (path,) = [
+        path for path in spill.glob("mc-*.json")
+        if unseal(path.read_text())["key"]["seed"] == 972
+    ]
+    doc = unseal(path.read_text())
+    columns = doc.pop("monitor_events")
+    doc["events"] = [
+        {"kind": "lrc-clear" if clear else "lrc-alarm", "run": run}
+        for clear, run in zip(columns["clear"], columns["run"])
+    ]
+    path.write_text(seal(doc))
+    again = run_job(service, monitored)
+    assert again.result["cache"] == "miss"
+    assert again.result == {**first.result, "cache": "miss"}
+    assert service.metrics.get("cache_corrupt_quarantined") == 1
+    assert path.with_name(path.name + ".corrupt").exists()
+    # Recomputed and spilled as columns: the next thaw is a disk hit
+    # (the second one: the evicting job's batch thawed from disk too).
+    run_job(service, simulate_document(runs=4, seed=973))  # evicts
+    third = run_job(service, monitored)
+    assert third.result["cache"] == "hit"
+    assert third.result["monitor_events"] == first.result["monitor_events"]
+    assert service.metrics.get("mc_cache_disk_hits") == 2
+    assert service.metrics.get("cache_corrupt_quarantined") == 1
+
+
 def verify_document(lrc_u):
     return {
         "kind": "verify",

@@ -62,6 +62,27 @@ metrics of every run with their median and quartiles::
 
 A perf change commits the document as ``BENCH_<n>.json``, so its
 numbers stay comparable with the next change's at the same scale.
+
+Paired mode
+-----------
+CPU speed on a shared host drifts by tens of percent within minutes,
+so one side's runs alone do not compare across changes.  ``--parent
+DIR`` names a checkout of the parent commit (``git archive`` or ``git
+clone`` of it); for every workload and seed the tool then runs the
+parent's ``perfbench/run.py`` and this tree's back to back, swapping
+which goes first from seed to seed, and records both sides::
+
+    "<workload>": {
+      "runs": [...], "metrics": {...},      # this tree, as above
+      "parent": {"runs": [...], "metrics": {...}},
+      "pairs": {                            # per end-to-end metric
+        "jobs_per_s": {"better": "higher", "won": 9, "of": 10},
+      }
+    }
+
+``won`` counts the seeds on which this tree did better than the
+parent, in the direction ``BENCHMARK.json`` gives the metric; ``of``
+counts the seeds on which both sides reported it.
 """
 
 from __future__ import annotations
@@ -183,22 +204,23 @@ def run_suite(
 
 
 def perfbench_run(
-    workload: str, seed: int, seconds: float
+    workload: str, seed: int, seconds: float, root: Path = REPO_ROOT
 ) -> tuple[dict, dict[str, str]]:
     """One ``perfbench/run.py --trace 0`` run: its result and units.
 
+    The benchmark is the one of the checkout at *root*, run there.
     The result is the JSON document the benchmark prints as its last
     stdout line, with ``seed`` and the exit ``status`` added and each
     metric reduced to its value; a run that printed none records
     ``correct: false`` and no metrics.
     """
     command = [
-        sys.executable, str(REPO_ROOT / "perfbench" / "run.py"),
+        sys.executable, str(root / "perfbench" / "run.py"),
         "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", "0",
     ]
     completed = subprocess.run(
-        command, cwd=REPO_ROOT, stdout=subprocess.PIPE, text=True,
+        command, cwd=root, stdout=subprocess.PIPE, text=True,
     )
     lines = completed.stdout.strip().splitlines()
     try:
@@ -246,10 +268,51 @@ def summarize_runs(
     return summary
 
 
+def metric_directions() -> dict[str, str]:
+    """``better`` (``"higher"``/``"lower"``) of every benchmark metric."""
+    contract = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    return {
+        metric["name"]: metric["better"]
+        for metric in contract["end_to_end"] + contract["per_layer"]
+    }
+
+
+def pairs_won(
+    parent: list[dict], change: list[dict], directions: dict[str, str]
+) -> dict[str, dict]:
+    """Per metric, on how many seeds *change* beat *parent*.
+
+    Runs pair up by position (the same seed); a metric counts where
+    both runs of a pair report it and its direction is known.
+    """
+    pairs: dict[str, dict] = {}
+    for before, after in zip(parent, change):
+        for name, value in after["metrics"].items():
+            better = directions.get(name)
+            if better is None or name not in before["metrics"]:
+                continue
+            entry = pairs.setdefault(
+                name, {"better": better, "won": 0, "of": 0}
+            )
+            old = before["metrics"][name]
+            entry["won"] += int(
+                value > old if better == "higher" else value < old
+            )
+            entry["of"] += 1
+    return pairs
+
+
 def record_perfbench(
-    workloads: list[str], seeds: list[int], seconds: float
+    workloads: list[str],
+    seeds: list[int],
+    seconds: float,
+    parent: "Path | None" = None,
 ) -> dict:
-    """Run perfbench per workload and seed; the trajectory document."""
+    """Run perfbench per workload and seed; the trajectory document.
+
+    With a *parent* checkout, every seed runs on both sides back to
+    back, the parent first on every other seed (see "Paired mode").
+    """
     document: dict = {
         "suite": "perfbench",
         "seconds": seconds,
@@ -258,22 +321,40 @@ def record_perfbench(
         "workloads": {},
     }
     for workload in workloads:
-        runs = []
+        sides: dict[str, list[dict]] = {"change": [], "parent": []}
         units: dict[str, str] = {}
-        for seed in seeds:
-            run, run_units = perfbench_run(workload, seed, seconds)
-            units.update(run_units)
-            print(
-                f"{workload} seed {seed}: status {run['status']}, "
-                f"correct {run['correct']}, {run['metrics']}",
-                flush=True,
-            )
-            if run["status"] != 0 or not run["correct"]:
-                document["exit_status"] = 1
-            runs.append(run)
-        document["workloads"][workload] = {
-            "runs": runs, "metrics": summarize_runs(runs, units),
+        for index, seed in enumerate(seeds):
+            order = [("change", REPO_ROOT)]
+            if parent is not None:
+                order.append(("parent", parent))
+                if index % 2 == 0:
+                    order.reverse()
+            for side, root in order:
+                run, run_units = perfbench_run(workload, seed, seconds, root)
+                units.update(run_units)
+                label = "" if parent is None else f" ({side})"
+                print(
+                    f"{workload} seed {seed}{label}: status "
+                    f"{run['status']}, correct {run['correct']}, "
+                    f"{run['metrics']}",
+                    flush=True,
+                )
+                if run["status"] != 0 or not run["correct"]:
+                    document["exit_status"] = 1
+                sides[side].append(run)
+        entry = {
+            "runs": sides["change"],
+            "metrics": summarize_runs(sides["change"], units),
         }
+        if parent is not None:
+            entry["parent"] = {
+                "runs": sides["parent"],
+                "metrics": summarize_runs(sides["parent"], units),
+            }
+            entry["pairs"] = pairs_won(
+                sides["parent"], sides["change"], metric_directions()
+            )
+        document["workloads"][workload] = entry
     return document
 
 
@@ -313,11 +394,19 @@ def main(argv: "list[str] | None" = None) -> int:
         "--seconds", type=float, default=15.0,
         help="perfbench timed phase per run (default 15)",
     )
+    parser.add_argument(
+        "--parent", type=Path, metavar="DIR",
+        help="with --perfbench: a checkout of the parent commit; run "
+        "it and this tree in alternating pairs and record both",
+    )
     args = parser.parse_args(argv)
+    if args.parent is not None and not args.perfbench:
+        parser.error("--parent needs --perfbench")
 
     if args.perfbench:
         document = record_perfbench(
-            args.workloads, args.seeds, args.seconds
+            args.workloads, args.seeds, args.seconds,
+            parent=None if args.parent is None else args.parent.resolve(),
         )
         out = Path(args.out)
         out.write_text(json.dumps(document, indent=2, sort_keys=True))
