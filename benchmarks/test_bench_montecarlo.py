@@ -7,6 +7,12 @@ to the SRG with probability 1.  The bench simulates the 3TS under the
 Bernoulli fault model and compares observed reliable-access fractions
 with the analytic SRGs of Section 4.
 
+The ``r1``/``r2`` rows show a known gap: ``estimate_i`` reads ``l_i``
+and ``u_i = t_i(l_i)`` in series, so the SRG induction counts
+``l_i``'s failure twice and its value sits below the observed rate
+(ROADMAP item 3).  The Hoeffding bound below is loose enough to hold
+anyway; no assertion singles them out.
+
 Since the compile-then-execute split the sampling runs on the
 vectorized batch executor (:mod:`repro.runtime.batch`): ``RUNS``
 independent runs of ``ITERATIONS`` periods each, seeded through the
@@ -29,6 +35,9 @@ from repro.runtime import BatchSimulator, BernoulliFaults
 
 RUNS = 16
 ITERATIONS = 1250  # x RUNS = 20000 simulated hyperperiods
+
+#: Communicators whose SRG counts a shared upstream failure twice.
+SHARED_UPSTREAM = {"r1": "l1", "r2": "l2"}
 
 
 def test_bench_montecarlo(benchmark, report, bench_scale):
@@ -56,9 +65,11 @@ def test_bench_montecarlo(benchmark, report, bench_scale):
             assert estimates[name] == pytest.approx(
                 srgs[name], abs=bound
             )
+        label = f"limavg({name})"
+        if name in SHARED_UPSTREAM:
+            label += f", {SHARED_UPSTREAM[name]} counted twice"
         rows.append(
-            (f"limavg({name})", f"SRG {srgs[name]:.6f}",
-             f"{estimates[name]:.6f}")
+            (label, f"SRG {srgs[name]:.6f}", f"{estimates[name]:.6f}")
         )
     rows.append(
         ("LRC 0.9975 met at runtime", "yes (Prop. 1)",

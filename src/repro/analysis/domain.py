@@ -15,22 +15,24 @@ communicator can have under any admissible implementation" is an
 
 Every SRG formula of the paper (series, parallel, independent — see
 :mod:`repro.reliability.srg`) is monotone in each argument, so the
-transfer functions evaluate the *same* concrete formula once on the
+transfer functions are the two-corner case of the one formula there:
+they evaluate its ``lambda_t``, sensor OR and input gain once on the
 lower ends and once on the upper ends.  For a fully concrete
 implementation the interval degenerates to a point that is
-bit-identical to :func:`repro.reliability.srg.communicator_srgs`.
+bit-identical to :func:`repro.reliability.srg.communicator_srgs`, and
+a free upper corner is the feasibility oracle's completion bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.arch.architecture import Architecture
 from repro.errors import AnalysisError
 from repro.model.task import Task
-from repro.reliability.srg import input_gain
+from repro.reliability.srg import input_gain, or_reliability
 
 
 @dataclass(frozen=True)
@@ -91,12 +93,13 @@ class Interval:
 TOP = Interval(0.0, 1.0)
 
 
-def or_reliability(probabilities: Iterable[float]) -> float:
-    """Return ``1 - prod(1 - p)``: at-least-one-succeeds reliability."""
-    failure = 1.0
-    for probability in probabilities:
-        failure *= 1.0 - probability
-    return 1.0 - failure
+def _choice_interval(values: "list[float]", free: bool) -> Interval:
+    """A chosen set's OR; a free choice runs from one member to all."""
+    if not free:
+        return Interval.point(or_reliability(values))
+    if not values:
+        return Interval.point(0.0)
+    return Interval(min(values), or_reliability(values))
 
 
 def replication_interval(
@@ -111,13 +114,9 @@ def replication_interval(
     admissible implementation exists.
     """
     brel = arch.network.reliability
-    if hosts is None:
-        pool = [arch.hrel(h) * brel for h in arch.host_names()]
-        if not pool:
-            return Interval.point(0.0)
-        return Interval(min(pool), or_reliability(pool))
-    value = or_reliability(arch.hrel(h) * brel for h in sorted(hosts))
-    return Interval.point(value)
+    chosen = arch.host_names() if hosts is None else sorted(hosts)
+    values = [arch.hrel(h) * brel for h in chosen]
+    return _choice_interval(values, hosts is None)
 
 
 def sensor_interval(
@@ -128,30 +127,24 @@ def sensor_interval(
     ``None`` means the binding is free; with no sensors declared the
     interval is ``[0, 0]`` (the communicator can never be updated).
     """
-    if sensors is None:
-        pool = [arch.srel(s) for s in arch.sensor_names()]
-        if not pool:
-            return Interval.point(0.0)
-        return Interval(min(pool), or_reliability(pool))
-    value = or_reliability(arch.srel(s) for s in sorted(sensors))
-    return Interval.point(value)
+    chosen = arch.sensor_names() if sensors is None else sorted(sensors)
+    return _choice_interval([arch.srel(s) for s in chosen], sensors is None)
 
 
 def written_interval(
     task: Task,
     replication: Interval,
     inputs: Mapping[str, Interval],
-) -> Interval:
+) -> "tuple[Interval, float, float]":
     """Combine ``lambda_t`` bounds with input bounds per failure model.
 
-    Evaluates the exact concrete formula ``lambda_t * input_gain`` of
-    :func:`repro.reliability.srg.communicator_srgs` once on every
-    lower endpoint and once on every upper endpoint; soundness
-    follows from the monotonicity of all three model formulas.
+    Evaluates the concrete formula ``lambda_t * input_gain`` of
+    :func:`repro.reliability.srg.evaluate` once on every lower
+    endpoint and once on every upper endpoint; soundness follows from
+    the monotonicity of all three model formulas.  Returns the written
+    interval and the input gain at its lower and upper corner.
     """
-    lows = {name: interval.lo for name, interval in inputs.items()}
-    highs = {name: interval.hi for name, interval in inputs.items()}
-    return Interval(
-        replication.lo * input_gain(task, lows),
-        replication.hi * input_gain(task, highs),
-    )
+    gain_lo = input_gain(task, {c: bound.lo for c, bound in inputs.items()})
+    gain_hi = input_gain(task, {c: bound.hi for c, bound in inputs.items()})
+    interval = Interval(replication.lo * gain_lo, replication.hi * gain_hi)
+    return interval, gain_lo, gain_hi

@@ -5,10 +5,10 @@
 :func:`repro.model.graph.srg_dependency_graph` to a fixpoint:
 
 * acyclic regions are evaluated inductively in topological order of
-  the condensation, exactly mirroring
-  :func:`repro.reliability.srg.communicator_srgs` — with a concrete
-  implementation the resulting point intervals are bit-identical to
-  the exact SRGs;
+  the condensation, as the two-corner case of the SRG formula of
+  :mod:`repro.reliability.srg` (:mod:`repro.analysis.domain`) — with
+  a concrete implementation the resulting point intervals are
+  bit-identical to :func:`~repro.reliability.srg.communicator_srgs`;
 * cyclic strongly connected components (which, after pruning the
   input edges of independent-model tasks, are exactly the *unsafe*
   communicator cycles) are iterated Kleene-style from ``TOP``.  The
@@ -30,7 +30,7 @@ table without even rebuilding the graph.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import networkx as nx
 
@@ -54,7 +54,6 @@ from repro.mapping.implementation import Implementation
 from repro.model.graph import srg_dependency_graph
 from repro.model.specification import Specification
 from repro.model.task import FailureModel, Task
-from repro.reliability.srg import input_gain
 
 #: Default cap on Kleene iterations per cyclic component.
 MAX_ITERATIONS = 64
@@ -156,6 +155,30 @@ def _local_signatures(
     return signatures
 
 
+def _factor(
+    kind: str,
+    name: str,
+    interval: Interval,
+    chosen: "frozenset[str] | None",
+    pool: Iterable[str],
+) -> Factor:
+    """Witness factor of a host or sensor choice (None: the free *pool*)."""
+    resources = tuple(sorted(pool if chosen is None else chosen))
+    free = chosen is None
+    return Factor(kind, name, interval.lo, interval.hi, resources, free)
+
+
+def _replication(
+    writer: Task, arch: Architecture, assignment: Mapping[str, frozenset[str]]
+) -> "tuple[Interval, Factor]":
+    """Bounds and witness factor of *writer*'s host choice."""
+    hosts = assignment.get(writer.name)
+    interval = replication_interval(hosts, arch)
+    return interval, _factor(
+        "replication", writer.name, interval, hosts, arch.host_names()
+    )
+
+
 def _transfer(
     name: str,
     spec: Specification,
@@ -170,43 +193,20 @@ def _transfer(
         if name in spec.input_communicators():
             sensors = binding.get(name)
             interval = sensor_interval(sensors, arch)
-            factor = Factor(
-                kind="sensors",
-                name=name,
-                lo=interval.lo,
-                hi=interval.hi,
-                resources=(
-                    tuple(sorted(sensors))
-                    if sensors is not None
-                    else tuple(arch.sensor_names())
-                ),
-                free=sensors is None,
+            factor = _factor(
+                "sensors", name, interval, sensors, arch.sensor_names()
             )
             return interval, (factor,)
         # Never written, never sensor-updated: the initial value
         # persists and is reliable at every access point.
         return Interval.point(1.0), ()
-    hosts = assignment.get(writer.name)
-    replication = replication_interval(hosts, arch)
-    repl_factor = Factor(
-        kind="replication",
-        name=writer.name,
-        lo=replication.lo,
-        hi=replication.hi,
-        resources=(
-            tuple(sorted(hosts))
-            if hosts is not None
-            else tuple(arch.host_names())
-        ),
-        free=hosts is None,
-    )
+    replication, repl_factor = _replication(writer, arch, assignment)
     if writer.model is FailureModel.INDEPENDENT:
         return replication, (repl_factor,)
     icset = sorted(writer.input_communicators())
-    input_intervals = {c: state[c][0] for c in icset}
-    interval = written_interval(writer, replication, input_intervals)
-    gain_lo = input_gain(writer, {c: state[c][0].lo for c in icset})
-    gain_hi = input_gain(writer, {c: state[c][0].hi for c in icset})
+    interval, gain_lo, gain_hi = written_interval(
+        writer, replication, {c: state[c][0] for c in icset}
+    )
     if writer.model is FailureModel.SERIES:
         parts: tuple[Factor, ...] = sum(
             (state[c][1] for c in icset), ()
@@ -241,35 +241,29 @@ def _iterate_cycle(
     lower bounds are forced to 0 afterwards — the long-run reliable
     fraction of an unbroken cycle is 0 regardless of the formulas.
     """
-    member_set = set(members)
-    writers = {name: spec.writer_of(name) for name in members}
-    replications = {}
+    writers: "dict[str, Task]" = {}
+    replications: "dict[str, tuple[Interval, Factor]]" = {}
     for name in members:
-        writer = writers[name]
+        writer = spec.writer_of(name)
         assert writer is not None
-        replications[name] = replication_interval(
-            assignment.get(writer.name), arch
-        )
+        writers[name] = writer
+        replications[name] = _replication(writer, arch, assignment)
     current: "dict[str, Interval]" = {name: TOP for name in members}
+
+    def written(name: str) -> "tuple[Interval, float, float]":
+        inputs = {
+            c: current[c] if c in current else state[c][0]
+            for c in writers[name].input_communicators()
+        }
+        return written_interval(writers[name], replications[name][0], inputs)
+
     residual = math.inf
     iterations = 0
     while iterations < max_iterations and residual > epsilon:
         iterations += 1
         residual = 0.0
         for name in members:
-            writer = writers[name]
-            assert writer is not None
-            input_intervals = {
-                c: (
-                    current[c]
-                    if c in member_set
-                    else state[c][0]
-                )
-                for c in writer.input_communicators()
-            }
-            updated = written_interval(
-                writer, replications[name], input_intervals
-            )
+            updated = written(name)[0]
             residual = max(residual, current[name].distance(updated))
             current[name] = updated
     widening: "WideningEvent | None" = None
@@ -281,38 +275,17 @@ def _iterate_cycle(
         )
     results: "dict[str, CachedBound]" = {}
     for name in members:
-        writer = writers[name]
-        assert writer is not None
-        replication = replications[name]
-        interval = Interval(0.0, current[name].hi)
-        gain_hi = input_gain(
-            writer,
-            {
-                c: (current[c].hi if c in member_set else state[c][0].hi)
-                for c in sorted(writer.input_communicators())
-            },
-        )
-        hosts = assignment.get(writer.name)
-        repl_factor = Factor(
-            kind="replication",
-            name=writer.name,
-            lo=replication.lo,
-            hi=replication.hi,
-            resources=(
-                tuple(sorted(hosts))
-                if hosts is not None
-                else tuple(arch.host_names())
-            ),
-            free=hosts is None,
-        )
         cycle_factor = Factor(
             kind="cycle",
             name=name,
             lo=0.0,
-            hi=gain_hi,
+            hi=written(name)[2],
             resources=tuple(members),
         )
-        results[name] = (interval, (repl_factor, cycle_factor))
+        results[name] = (
+            Interval(0.0, current[name].hi),
+            (replications[name][1], cycle_factor),
+        )
     return results, widening
 
 

@@ -1,41 +1,41 @@
 """The fast feasibility oracle for synthesis and lint.
 
-ROADMAP item 4 asks for "a fast infeasibility oracle" the
-replication-mapping optimizer can consult instead of recomputing SRGs
-per communicator.  :class:`FeasibilityOracle` wraps a
-:class:`~repro.analysis.verifier.Verifier` for one fixed
-(specification, architecture) pair and answers two kinds of queries:
+:class:`FeasibilityOracle` answers two kinds of queries for one fixed
+(specification, architecture) pair:
 
 * :meth:`is_feasible` / :meth:`report` — certified interval analysis
-  of a (possibly partial) implementation, memoized through the shared
-  content-hash cache; and
-* :meth:`completion_feasible` — a cache-free, allocation-free float
-  sweep for the *inner loop* of a search: given the SRGs already fixed
-  by earlier decisions, can **any** completion of the remaining
-  choices still satisfy every LRC?  A ``False`` answer certifies the
-  whole subtree dead (every formula is monotone, so replacing each
-  undecided choice by its best case bounds all completions from
-  above).
+  of a (possibly partial) implementation by a
+  :class:`~repro.analysis.verifier.Verifier`, memoized through the
+  shared content-hash cache; and
+* :meth:`completion_feasible` — the completion case of the one SRG
+  walk (:func:`repro.reliability.srg.evaluate`) for the *inner loop*
+  of a search: the SRGs fixed by earlier decisions stay, every
+  undecided task runs on every host at the attempt bound and every
+  undecided input reads the whole sensor pool.  Every formula is
+  monotone, so a ``False`` answer certifies that no completion meets
+  every LRC and the whole subtree is dead.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-import networkx as nx
-
 from repro.analysis.cache import AnalysisCache
-from repro.analysis.domain import or_reliability
 from repro.analysis.report import VerificationReport
 from repro.analysis.verifier import Verifier
 from repro.analysis.witness import InfeasibilityWitness
 from repro.arch.architecture import Architecture
+from repro.errors import AnalysisError
 from repro.mapping.implementation import Implementation
-from repro.model.graph import srg_evaluation_order
 from repro.model.specification import Specification
-from repro.model.task import Task
-from repro.reliability.analysis import LRC_TOLERANCE
-from repro.reliability.srg import input_gain
+from repro.reliability.analysis import meets_lrc
+from repro.reliability.srg import (
+    Step,
+    evaluate,
+    evaluation_order,
+    hosts_reliability,
+    or_reliability,
+)
 
 
 class FeasibilityOracle:
@@ -53,21 +53,17 @@ class FeasibilityOracle:
         self.verifier = (
             verifier if verifier is not None else Verifier(cache)
         )
-        brel = arch.network.reliability
-        self._host_hi = [arch.hrel(h) * brel for h in arch.host_names()]
-        self._free_input_hi = or_reliability(
-            arch.srel(s) for s in arch.sensor_names()
-        )
-        self._inputs = spec.input_communicators()
         try:
-            self._order: "list[str] | None" = srg_evaluation_order(spec)
-        except nx.NetworkXUnfeasible:
+            self._order: "tuple[Step, ...] | None" = evaluation_order(spec)
+        except AnalysisError:
             # Unsafe cycles: the interval engine still certifies
             # bounds, but the float sweep has no evaluation order.
             self._order = None
-        self._writers: "dict[str, Task | None]" = {
-            name: spec.writer_of(name) for name in spec.communicators
-        }
+        pool = or_reliability(arch.srel(s) for s in arch.sensor_names())
+        self._free_inputs = dict.fromkeys(spec.input_communicators(), pool)
+        self._lrcs = [(n, c.lrc) for n, c in spec.communicators.items()]
+        # lambda_t of every task on every host, per attempt bound.
+        self._free_lambdas: "dict[int, dict[str, float]]" = {}
 
     # -- certified queries ---------------------------------------------
 
@@ -114,25 +110,13 @@ class FeasibilityOracle:
         """
         if self._order is None:
             return None
-        # 1 - prod_h (1 - hrel(h) * brel) ** attempts over all hosts.
-        failure = 1.0
-        for probability in self._host_hi:
-            failure *= (1.0 - probability) ** attempts
-        lambda_hi = 1.0 - failure
-        bounds: "dict[str, float]" = {}
-        for name in self._order:
-            value = fixed.get(name)
-            if value is not None:
-                bounds[name] = value
-                continue
-            writer = self._writers[name]
-            if writer is None:
-                bounds[name] = (
-                    self._free_input_hi if name in self._inputs else 1.0
-                )
-            else:
-                bounds[name] = lambda_hi * input_gain(writer, bounds)
-        return bounds
+        lambdas = self._free_lambdas.get(attempts)
+        if lambdas is None:
+            hosts = self.arch.host_names()
+            best = hosts_reliability(hosts, self.arch, attempts)
+            lambdas = dict.fromkeys(self.spec.tasks, best)
+            self._free_lambdas[attempts] = lambdas
+        return evaluate(self._order, lambdas, self._free_inputs, fixed)
 
     def completion_feasible(
         self, fixed: Mapping[str, float], attempts: int = 1
@@ -146,8 +130,8 @@ class FeasibilityOracle:
         bounds = self.completion_upper_bounds(fixed, attempts)
         if bounds is None:
             return True
-        for name, comm in self.spec.communicators.items():
-            if bounds[name] < comm.lrc - LRC_TOLERANCE:
+        for name, lrc in self._lrcs:
+            if not meets_lrc(bounds[name], lrc):
                 return False
         return True
 

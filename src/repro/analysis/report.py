@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Mapping, Tuple
 from repro.analysis.domain import Interval
 from repro.analysis.witness import Factor, InfeasibilityWitness, minimal_witness
 from repro.lint.diagnostic import Diagnostic
-from repro.reliability.analysis import LRC_TOLERANCE
+from repro.reliability.analysis import meets_lrc
 
 #: Maps a communicator name to its (line, column) source span.
 SpanLookup = Callable[[str], Tuple[int, int]]
@@ -72,9 +72,9 @@ class CommunicatorBound:
     @property
     def verdict(self) -> BoundVerdict:
         """Classify the LRC against the certified interval."""
-        if self.interval.hi < self.lrc - LRC_TOLERANCE:
+        if not meets_lrc(self.interval.hi, self.lrc):
             return BoundVerdict.INFEASIBLE
-        if self.interval.lo >= self.lrc - LRC_TOLERANCE:
+        if meets_lrc(self.interval.lo, self.lrc):
             return BoundVerdict.PROVED
         return BoundVerdict.UNKNOWN
 
@@ -100,9 +100,8 @@ class CommunicatorBound:
         """
         if self.lrc <= 0.0:
             return True
-        return (
-            not self.interval.is_point
-            and self.interval.lo >= self.lrc - LRC_TOLERANCE
+        return not self.interval.is_point and meets_lrc(
+            self.interval.lo, self.lrc
         )
 
     def witness(self) -> "InfeasibilityWitness | None":

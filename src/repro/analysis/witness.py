@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
+from repro.reliability.analysis import meets_lrc
+
 #: Bound on how many factors a witness search will flatten; guards
 #: against pathological deep series chains.
 MAX_WITNESS_FACTORS = 64
@@ -134,7 +136,7 @@ def minimal_witness(
     for factor in flat:
         culprits.append(factor)
         product *= factor.hi
-        if product < lrc:
+        if not meets_lrc(product, lrc):
             break
     return InfeasibilityWitness(
         communicator=communicator,

@@ -51,7 +51,7 @@ from repro.model.graph import (
     dependency_cycle_witnesses,
 )
 from repro.model.task import FailureModel
-from repro.reliability.analysis import LRC_TOLERANCE, check_reliability
+from repro.reliability.analysis import check_reliability, meets_lrc
 
 
 def _format_selection(selection: Mapping[str, str] | None) -> str:
@@ -346,7 +346,7 @@ def lrc_feasibility_pass(ctx: LintContext) -> Iterator[Diagnostic]:
             # updated: any positive LRC on them is unmeetable.
             for name in sorted(inputs):
                 comm = spec.communicators[name]
-                if comm.lrc > LRC_TOLERANCE and name not in reported:
+                if not meets_lrc(0.0, comm.lrc) and name not in reported:
                     reported.add(name)
                     line, column = ctx.communicator_span(name)
                     yield make(
@@ -369,7 +369,7 @@ def lrc_feasibility_pass(ctx: LintContext) -> Iterator[Diagnostic]:
             if name in reported:
                 continue
             best = report.bounds[name].interval.hi
-            if best < comm.lrc - LRC_TOLERANCE:
+            if not meets_lrc(best, comm.lrc):
                 reported.add(name)
                 line, column = ctx.communicator_span(name)
                 yield make(

@@ -38,6 +38,14 @@ from repro.reliability.srg import communicator_srgs
 LRC_TOLERANCE = 1e-9
 
 
+def meets_lrc(value, lrc):
+    """The one SRG-versus-LRC test: ``value >= lrc - LRC_TOLERANCE``.
+
+    Used by every analysis, bound and search; arrays compare elementwise.
+    """
+    return value >= lrc - LRC_TOLERANCE
+
+
 @dataclass(frozen=True)
 class CommunicatorVerdict:
     """Per-communicator outcome of a reliability analysis."""
@@ -54,7 +62,7 @@ class CommunicatorVerdict:
     @property
     def satisfied(self) -> bool:
         """Return ``True`` iff the SRG meets the LRC (within tolerance)."""
-        return self.srg >= self.lrc - LRC_TOLERANCE
+        return meets_lrc(self.srg, self.lrc)
 
 
 @dataclass(frozen=True)

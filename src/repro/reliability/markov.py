@@ -43,8 +43,10 @@ from repro.mapping.implementation import Implementation
 from repro.model.graph import find_communicator_cycles
 from repro.model.specification import Specification
 from repro.model.task import FailureModel
+from repro.reliability.analysis import meets_lrc
 from repro.reliability.srg import (
     input_communicator_srg,
+    or_reliability,
     task_reliability,
 )
 
@@ -107,26 +109,20 @@ def analyze_memory_cycles(
         if writer is None:  # pragma: no cover - cycles imply a writer
             continue
         lambda_t = task_reliability(writer.name, implementation, arch)
-        external = [
-            c
-            for c in sorted(writer.input_communicators())
-            if c != name
-        ]
-        failure = 1.0
-        for comm in external:
+        external: "list[float]" = []
+        for comm in sorted(writer.input_communicators() - {name}):
             if comm in inputs:
-                srg = input_communicator_srg(
-                    comm, implementation, arch
+                external.append(
+                    input_communicator_srg(comm, implementation, arch)
                 )
             elif spec.writer_of(comm) is None:
-                srg = 1.0  # persistent initial value
+                external.append(1.0)  # persistent initial value
             else:
                 raise AnalysisError(
                     f"cycle {name!r}: external input {comm!r} is "
                     f"task-written; nested memory is not supported"
                 )
-            failure *= 1.0 - srg
-        external_reliability = 1.0 - failure if external else 0.0
+        external_reliability = or_reliability(external) if external else 0.0
 
         if writer.model is FailureModel.INDEPENDENT:
             average = lambda_t
@@ -162,7 +158,6 @@ def memory_aware_reliable(
     """
     verdicts = analyze_memory_cycles(spec, implementation, arch)
     return all(
-        verdict.limit_average
-        >= spec.communicators[name].lrc - 1e-9
+        meets_lrc(verdict.limit_average, spec.communicators[name].lrc)
         for name, verdict in verdicts.items()
     )

@@ -26,7 +26,7 @@ from repro.arch.sensor import Sensor
 from repro.errors import AnalysisError
 from repro.mapping.implementation import Implementation
 from repro.model.specification import Specification
-from repro.reliability.analysis import LRC_TOLERANCE
+from repro.reliability.analysis import meets_lrc
 from repro.reliability.srg import communicator_srgs
 
 
@@ -168,7 +168,7 @@ def _is_reliable(
 ) -> bool:
     srgs = communicator_srgs(spec, implementation, arch)
     return all(
-        srgs[name] >= comm.lrc - LRC_TOLERANCE
+        meets_lrc(srgs[name], comm.lrc)
         for name, comm in spec.communicators.items()
     )
 

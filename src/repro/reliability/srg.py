@@ -27,12 +27,17 @@ re-execution counts raise each replication's failure probability to
 the power of its attempts (:func:`task_reliability`), and a
 time-dependent mapping's SRG is the mean of its phases' SRGs
 (:func:`communicator_srgs`).
+
+The formula is written here once: :func:`or_reliability` is the only
+``1 - prod(1 - p)`` and :func:`evaluate` the only walk.  Its cases are
+:func:`communicator_srgs` (point), the oracle's completion bound (all
+resources), the verifier's transfer (two corners) and synthesis.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import networkx as nx
 
@@ -44,6 +49,28 @@ from repro.model.graph import srg_evaluation_order
 from repro.model.specification import Specification
 from repro.model.task import FailureModel, Task
 from repro.reliability.rbd import Block, Parallel, Series, Unit
+
+
+def or_reliability(
+    probabilities: Iterable[float], attempts: int = 1
+) -> float:
+    """Return ``1 - prod(1 - p) ** attempts``: some independent try succeeds.
+
+    The factors multiply in the order given, so equal arguments give
+    bit-identical results.
+    """
+    failure = 1.0
+    for probability in probabilities:
+        failure *= (1.0 - probability) ** attempts
+    return 1.0 - failure
+
+
+def hosts_reliability(
+    hosts: Iterable[str], arch: Architecture, attempts: int = 1
+) -> float:
+    """Return ``lambda_t`` of a task replicated on *hosts*, in that order."""
+    brel = arch.network.reliability
+    return or_reliability((arch.hrel(h) * brel for h in hosts), attempts)
 
 
 def task_reliability(
@@ -65,11 +92,8 @@ def task_reliability(
     attempts fail, so ``lambda_t = 1 - prod_h (1 - hrel(h) * brel) ** k``.
     A permanently failed host defeats every attempt.
     """
-    brel = arch.network.reliability
-    failure = 1.0
-    for host in implementation.hosts_of(task):
-        failure *= (1.0 - arch.hrel(host) * brel) ** attempts
-    return 1.0 - failure
+    hosts = sorted(implementation.hosts_of(task))
+    return hosts_reliability(hosts, arch, attempts)
 
 
 def input_communicator_srg(
@@ -82,10 +106,8 @@ def input_communicator_srg(
     the paper's assumption that the environment writes identical values
     to all replications of a sensor.
     """
-    failure = 1.0
-    for sensor in implementation.sensors_of(communicator):
-        failure *= 1.0 - arch.srel(sensor)
-    return 1.0 - failure
+    sensors = sorted(implementation.sensors_of(communicator))
+    return or_reliability(arch.srel(s) for s in sensors)
 
 
 def input_gain(task: Task, srgs: Mapping[str, float]) -> float:
@@ -95,12 +117,70 @@ def input_gain(task: Task, srgs: Mapping[str, float]) -> float:
     for the parallel model and 1 for the independent model, over the
     task's input communicators ``c'`` (looked up in *srgs*).
     """
-    icset = sorted(task.input_communicators())
-    if task.model is FailureModel.SERIES:
+    return _gain(task.model, sorted(task.input_communicators()), srgs)
+
+
+def _gain(
+    model: FailureModel, icset: Sequence[str], srgs: Mapping[str, float]
+) -> float:
+    """:func:`input_gain` over the sorted input names *icset*."""
+    if model is FailureModel.SERIES:
         return math.prod(srgs[c] for c in icset)
-    if task.model is FailureModel.PARALLEL:
-        return 1.0 - math.prod(1.0 - srgs[c] for c in icset)
+    if model is FailureModel.PARALLEL:
+        return or_reliability(srgs[c] for c in icset)
     return 1.0
+
+
+#: One step of the SRG induction: a communicator, its writer task
+#: (``None`` when no task writes it) and the writer's sorted inputs.
+Step = tuple[str, "Task | None", tuple[str, ...]]
+
+
+def evaluation_order(spec: Specification) -> tuple[Step, ...]:
+    """Return the steps of the SRG induction over *spec*, in order.
+
+    Raises :class:`AnalysisError` when a communicator cycle has no
+    independent-model breaker (see :func:`~repro.model.graph.unsafe_cycles`).
+    """
+    try:
+        order = srg_evaluation_order(spec)
+    except nx.NetworkXUnfeasible:
+        raise AnalysisError(
+            "SRGs are undefined: the specification has a communicator "
+            "cycle with no independent-model task to break it"
+        ) from None
+    writers = [spec.writer_of(name) for name in order]
+    return tuple(
+        (name, w, tuple(sorted(w.input_communicators() if w else ())))
+        for name, w in zip(order, writers)
+    )
+
+
+def evaluate(
+    order: Sequence[Step],
+    lambdas: Mapping[str, float],
+    sensed: Mapping[str, float],
+    fixed: Mapping[str, float],
+) -> dict[str, float]:
+    """Walk the SRG induction: ``lambda_c`` for every step of *order*.
+
+    A communicator in *fixed* keeps its value, a task-written one gets
+    ``lambdas[writer] * input_gain``, a sensor-updated one its value in
+    *sensed* and any other its initial value, reliable at every access
+    (1).  Every input of a non-independent writer precedes its outputs in
+    *order*, so the induction never dangles.
+    """
+    srgs: dict[str, float] = {}
+    get = fixed.get
+    for name, writer, icset in order:
+        value = get(name)
+        if value is None:
+            if writer is not None:
+                value = lambdas[writer.name] * _gain(writer.model, icset, srgs)
+            else:
+                value = sensed.get(name, 1.0)
+        srgs[name] = value
+    return srgs
 
 
 def communicator_srgs(
@@ -111,62 +191,38 @@ def communicator_srgs(
 ) -> dict[str, float]:
     """Return ``lambda_c`` for every communicator of *spec*.
 
-    Evaluated inductively along the communicator dependency order with
-    independent-model edges removed.  Raises :class:`AnalysisError` if
-    no such order exists (a communicator cycle without an
-    independent-model breaker); use
-    :func:`repro.model.graph.unsafe_cycles` to diagnose.
-
-    *attempts* maps tasks to their re-execution counts (1 when
-    unlisted; see :func:`task_reliability`).  For a
-    :class:`TimeDependentImplementation` the per-iteration reliability
+    The point case of :func:`evaluate`: ``lambda_t`` of ``I(t)`` at
+    ``attempts[t]`` per task (1 when unlisted) and the sensor OR of
+    every input binding; raises as :func:`evaluation_order` does.  For
+    a :class:`TimeDependentImplementation` the per-iteration reliability
     cycles through the phases' SRGs, so the SRG of each communicator
     is their arithmetic mean (every phase recurs equally often).
     """
-    if isinstance(implementation, TimeDependentImplementation):
-        phase_srgs = [
-            communicator_srgs(spec, phase, arch, attempts)
-            for phase in implementation.phases
-        ]
-        return {
-            name: sum(p[name] for p in phase_srgs) / len(phase_srgs)
-            for name in spec.communicators
-        }
     implementation.validate(spec, arch)
-    try:
-        order = srg_evaluation_order(spec)
-    except nx.NetworkXUnfeasible:
-        raise AnalysisError(
-            "SRGs are undefined: the specification has a communicator "
-            "cycle with no independent-model task to break it"
-        ) from None
-    inputs = spec.input_communicators()
+    order = evaluation_order(spec)
     attempts = attempts or {}
-    srgs: dict[str, float] = {}
-    for name in order:
-        writer = spec.writer_of(name)
-        if writer is None:
-            if name in inputs:
-                srgs[name] = input_communicator_srg(
-                    name, implementation, arch
-                )
-            else:
-                # Never written and never read by a task: the initial
-                # value persists and is reliable at every access point.
-                srgs[name] = 1.0
-        else:
-            # Every input of a non-independent writer precedes `name`
-            # in `order` (only edges whose tasks are all independent
-            # are pruned, and the writer of `name` sits on each of its
-            # own input edges), so the induction never dangles.
-            lambda_t = task_reliability(
-                writer.name,
-                implementation,
-                arch,
-                attempts.get(writer.name, 1),
-            )
-            srgs[name] = lambda_t * input_gain(writer, srgs)
-    return srgs
+    phases = (
+        implementation.phases
+        if isinstance(implementation, TimeDependentImplementation)
+        else (implementation,)
+    )
+    phase_srgs = []
+    for phase in phases:
+        lambdas = {
+            t: task_reliability(t, phase, arch, attempts.get(t, 1))
+            for t in spec.tasks
+        }
+        sensed = {
+            c: input_communicator_srg(c, phase, arch)
+            for c in spec.input_communicators()
+        }
+        phase_srgs.append(evaluate(order, lambdas, sensed, {}))
+    if len(phase_srgs) == 1:
+        return phase_srgs[0]
+    return {
+        name: sum(p[name] for p in phase_srgs) / len(phase_srgs)
+        for name in spec.communicators
+    }
 
 
 def srg_block(

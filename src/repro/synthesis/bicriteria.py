@@ -36,6 +36,7 @@ from repro.errors import SynthesisError
 from repro.mapping.implementation import Implementation
 from repro.model.graph import task_dependency_graph
 from repro.model.specification import Specification
+from repro.reliability.srg import hosts_reliability
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,6 @@ def bicriteria_schedule(
         )
     hosts = arch.host_names()
     limit = min(max_replicas or len(hosts), len(hosts))
-    brel = arch.network.reliability
 
     host_free: dict[str, int] = {h: 0 for h in hosts}
     # Per task: the instant its outputs are available on every host
@@ -128,10 +128,7 @@ def bicriteria_schedule(
                         + arch.wctt(name, host)
                     )
                     finish = max(finish, done)
-                lam = 1.0 - math.prod(
-                    1.0 - arch.hrel(h) * brel for h in subset
-                )
-                raw.append((subset, finish, lam))
+                raw.append((subset, finish, hosts_reliability(subset, arch)))
         worst_finish = max(f for _, f, _ in raw)
         worst_unrel = max(1.0 - lam for _, _, lam in raw) or 1.0
         for subset, finish, lam in raw:
@@ -156,9 +153,7 @@ def bicriteria_schedule(
     implementation = Implementation(assignment, binding)
     makespan = max(data_ready.values(), default=0)
     system_reliability = math.prod(
-        1.0
-        - math.prod(1.0 - arch.hrel(h) * brel for h in assignment[name])
-        for name in assignment
+        hosts_reliability(subset, arch) for subset in assignment.values()
     )
     return BiCriteriaResult(
         theta=theta,

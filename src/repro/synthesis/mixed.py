@@ -45,16 +45,19 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import networkx as nx
-
-from repro.analysis.domain import or_reliability
 from repro.analysis.oracle import FeasibilityOracle
 from repro.arch.architecture import Architecture
-from repro.errors import SynthesisError
+from repro.errors import AnalysisError, SynthesisError
 from repro.mapping.implementation import Implementation
-from repro.model.graph import srg_evaluation_order
 from repro.model.specification import Specification
-from repro.reliability.srg import communicator_srgs, input_gain
+from repro.reliability.analysis import meets_lrc
+from repro.reliability.srg import (
+    communicator_srgs,
+    evaluation_order,
+    hosts_reliability,
+    input_gain,
+    or_reliability,
+)
 from repro.sched.analysis import (
     SchedulabilityReport,
     check_schedulability,
@@ -141,26 +144,17 @@ def _decision_sequence(spec: Specification) -> list[_Decision]:
     A task appears at the position of its first output communicator;
     later outputs of the same task are folded into that decision.
     """
-    order = srg_evaluation_order(spec)
     decisions: list[_Decision] = []
     placed: set[str] = set()
     inputs = spec.input_communicators()
-    for name in order:
-        writer = spec.writer_of(name)
+    for name, writer, _ in evaluation_order(spec):
         if writer is None:
             if name in inputs:
                 decisions.append(_Decision("input", name, (name,)))
-            continue
-        if writer.name in placed:
-            continue
-        placed.add(writer.name)
-        decisions.append(
-            _Decision(
-                "task",
-                writer.name,
-                tuple(sorted(writer.output_communicators())),
-            )
-        )
+        elif writer.name not in placed:
+            placed.add(writer.name)
+            outputs = tuple(sorted(writer.output_communicators()))
+            decisions.append(_Decision("task", writer.name, outputs))
     return decisions
 
 
@@ -211,7 +205,7 @@ def search_plan(
             )
     try:
         decisions = _decision_sequence(spec)
-    except nx.NetworkXUnfeasible:
+    except AnalysisError:
         raise SynthesisError(
             "specification has a communicator cycle with no "
             "independent-model breaker; no implementation is reliable"
@@ -232,12 +226,14 @@ def search_plan(
                 f"infeasible ({witnesses})"
             )
 
-    brel = arch.network.reliability
-    host_subsets = list(
-        _subsets_by_cost(
+    # lambda_t per host subset and attempt count, once per search.
+    attempt_counts = range(1, max_attempts + 1)
+    host_options = [
+        (subset, [hosts_reliability(subset, arch, k) for k in attempt_counts])
+        for subset in _subsets_by_cost(
             sorted(hosts, key=lambda h: -arch.hrel(h)), max_task_replicas
         )
-    )
+    ]
     explored = 0
 
     def candidates_for(
@@ -253,7 +249,7 @@ def search_plan(
             options = []
             for subset in _subsets_by_cost(pool, len(pool)):
                 achieved = or_reliability(arch.srel(s) for s in subset)
-                if achieved >= lrc:
+                if meets_lrc(achieved, lrc):
                     options.append((0, subset, 1, achieved))
             return options
         task = spec.tasks[decision.name]
@@ -263,13 +259,10 @@ def search_plan(
         )
         gain = input_gain(task, srgs)
         options = []
-        for subset in host_subsets:
-            for attempts in range(1, max_attempts + 1):
-                lost = 1.0
-                for host in subset:
-                    lost *= (1.0 - arch.hrel(host) * brel) ** attempts
-                achieved = (1.0 - lost) * gain
-                if achieved >= requirement:
+        for subset, lambdas in host_options:
+            for attempts, lambda_t in enumerate(lambdas, 1):
+                achieved = lambda_t * gain
+                if meets_lrc(achieved, requirement):
                     options.append(
                         (len(subset) * attempts, subset, attempts, achieved)
                     )

@@ -31,9 +31,9 @@ from repro.mapping.implementation import Implementation
 from repro.mapping.timedep import TimeDependentImplementation
 from repro.model.specification import Specification
 from repro.reliability.analysis import (
-    LRC_TOLERANCE,
     ReliabilityReport,
     check_reliability,
+    meets_lrc,
 )
 from repro.reliability.srg import communicator_srgs
 from repro.sched.analysis import check_schedulability
@@ -144,7 +144,7 @@ def synthesize_timedep(
             range(len(kept)), phases
         ):
             mean = np.mean([kept[i][1] for i in combo], axis=0)
-            if np.all(mean >= lrcs - LRC_TOLERANCE):
+            if np.all(meets_lrc(mean, lrcs)):
                 implementation = TimeDependentImplementation(
                     [kept[i][0] for i in combo]
                 )

@@ -95,6 +95,19 @@ def test_minimal_witness_is_a_certificate():
     assert "unachievable" in witness.describe()
 
 
+def test_minimal_witness_skips_a_prefix_within_the_lrc_tolerance():
+    # 0.82 * 0.82 == 0.6723999999999999 meets an LRC of 0.6724 within
+    # LRC_TOLERANCE, so that prefix certifies nothing: the witness
+    # takes the next factor as well.
+    factors = (
+        Factor("replication", "t", 0.82, 0.82),
+        Factor("sensors", "a", 0.82, 0.82),
+        Factor("replication", "u", 0.5, 0.9),
+    )
+    witness = minimal_witness("out", 0.6724, 0.6, factors)
+    assert [f.name for f in witness.culprits] == ["a", "t", "u"]
+
+
 # -- cache -------------------------------------------------------------------
 
 

@@ -112,6 +112,27 @@ def test_synthesis_infeasible_schedule_detected():
         synthesize_replication(spec, arch)
 
 
+def test_synthesis_accepts_an_srg_one_ulp_below_the_lrc():
+    # 0.82 * 0.82 rounds to 0.6723999999999999, one ulp under the LRC;
+    # every check accepts it within LRC_TOLERANCE, so synthesis must
+    # find the one mapping there is.
+    comms = [
+        Communicator("a", period=10, lrc=0.8),
+        Communicator("out", period=10, lrc=0.6724),
+    ]
+    tasks = [Task("t", [("a", 0)], [("out", 1)], model="series")]
+    spec = Specification(comms, tasks)
+    arch = Architecture(
+        hosts=[Host("A", 0.82)],
+        sensors=[Sensor("s", 0.82)],
+        metrics=ExecutionMetrics(default_wcet=1, default_wctt=1),
+    )
+    result = synthesize_replication(spec, arch)
+    assert result.implementation == Implementation({"t": {"A"}}, {"a": {"s"}})
+    assert result.reliability.srgs()["out"] < 0.6724
+    assert check_validity(spec, arch, result.implementation).valid
+
+
 def test_synthesis_explored_counter(tank_spec, tank_arch):
     result = synthesize_replication(tank_spec, tank_arch)
     assert result.explored >= len(tank_spec.tasks)

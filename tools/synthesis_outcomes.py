@@ -7,7 +7,9 @@ Runs ``synthesize_replication``, ``synthesize_mixed`` and
 strict three-tank system, and writes one JSON record per
 (system, entry point): the plan, its executions per period, the
 ``explored`` node count (replication and mixed), the schedulability
-report's ``repr`` and the error message of a failed search.
+report's ``repr``, every communicator's SRG under the plan (as
+``float.hex``, so a comparison is bit for bit) and the error message
+of a failed search.
 
 Record the outcomes of two checkouts, then compare them::
 
@@ -18,9 +20,13 @@ Record the outcomes of two checkouts, then compare them::
     python tools/synthesis_outcomes.py --compare old.json new.json
 
 The comparison prints, per entry point, how many plans are identical,
-cheaper, costlier, newly solved and lost, and exits 1 when a plan got
+cheaper, costlier, newly solved and lost, and how many plans solved on
+both sides carry bit-identical SRGs; it exits 1 when a plan got
 costlier or a solved system became an error.  Fix ``PYTHONHASHSEED``
 on both runs: the report ``repr`` contains sets.
+
+``tools/synthesis_outcomes_seeds_0_9.json`` is the committed record of
+``--last-seed 9`` (``PYTHONHASHSEED=0``); CI re-records it and compares.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ def _systems(first: int, last: int):
 
 def _outcome(entry: str, spec, arch) -> dict:
     from repro.errors import SynthesisError
+    from repro.reliability import communicator_srgs
     from repro.synthesis import (
         synthesize_mixed,
         synthesize_reexecution,
@@ -96,6 +103,14 @@ def _outcome(entry: str, spec, arch) -> dict:
             ),
             explored=explored,
             schedulability=None if report is None else repr(report),
+            srgs={
+                name: value.hex()
+                for name, value in sorted(
+                    communicator_srgs(
+                        spec, implementation, arch, attempts
+                    ).items()
+                )
+            },
         )
     record["seconds"] = round(time.perf_counter() - started, 3)
     return record
@@ -132,7 +147,7 @@ def compare(old_path: str, new_path: str) -> int:
             ),
             0,
         )
-        same_details = 0
+        same_details = same_srgs = 0
         old_total = new_total = 0
         for name, before in old[entry].items():
             after = new[entry][name]
@@ -150,6 +165,9 @@ def compare(old_path: str, new_path: str) -> int:
                 continue
             old_total += before["executions"]
             new_total += after["executions"]
+            same_srgs += (
+                "srgs" in before and before["srgs"] == after.get("srgs")
+            )
             if _plan(before) == _plan(after):
                 counts["identical"] += 1
                 same_details += (
@@ -175,7 +193,8 @@ def compare(old_path: str, new_path: str) -> int:
             f"{entry}: "
             + ", ".join(f"{key} {value}" for key, value in counts.items())
             + f"; identical with the same explored count and report "
-            f"{same_details}; executions over both-solved systems "
+            f"{same_details}; bit-identical SRGs {same_srgs}; "
+            f"executions over both-solved systems "
             f"{old_total} -> {new_total}; "
             f"{seconds[0]:.0f} s -> {seconds[1]:.0f} s"
         )
