@@ -18,15 +18,16 @@ each block precomputes its fault masks from its own generators, goes
 through every stage (status collapse, propagation, reduction, the
 monitor) and writes its per-run counts and events into the slice's
 result.  A slice is cut into as few near-equal blocks as keep each
-block's fault masks within :data:`BLOCK_BYTES` (32 runs of 4000
-iterations x 8 slots), and the status planes are reused block after
+block's arrays — fault masks, scan tables, an injector's draw stream
+— within :data:`BLOCK_BYTES` (32 runs of 4000 iterations x 8 slots
+under Bernoulli faults), and the status planes are reused block after
 block, so the kernel's arrays stay cache-sized and the memory it
 touches is bounded by the block, not by the slice: a freshly forked
 shard worker pays page faults for about one block's arrays instead of
-the whole slice's.
-Slices whose kernel steps iterations in Python (a plan with a cyclic
-component, a Gilbert–Elliott precompute) run as one block, since
-blocking would repeat that loop once per block.
+the whole slice's.  Every slice is blocked: no stage loops over
+iterations in Python, since the recurrences through a run's
+iterations (a cycle with memory, a Gilbert–Elliott chain) are prefix
+scans (:mod:`repro.runtime.scan`).
 
 Seed contract
 -------------
@@ -63,12 +64,15 @@ graph condensed into strongly connected components, in topological
 order.  A single event without a self-loop combines whole
 ``(runs, iterations)`` arrays.  A cyclic component (a communicator
 cycle with memory — a self-loop, or a cycle no independent-model task
-breaks) first reduces every port from outside the component to one
-``(runs, iterations)`` array per event, then steps over iterations on
-``(runs,)`` vectors in event-index order: in-component ports read this
-iteration's bits (same-iteration ports) or the previous iteration's
-(lagged ports; the initial-value reliability at iteration 0).  Either
-way no value is evaluated, so no design needs bound task functions.
+breaks) is a recurrence over iterations: iteration ``t`` depends on
+the past only through iteration ``t - 1``'s bits of the events the
+component reads through lagged ports.  The component is evaluated
+over whole arrays once per pattern of those bits, giving every
+iteration's map from one state to the next; a Boolean prefix scan
+(:func:`~repro.runtime.scan.compose_prefixes`) composes the maps in
+about ``log2(iterations)`` vectorised steps, and a last evaluation
+reads the true states.  No value is evaluated, so no design needs
+bound task functions.
 
 Fallback rule
 -------------
@@ -102,6 +106,7 @@ from repro.model.task import FailureModel
 from repro.runtime.environment import Environment
 from repro.runtime.faults import FaultInjector, NoFaults, PrecomputedFaults
 from repro.runtime.plan import PortSlot, SimulationPlan, compile_plan
+from repro.runtime.scan import compose_prefixes, scan_bytes
 from repro.telemetry.profiler import NULL_PROFILER, StageProfiler
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -412,11 +417,23 @@ class BatchSimulator:
         )
 
     @cached_property
-    def _stepped(self) -> bool:
-        """Whether a slice must run whole, stepping over iterations."""
-        return self.faults.steps_iterations or any(
-            component.cyclic for component in self.plan.batch_order
-        )
+    def _block_bytes(self) -> tuple[int, int]:
+        """Bytes per iteration a run block holds: ``(once, per run)``.
+
+        Per run: the fault masks (one byte per slot), the map tables
+        and per-event bits of the widest cyclic component's scan, and
+        what the injector's ``precompute`` holds per run; once per
+        block: what ``precompute`` holds however many runs the block
+        has (a Gilbert–Elliott draw stream).
+        """
+        once, per_run = self.faults.precompute_bytes(self.plan)
+        scans = [
+            scan_bytes(len(self._lagged_writers(component.events)))
+            + len(component.events)
+            for component in self.plan.batch_order
+            if component.cyclic
+        ]
+        return once, self._slots + max(scans, default=0) + per_run
 
     # ------------------------------------------------------------------
 
@@ -662,20 +679,19 @@ class BatchSimulator:
         """Where the run blocks of a slice start, then where it ends.
 
         A slice of *runs* runs x *iterations* periods is cut into as
-        few blocks as keep every block's fault masks (one byte per
-        slot, iteration and run) within :data:`BLOCK_BYTES`, with sizes
-        differing by at most one run: equal blocks leave no short tail
+        few blocks as keep every block's arrays within
+        :data:`BLOCK_BYTES`: its fault masks, the map tables of a
+        cyclic component's scan and the injector's own precompute
+        arrays, as :attr:`_block_bytes` counts them.  Block sizes
+        differ by at most one run: equal blocks leave no short tail
         block, and repeated allocations of one size reuse the memory
-        the previous block freed.  A plan with a cyclic component, and
-        an injector whose ``precompute`` steps through iterations, loop
-        over iterations in Python once per block; blocking would
-        multiply that loop, so their slices run as one block.
+        the previous block freed.
         """
         if not runs:
             return [0]
-        most = (
-            runs if self._stepped
-            else max(1, BLOCK_BYTES // (iterations * self._slots))
+        once, per_run = self._block_bytes
+        most = max(
+            1, (BLOCK_BYTES - once * iterations) // (per_run * iterations)
         )
         blocks = -(-runs // most)
         return [k * runs // blocks for k in range(blocks + 1)]
@@ -735,29 +751,16 @@ class BatchSimulator:
             task_ok: list[np.ndarray | None] = [None] * len(plan.releases)
             for component in plan.batch_order:
                 if component.cyclic:
-                    self._step_cycle(
+                    self._scan_cycle(
                         component.events, survive, task_ok, delivered,
-                        runs, iterations,
+                        scratch,
                     )
                     continue
                 (index,) = component.events
-                event = plan.releases[index]
-                ok = survive[index]
-                if event.model is FailureModel.SERIES:
-                    for port in event.ports:
-                        self._fold_port(
-                            np.logical_and, ok, port, task_ok, delivered
-                        )
-                elif event.model is FailureModel.PARALLEL:
-                    # Fails only when all inputs are BOTTOM.
-                    scratch.fill(False)
-                    for port in event.ports:
-                        self._fold_port(
-                            np.logical_or, scratch, port, task_ok,
-                            delivered,
-                        )
-                    np.logical_and(ok, scratch, out=ok)
-                task_ok[index] = ok
+                self._evaluate(
+                    index, survive[index], task_ok, task_ok, delivered,
+                    scratch,
+                )
 
         with profiler.stage("reduce"):
             stop = start + runs
@@ -950,83 +953,106 @@ class BatchSimulator:
             np.lexsort((events.comm, events.time, events.run))
         )
 
-    def _step_cycle(
+    def _evaluate(
+        self,
+        index: int,
+        ok: np.ndarray,
+        task_ok: "list[np.ndarray | None]",
+        previous: "Sequence[np.ndarray | None]",
+        delivered: Sequence[np.ndarray],
+        scratch: np.ndarray,
+    ) -> None:
+        """Fold release *index*'s ports into its survival bits *ok*.
+
+        *ok* becomes ``task_ok[index]``.  A series event fails when any
+        input is ``BOTTOM``, a parallel one only when all are (its ports
+        are ORed in *scratch* first); an independent one keeps its
+        survival bits.  Lagged ports read *previous*, every other
+        written port *task_ok* (see :meth:`_fold_port`).
+        """
+        event = self.plan.releases[index]
+        if event.model is FailureModel.SERIES:
+            for port in event.ports:
+                self._fold_port(
+                    np.logical_and, ok, port, task_ok, previous, delivered
+                )
+        elif event.model is FailureModel.PARALLEL:
+            scratch.fill(False)
+            for port in event.ports:
+                self._fold_port(
+                    np.logical_or, scratch, port, task_ok, previous,
+                    delivered,
+                )
+            np.logical_and(ok, scratch, out=ok)
+        task_ok[index] = ok
+
+    def _lagged_writers(self, events: tuple[int, ...]) -> list[int]:
+        """The events of a cyclic component that it reads lagged: the
+        state bits of its recurrence, ascending."""
+        return sorted(
+            {
+                port.writer_event
+                for index in events
+                for port in self.plan.releases[index].ports
+                if not port.same_iteration and port.writer_event in events
+            }
+        )
+
+    def _scan_cycle(
         self,
         events: tuple[int, ...],
         survive: Sequence[np.ndarray],
         task_ok: "list[np.ndarray | None]",
         delivered: Sequence[np.ndarray],
-        runs: int,
-        iterations: int,
+        scratch: np.ndarray,
     ) -> None:
-        """Step one cyclic component over iterations into *task_ok*.
+        """Solve one cyclic component into *task_ok* with a prefix scan.
 
-        Ports from outside the component (sensors, initial values,
-        writers in earlier components) are reduced first, per event, to
-        one ``(runs, iterations)`` array: series events fold them into
-        their survival bits with AND, parallel events OR them together.
-        The loop then walks iterations and, within one, the events in
-        index order, combining that array's row with the in-component
-        ports: a same-iteration port reads its writer's row of this
-        iteration (already computed, the writer's index being lower),
-        a lagged port the row of the previous iteration, or the
-        communicator's initial-value reliability at iteration 0.  Rows
-        are ``(runs,)`` views of iteration-major arrays, so every step
-        is one or two in-place ufunc calls per port.
+        Within one iteration the component is acyclic in event-index
+        order, and iteration ``t`` depends on the past only through the
+        ``m`` lagged writers' bits of iteration ``t - 1``: the state of
+        a recurrence ``s_t = f_t(s_{t-1})``.  The component is
+        evaluated over whole ``(runs, iterations)`` arrays once per
+        state pattern, with the lagged writers read as that pattern's
+        constant bits; the lagged writers' results are the ``2**m``
+        entries of every ``f_t``.  In column 0 a lagged port reads its
+        own communicator's initial-value reliability instead, so every
+        pattern gives iteration 0's true bits there: a constant first
+        map, which folds the initial state into the scan.
+        :func:`~repro.runtime.scan.compose_prefixes` composes the maps,
+        and a last evaluation with the lagged ports reading the true
+        states yields every event's bits.
         """
-        plan = self.plan
-        out = {
-            index: np.empty((iterations, runs), dtype=bool)
+        runs, iterations = scratch.shape
+        lagged = self._lagged_writers(events)
+        previous = list(task_ok)
+        ok = {
+            index: np.empty((runs, iterations), dtype=bool)
             for index in events
         }
-        rows = {index: list(array) for index, array in out.items()}
-        steps = []
-        for index in events:
-            event = plan.releases[index]
-            series = event.model is FailureModel.SERIES
-            if series:
-                fixed = survive[index]
-                gate = None
-            else:  # PARALLEL: survival gates the OR over every port
-                fixed = np.zeros((runs, iterations), dtype=bool)
-                gate = list(np.ascontiguousarray(survive[index].T))
-            combine = np.logical_and if series else np.logical_or
-            sources = []
-            for port in event.ports:
-                if port.sensor_event >= 0 or port.writer_event not in rows:
-                    self._fold_port(
-                        combine, fixed, port, task_ok, delivered
-                    )
-                elif port.same_iteration:
-                    sources.append(rows[port.writer_event])
-                else:  # lagged: row t reads the writer's row t - 1
-                    init = np.full(
-                        runs, plan.init_reliable[port.comm_index]
-                    )
-                    sources.append([init] + rows[port.writer_event][:-1])
-            steps.append(
-                (
-                    rows[index],
-                    list(np.ascontiguousarray(fixed.T)),
-                    gate,
-                    combine,
-                    sources[0],
-                    sources[1:],
+
+        def evaluate() -> None:
+            for index in events:
+                np.copyto(ok[index], survive[index])
+                self._evaluate(
+                    index, ok[index], task_ok, previous, delivered, scratch
                 )
-            )
-        gate_and = np.logical_and
-        # Positional ``out`` arguments: the loop body is pure call
-        # overhead, and keyword parsing is a measurable share of it.
-        for t in range(iterations):
-            for out_rows, fixed, gate, combine, first, rest in steps:
-                row = out_rows[t]
-                combine(fixed[t], first[t], row)
-                for source in rest:
-                    combine(row, source[t], row)
-                if gate is not None:
-                    gate_and(row, gate[t], row)
-        for index in events:
-            task_ok[index] = np.ascontiguousarray(out[index].T)
+
+        table = np.empty(
+            (1 << len(lagged), len(lagged), runs, iterations), dtype=bool
+        )
+        for pattern, maps in enumerate(table):
+            for k, writer in enumerate(lagged):
+                previous[writer] = np.broadcast_to(
+                    np.bool_(pattern >> k & 1), (runs, iterations)
+                )
+            evaluate()
+            for k, writer in enumerate(lagged):
+                maps[k] = ok[writer]
+        states = compose_prefixes(table)[0]
+        for k, writer in enumerate(lagged):
+            previous[writer] = states[k]
+        evaluate()
 
     def _fold_port(
         self,
@@ -1034,31 +1060,35 @@ class BatchSimulator:
         bits: np.ndarray,
         port: PortSlot,
         task_ok: "Sequence[np.ndarray | None]",
+        previous: "Sequence[np.ndarray | None]",
         delivered: Sequence[np.ndarray],
     ) -> None:
         """``combine`` one input port's bits into *bits*, in place.
 
-        A sensor port reads its event's delivery bits, a written port
-        its writer's ``task_ok`` (a lagged one shifted by an iteration
-        and seeded with the initial-value reliability), any other port
-        the initial-value reliability.  Nothing is copied.
+        A sensor port reads its event's delivery bits, a same-iteration
+        port its writer's ``task_ok``, a lagged one its writer's bits in
+        *previous* shifted by an iteration and seeded with the
+        initial-value reliability, any other port the initial-value
+        reliability.  Outside a cyclic component *previous* is
+        *task_ok*.  Nothing is copied.
         """
         plan = self.plan
         if port.sensor_event >= 0:
             combine(bits, delivered[port.sensor_event], out=bits)
         elif port.writer_event < 0:
             combine(bits, bool(plan.init_reliable[port.comm_index]), out=bits)
-        else:
+        elif port.same_iteration:
             source = task_ok[port.writer_event]
             assert source is not None, "batch order violated"
-            if port.same_iteration:
-                combine(bits, source, out=bits)
-            else:  # lagged: iteration t reads the writer's t - 1
-                combine(bits[:, 1:], source[:, :-1], out=bits[:, 1:])
-                combine(
-                    bits[:, 0], bool(plan.init_reliable[port.comm_index]),
-                    out=bits[:, 0],
-                )
+            combine(bits, source, out=bits)
+        else:  # lagged: iteration t reads the writer's t - 1
+            source = previous[port.writer_event]
+            assert source is not None, "batch order violated"
+            combine(bits[:, 1:], source[:, :-1], out=bits[:, 1:])
+            combine(
+                bits[:, 0], bool(plan.init_reliable[port.comm_index]),
+                out=bits[:, 0],
+            )
 
     # ------------------------------------------------------------------
 

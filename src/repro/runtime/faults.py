@@ -27,6 +27,15 @@ injectors reset their per-run state in :meth:`FaultInjector.begin_run`
 (called by :meth:`Simulator.run <repro.runtime.engine.Simulator.run>`
 before the first tick), keeping two runs with the same seed
 bit-identical.
+
+For the batch kernel, :meth:`FaultInjector.precompute` turns an
+injector into failure masks for one run block at a time, and
+:meth:`FaultInjector.precompute_bytes` says what it holds besides
+them, so the kernel can size its blocks.  A Gilbert–Elliott chain is a
+recurrence over its queries; its precompute solves every chain of a
+block with one Boolean prefix scan
+(:func:`~repro.runtime.scan.compose_prefixes`) rather than stepping
+through the iterations.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ import numpy as np
 
 from repro.arch.architecture import Architecture
 from repro.errors import RuntimeSimulationError
+from repro.runtime.scan import compose_prefixes, scan_bytes
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.plan import SimulationPlan
@@ -189,11 +199,6 @@ def _outage_masks(
 class FaultInjector:
     """Interface queried by the simulator; default: nothing fails."""
 
-    #: Whether :meth:`precompute` loops over iterations in Python.  The
-    #: batch kernel precomputes a slice block by block, which would
-    #: repeat such a loop per block, so it runs these slices whole.
-    steps_iterations = False
-
     def begin_run(
         self, rng: np.random.Generator, horizon: int
     ) -> None:
@@ -273,6 +278,15 @@ class FaultInjector:
         with ``rngs[k]``.  The default declines.
         """
         return None
+
+    def precompute_bytes(self, plan: "SimulationPlan") -> tuple[int, int]:
+        """Bytes per iteration :meth:`precompute` holds besides its masks.
+
+        ``(once, per_run)``: what one call holds whatever its run count,
+        and what it holds per run.  The batch kernel sizes its run
+        blocks with these.  The default holds nothing.
+        """
+        return 0, 0
 
 
 class NoFaults(FaultInjector):
@@ -499,8 +513,6 @@ class GilbertElliottFaults(FaultInjector):
     its ``start_bad`` state, so equal seeds give equal runs.
     """
 
-    steps_iterations = True
-
     def __init__(
         self,
         hosts: Mapping[str, GilbertElliottChannel] | None = None,
@@ -512,18 +524,11 @@ class GilbertElliottFaults(FaultInjector):
         self.network = network
         self._bad: dict[tuple[str, str], bool] = {}
         self._reset_chains()
+        #: The last ``(plan, iterations, layout)`` of :meth:`_layout`.
+        self._layout_cache: tuple = (None, 0, None)
 
     def _reset_chains(self) -> None:
-        self._bad = {
-            ("host", name): channel.start_bad
-            for name, channel in self.hosts.items()
-        }
-        self._bad.update(
-            (("sensor", name), channel.start_bad)
-            for name, channel in self.sensors.items()
-        )
-        if self.network is not None:
-            self._bad[("network", "")] = self.network.start_bad
+        self._bad = {key: channel.start_bad for key, channel in self._channels}
 
     def begin_run(self, rng, horizon):
         self._reset_chains()
@@ -586,109 +591,150 @@ class GilbertElliottFaults(FaultInjector):
         queries.sort()
         return queries
 
-    @staticmethod
-    def _vector_step(
-        bad: np.ndarray,
-        channel: GilbertElliottChannel,
-        transition: np.ndarray,
-        failure: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One chain step for every run at once (mirrors :meth:`_step`)."""
-        new_bad = np.where(
-            bad,
-            transition >= channel.bad_to_good,
-            transition < channel.good_to_bad,
-        )
-        fail = np.where(
-            new_bad,
-            failure < channel.fail_bad,
-            failure < channel.fail_good,
-        )
-        return new_bad, fail
+    def _phase_pairs(self, schedule) -> list[tuple[int, str, int]]:
+        """The draw pairs of one iteration of a phase, in draw order.
+
+        ``(channel, kind, slot)`` per query of a modeled entity — a
+        replica's broadcast right after its host's invocation — with
+        ``channel`` indexing :attr:`_channels`.
+        """
+        ids = {key: k for k, (key, _) in enumerate(self._channels)}
+        pairs = []
+        for _, kind, j, name in self._phase_query_order(schedule):
+            if kind == "sensor":
+                if name in self.sensors:
+                    pairs.append((ids[("sensor", name)], kind, j))
+                continue
+            if name in self.hosts:
+                pairs.append((ids[("host", name)], kind, j))
+            if self.network is not None:
+                pairs.append((ids[("network", "")], kind, j))
+        return pairs
+
+    @property
+    def _channels(self) -> list[tuple[tuple[str, str], GilbertElliottChannel]]:
+        """Every modeled chain: hosts, sensors, then the network."""
+        channels = [(("host", n), c) for n, c in self.hosts.items()]
+        channels += [(("sensor", n), c) for n, c in self.sensors.items()]
+        if self.network is not None:
+            channels.append((("network", ""), self.network))
+        return channels
+
+    def _layout(self, plan, iterations):
+        """Where a run's draw pairs go; ``None`` when nothing draws.
+
+        ``(draws, starts, thresholds, slots)``: ``draws`` holds the
+        stream positions of the transition and of the failure draws of
+        the run's draw pairs, chain by chain (time order within a
+        chain); ``starts`` pairs each chain's first position in that
+        order with its ``start_bad``; ``thresholds`` holds the four
+        channel parameters per position; and ``slots`` gives per mask
+        plane ``(phase, kind, slot)`` the positions of its pairs, one
+        per iteration of the phase.  It depends on the plan and the run
+        length only, so the blocks of one slice share it.
+        """
+        cached_plan, cached_iterations, cached = self._layout_cache
+        if cached_plan is plan and cached_iterations == iterations:
+            return cached
+        phase_pairs = [self._phase_pairs(s) for s in plan.schedules]
+        counts = np.array([len(pairs) for pairs in phase_pairs])
+        per_iteration = counts[np.arange(iterations) % plan.n_phases]
+        total = int(per_iteration.sum())
+        layout = None
+        if total:
+            base = np.cumsum(per_iteration) - per_iteration
+            channel = np.empty(total, dtype=np.int64)
+            slots = []
+            for p, (pairs, iters) in enumerate(
+                zip(phase_pairs, _phase_iterations(plan, iterations))
+            ):
+                at = base[iters][:, None] + np.arange(len(pairs))[None, :]
+                channel[at] = [c for c, _, _ in pairs]
+                slots.extend(
+                    (p, kind, j, at[:, i])
+                    for i, (_, kind, j) in enumerate(pairs)
+                )
+            order = np.argsort(channel, kind="stable")
+            chained = channel[order]
+            rank = np.empty_like(order)
+            rank[order] = np.arange(total)
+            channels = self._channels
+            layout = (
+                (2 * order, 2 * order + 1),
+                [
+                    (int(first), int(channels[chained[first]][1].start_bad))
+                    for first in np.flatnonzero(np.diff(chained, prepend=-1))
+                ],
+                np.array(
+                    [
+                        (c.good_to_bad, c.bad_to_good, c.fail_bad,
+                         c.fail_good)
+                        for _, c in channels
+                    ]
+                )[chained].T.copy(),
+                [(p, kind, j, rank[at]) for p, kind, j, at in slots],
+            )
+        self._layout_cache = (plan, iterations, layout)
+        return layout
+
+    def precompute_bytes(self, plan):
+        """A run's stream and its gathered draws once; per run, the
+        scan's map table and the two failure planes, per draw pair."""
+        pairs = max(len(self._phase_pairs(s)) for s in plan.schedules)
+        return 24 * pairs, (scan_bytes(1) + 2) * pairs
 
     def precompute(self, plan, runs, iterations, rngs):
-        """Replay every run's chain, vectorized over the run axis.
+        """Replay every run's chains with one prefix scan per block.
 
-        The chains are sequential in time but independent across runs,
-        so the scan loops over ``iterations x queries`` once with all
-        runs advanced per step — no per-run Python loop.  Each run's
-        stream is sampled in one shot and consumed at the same
-        positions the scalar engine would consume it draw by draw.
+        Every modeled query draws a pair of uniforms, its transition
+        then its failure draw, so the draws of a run's ``q``-th such
+        query are stream positions ``2q`` and ``2q + 1``.  The pairs
+        are regrouped chain by chain, in time order within a chain.  A
+        transition draw ``u`` fixes a one-bit map of its chain's bad
+        state (``good -> u < good_to_bad``, ``bad -> u >= bad_to_good``)
+        and each chain's first map is made constant, applied to its
+        ``start_bad``; one :func:`~repro.runtime.scan.compose_prefixes`
+        over the regrouped pairs then gives every query's
+        post-transition state, which judges its failure draw.  Each
+        run's stream is drawn whole into one buffer every run of the
+        block reuses, and gathered into the block's bit planes.
         """
         result = _empty_masks(plan, runs, iterations)
-        phase_queries = [
-            self._phase_query_order(schedule)
-            for schedule in plan.schedules
-        ]
-
-        def draws_per_iteration(queries) -> int:
-            draws = 0
-            for _, kind, _, name in queries:
-                if kind == "sensor":
-                    draws += 2 if name in self.sensors else 0
-                else:
-                    draws += 2 if name in self.hosts else 0
-                    draws += 2 if self.network is not None else 0
-            return draws
-
-        per_phase_draws = [draws_per_iteration(q) for q in phase_queries]
-        total = sum(
-            per_phase_draws[k % plan.n_phases] for k in range(iterations)
-        )
-        if total == 0:
+        layout = self._layout(plan, iterations)
+        if layout is None:
             return result
-        streams = np.stack([rngs[k].random(total) for k in range(runs)])
-        bad: dict[tuple[str, str], np.ndarray] = {}
-        for name, channel in self.hosts.items():
-            bad[("host", name)] = np.full(runs, channel.start_bad)
-        for name, channel in self.sensors.items():
-            bad[("sensor", name)] = np.full(runs, channel.start_bad)
-        if self.network is not None:
-            bad[("network", "")] = np.full(runs, self.network.start_bad)
-
-        position = 0
-        column = [0] * plan.n_phases
-        for iteration in range(iterations):
-            p = iteration % plan.n_phases
-            col = column[p]
-            column[p] += 1
-            for _, kind, j, name in phase_queries[p]:
-                if kind == "sensor":
-                    channel = self.sensors.get(name)
-                    if channel is None:
-                        continue
-                    key = ("sensor", name)
-                    bad[key], fail = self._vector_step(
-                        bad[key],
-                        channel,
-                        streams[:, position],
-                        streams[:, position + 1],
-                    )
-                    position += 2
-                    result.sensor_fail[p][:, j, col] = fail
-                    continue
-                channel = self.hosts.get(name)
-                fail = np.zeros(runs, dtype=bool)
-                if channel is not None:
-                    key = ("host", name)
-                    bad[key], fail = self._vector_step(
-                        bad[key],
-                        channel,
-                        streams[:, position],
-                        streams[:, position + 1],
-                    )
-                    position += 2
-                if self.network is not None:
-                    key = ("network", "")
-                    bad[key], broadcast = self._vector_step(
-                        bad[key],
-                        self.network,
-                        streams[:, position],
-                        streams[:, position + 1],
-                    )
-                    position += 2
-                    fail = fail | broadcast
-                result.replica_fail[p][:, j, col] = fail
+        (transition_at, failure_at), starts, thresholds, slots = layout
+        to_bad, to_good, bad_fails_below, good_fails_below = thresholds
+        total = transition_at.size
+        table = np.empty((2, 1, runs, total), dtype=bool)
+        bad_fails = np.empty((runs, total), dtype=bool)
+        good_fails = np.empty((runs, total), dtype=bool)
+        stream = np.empty(2 * total)
+        draws = np.empty(total)
+        for run in range(runs):
+            rngs[run].random(out=stream)
+            # Every position is in range; "clip" skips the bounds
+            # check's temporary copy of *draws*.
+            np.take(stream, transition_at, out=draws, mode="clip")
+            np.less(draws, to_bad, out=table[0, 0, run])
+            np.greater_equal(draws, to_good, out=table[1, 0, run])
+            np.take(stream, failure_at, out=draws, mode="clip")
+            np.less(draws, bad_fails_below, out=bad_fails[run])
+            np.less(draws, good_fails_below, out=good_fails[run])
+        for first, start in starts:
+            table[1 - start, 0, :, first] = table[start, 0, :, first]
+        bad = compose_prefixes(table)[0, 0]
+        # fail = bad_fails where bad, else good_fails
+        np.bitwise_xor(bad_fails, good_fails, out=bad_fails)
+        np.logical_and(bad_fails, bad, out=bad_fails)
+        fail = np.bitwise_xor(good_fails, bad_fails, out=good_fails)
+        for p, kind, j, at in slots:
+            # A replica's broadcast pair follows its host's: union.
+            mask = (
+                result.sensor_fail if kind == "sensor"
+                else result.replica_fail
+            )[p][:, j, :]
+            np.logical_or(mask, fail[:, at], out=mask)
         return PrecomputedFaults(
             stochastic=True,
             sensor_fail=result.sensor_fail,
@@ -848,10 +894,6 @@ class CompositeFaults(FaultInjector):
     def __init__(self, injectors: Iterable[FaultInjector]):
         object.__setattr__(self, "injectors", tuple(injectors))
 
-    @property
-    def steps_iterations(self) -> bool:
-        return any(i.steps_iterations for i in self.injectors)
-
     def begin_run(self, rng, horizon):
         for injector in self.injectors:
             injector.begin_run(rng, horizon)
@@ -905,6 +947,19 @@ class CompositeFaults(FaultInjector):
             if combined is None:
                 return None
         return combined or _empty_masks(plan, runs, iterations)
+
+    def precompute_bytes(self, plan):
+        """The widest component's, plus per run the two mask sets that
+        a union of two components holds besides its result."""
+        costs = [injector.precompute_bytes(plan) for injector in self.injectors]
+        masks = 2 * max(
+            len(s.sensor_slot_event) + len(s.replica_slot_event)
+            for s in plan.schedules
+        ) if len(costs) > 1 else 0
+        return (
+            max((once for once, _ in costs), default=0),
+            max((per_run for _, per_run in costs), default=0) + masks,
+        )
 
     def corrupt_outputs(self, task, host, iteration, outputs, rng):
         for injector in self.injectors:

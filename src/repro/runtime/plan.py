@@ -30,8 +30,9 @@ graph (writer -> reader, inputs of independent-model tasks pruned)
 condensed into strongly connected components in topological order
 (:class:`ReleaseComponent`).  A component that is a single event
 without a self-loop is propagated over whole ``(runs, iterations)``
-arrays; a cyclic one (a communicator cycle with memory) is stepped
-over iterations.  Within one iteration, ascending event index is a
+arrays; a cyclic one (a communicator cycle with memory) is a
+recurrence over iterations, which the batch kernel solves with a
+prefix scan.  Within one iteration, ascending event index is a
 valid evaluation order of a component: a same-iteration edge runs from
 writer to reader with writer release < write time <= port offset <=
 reader release, and releases are indexed by (offset, task), so the

@@ -571,8 +571,7 @@ def assert_slice_matches_scalar(system, faults, runs, monitor, monkeypatch):
     the scalar reference run by run: counts and monitor events."""
     spec, arch, impl = system
     batch = BatchSimulator(spec, arch, impl, faults=faults(), seed=4)
-    # Shrink the byte budget so that a block holds at most BLOCK runs
-    # (an iteration-stepped slice still runs whole).
+    # Shrink the byte budget so that a block holds at most BLOCK runs.
     monkeypatch.setattr(
         batch_module, "BLOCK_BYTES", BLOCK * BLOCK_ITERATIONS * batch._slots
     )
@@ -674,18 +673,32 @@ def test_blocks_follow_the_byte_budget():
         assert sizes.max() <= most and sizes.max() - sizes.min() <= 1
     assert tank._block_bounds(3, 10**9) == [0, 1, 2, 3]
     assert tank._block_bounds(0, 4000) == [0]
-    # Slices whose kernel steps iterations in Python run as one block.
+    # Gilbert–Elliott, composite-with-GE and cyclic slices are cut by
+    # the same budget, counting their scan tables and draw streams.
     channel = GilbertElliottChannel(good_to_bad=0.05, bad_to_good=0.3)
     bursty = GilbertElliottFaults(hosts={"h1": channel})
-    for faults in (bursty, CompositeFaults([BernoulliFaults(arch), bursty])):
-        stepped = BatchSimulator(spec, arch, impl, faults=faults)
-        assert stepped._block_bounds(768, 4000) == [0, 768]
-    cycle = BatchSimulator(
-        cyclic_specification_with_input(),
-        cycle_architecture(),
-        Implementation({"integrate": {"h1"}}, {"ext": {"s1"}}),
+    scanned = [
+        BatchSimulator(spec, arch, impl, faults=faults)
+        for faults in (
+            bursty, CompositeFaults([BernoulliFaults(arch), bursty])
+        )
+    ]
+    scanned.append(
+        BatchSimulator(
+            cyclic_specification_with_input(),
+            cycle_architecture(),
+            Implementation({"integrate": {"h1"}}, {"ext": {"s1"}}),
+        )
     )
-    assert cycle._block_bounds(768, 4000) == [0, 768]
+    for simulator in scanned:
+        once, per_run = simulator._block_bytes
+        assert per_run > simulator._slots
+        most = (batch_module.BLOCK_BYTES - once * 4000) // (per_run * 4000)
+        bounds = simulator._block_bounds(768, 4000)
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == 768
+        assert 1 <= most < 768 and len(sizes) == -(-768 // most)
+        assert sizes.max() <= most and sizes.max() - sizes.min() <= 1
 
 
 def test_kernel_stages_record_one_span_per_block(monkeypatch):

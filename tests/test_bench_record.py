@@ -114,8 +114,14 @@ def test_parent_mode_runs_alternating_pairs_and_counts_wins(
     # jobs_per_s is better higher: the change won all three pairs;
     # peak_rss_mb (twice the value) is better lower: it lost them all.
     assert workload["pairs"] == {
-        "jobs_per_s": {"better": "higher", "won": 3, "of": 3},
-        "peak_rss_mb": {"better": "lower", "won": 0, "of": 3},
+        "jobs_per_s": {
+            "better": "higher", "won": 3, "of": 3, "ties": 0, "p": 0.25,
+            "claim_met": True,
+        },
+        "peak_rss_mb": {
+            "better": "lower", "won": 0, "of": 3, "ties": 0, "p": 0.25,
+            "claim_met": False,
+        },
     }
     assert document["exit_status"] == 0
 
@@ -127,3 +133,75 @@ def test_unpaired_document_has_no_parent_side(monkeypatch):
         "workloads"
     ]["warm-sweep"]
     assert set(workload) == {"runs", "metrics"}
+
+
+def _runs(values):
+    return [{"metrics": {"jobs_per_s": value}} for value in values]
+
+
+def test_sign_test_p_is_exact_and_two_sided():
+    assert tool.sign_test_p(0, 0) == 1.0
+    assert tool.sign_test_p(3, 0) == 0.25
+    assert tool.sign_test_p(0, 3) == 0.25
+    # 9 of 10: 2 * (C(10,0) + C(10,1)) / 2**10 = 22 / 1024.
+    assert tool.sign_test_p(9, 1) == 22 / 1024
+    assert tool.sign_test_p(5, 5) == 1.0
+
+
+def test_ties_leave_the_sign_test_and_win_for_neither_side():
+    # Nine wins and one tie: the sign test sees 9 of 9 decided pairs,
+    # the claim 9 wins in 10 pairs.
+    parent = _runs([10.0] * 10)
+    change = _runs([12.0] * 9 + [10.0])
+    entry = tool.pairs_won(parent, change, {"jobs_per_s": "higher"})[
+        "jobs_per_s"
+    ]
+    assert entry == {
+        "better": "higher", "won": 9, "of": 10, "ties": 1,
+        "p": 2 / 2**9, "claim_met": True,
+    }
+    # Eight wins and two ties: 8 of 8 decided, but only 8 in 10 won.
+    change = _runs([12.0] * 8 + [10.0] * 2)
+    entry = tool.pairs_won(parent, change, {"jobs_per_s": "higher"})[
+        "jobs_per_s"
+    ]
+    assert (entry["won"], entry["ties"], entry["p"]) == (8, 2, 2 / 2**8)
+    assert not entry["claim_met"]
+
+
+def test_claim_needs_nine_in_ten_pairs_won():
+    parent = _runs([10.0] * 10)
+    change = _runs([12.0] * 8 + [9.0] * 2)
+    entry = tool.pairs_won(parent, change, {"jobs_per_s": "higher"})[
+        "jobs_per_s"
+    ]
+    assert (entry["won"], entry["ties"]) == (8, 0)
+    assert entry["p"] == 2 * (1 + 10 + 45) / 2**10
+    assert not entry["claim_met"]
+
+
+def test_claim_needs_a_median_gain_beyond_the_parent_iqr():
+    # Every pair is won by 0.5, but the parent's runs spread by 2.
+    parent = _runs([8.0, 9.0, 10.0, 11.0, 12.0] * 2)
+    change = _runs([8.5, 9.5, 10.5, 11.5, 12.5] * 2)
+    entry = tool.pairs_won(parent, change, {"jobs_per_s": "higher"})[
+        "jobs_per_s"
+    ]
+    assert entry["won"] == 10 and not entry["claim_met"]
+    wide = _runs([11.0, 12.0, 13.0, 14.0, 15.0] * 2)
+    assert tool.pairs_won(parent, wide, {"jobs_per_s": "higher"})[
+        "jobs_per_s"
+    ]["claim_met"]
+
+
+def test_claim_follows_the_metric_direction():
+    parent = [{"metrics": {"latency_p50_s": 1.0}} for _ in range(10)]
+    change = [{"metrics": {"latency_p50_s": 0.5}} for _ in range(10)]
+    entry = tool.pairs_won(parent, change, {"latency_p50_s": "lower"})[
+        "latency_p50_s"
+    ]
+    assert entry["won"] == 10 and entry["claim_met"]
+    worse = tool.pairs_won(change, parent, {"latency_p50_s": "lower"})[
+        "latency_p50_s"
+    ]
+    assert worse["won"] == 0 and not worse["claim_met"]

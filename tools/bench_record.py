@@ -76,19 +76,27 @@ which goes first from seed to seed, and records both sides::
       "runs": [...], "metrics": {...},      # this tree, as above
       "parent": {"runs": [...], "metrics": {...}},
       "pairs": {                            # per end-to-end metric
-        "jobs_per_s": {"better": "higher", "won": 9, "of": 10},
+        "jobs_per_s": {"better": "higher", "won": 9, "of": 10,
+                       "ties": 0, "p": 0.021, "claim_met": true},
       }
     }
 
 ``won`` counts the seeds on which this tree did better than the
 parent, in the direction ``BENCHMARK.json`` gives the metric; ``of``
-counts the seeds on which both sides reported it.
+counts the seeds on which both sides reported it, and ``ties`` those
+with equal values.  ``p`` is the exact two-sided sign-test p-value of
+the non-tied pairs, so a gain carries its own error bar.
+``claim_met`` says whether the numbers support claiming a gain: this
+tree won at least 9 in 10 of all the pairs (a tie wins for neither
+side), and its median beats the parent's by more than the parent's
+interquartile range.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import statistics
@@ -277,29 +285,71 @@ def metric_directions() -> dict[str, str]:
     }
 
 
+def sign_test_p(won: int, lost: int) -> float:
+    """Exact two-sided sign-test p-value of *won* against *lost* pairs.
+
+    Under the null hypothesis each non-tied pair is won with
+    probability 1/2; the p-value is twice the binomial tail of the
+    rarer outcome, capped at 1.
+    """
+    n = won + lost
+    tail = sum(math.comb(n, k) for k in range(min(won, lost) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
 def pairs_won(
     parent: list[dict], change: list[dict], directions: dict[str, str]
 ) -> dict[str, dict]:
-    """Per metric, on how many seeds *change* beat *parent*.
+    """Per metric, on how many seeds *change* beat *parent*, and whether
+    that is a claim.
 
     Runs pair up by position (the same seed); a metric counts where
-    both runs of a pair report it and its direction is known.
+    both runs of a pair report it and its direction is known.  ``of``
+    counts those pairs, ``won`` the ones *change* did better on and
+    ``ties`` the equal ones; ``p`` is the exact two-sided sign test of
+    the non-tied pairs.  ``claim_met`` applies the gain rule: *change*
+    won at least 9 in 10 of all the pairs (a tie wins for neither
+    side), and its median beats the parent's by more than the parent's
+    interquartile range.
     """
     pairs: dict[str, dict] = {}
+    values: dict[str, tuple[list, list]] = {}
     for before, after in zip(parent, change):
         for name, value in after["metrics"].items():
             better = directions.get(name)
             if better is None or name not in before["metrics"]:
                 continue
             entry = pairs.setdefault(
-                name, {"better": better, "won": 0, "of": 0}
+                name, {"better": better, "won": 0, "of": 0, "ties": 0}
             )
             old = before["metrics"][name]
             entry["won"] += int(
                 value > old if better == "higher" else value < old
             )
+            entry["ties"] += int(value == old)
             entry["of"] += 1
+            olds, news = values.setdefault(name, ([], []))
+            olds.append(old)
+            news.append(value)
+    for name, entry in pairs.items():
+        olds, news = values[name]
+        lost = entry["of"] - entry["ties"] - entry["won"]
+        entry["p"] = sign_test_p(entry["won"], lost)
+        gain = statistics.median(news) - statistics.median(olds)
+        if entry["better"] == "lower":
+            gain = -gain
+        entry["claim_met"] = (
+            10 * entry["won"] >= 9 * entry["of"] and gain > _iqr(olds)
+        )
     return pairs
+
+
+def _iqr(values: list[float]) -> float:
+    """Interquartile range, as :func:`summarize_runs` computes it."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
 
 
 def record_perfbench(
