@@ -43,7 +43,6 @@ from repro.io import (
 from repro.model.specification import Specification
 from repro.reliability.srg import communicator_srgs
 from repro.runtime.engine import Simulator
-from repro.runtime.faults import BernoulliFaults, ScriptedFaults
 from repro.synthesis.replication import synthesize_replication
 from repro.validity import check_validity
 
@@ -431,7 +430,7 @@ def _write_events(events, path: "str | None") -> None:
     print(f"wrote {count} events to {path}")
 
 
-def _build_telemetry(args: argparse.Namespace, spec) -> tuple:
+def _build_telemetry(args: argparse.Namespace, spec, seed: int) -> tuple:
     """Resolve --trace/--metrics/--postmortem into sinks on one bus.
 
     Returns ``(tracer, metrics_sink, recorder, bus)``; the bus fans
@@ -445,7 +444,7 @@ def _build_telemetry(args: argparse.Namespace, spec) -> tuple:
         derive_run_id,
     )
 
-    run_id = derive_run_id(args.seed)
+    run_id = derive_run_id(seed)
     tracer = Tracer(run_id=run_id) if args.trace else None
     metrics_sink = MetricsSink() if args.metrics else None
     recorder = (
@@ -467,45 +466,6 @@ def _write_forensics(recorder, path: str) -> None:
     print(
         f"wrote forensics ({len(recorder.chains)} causal chains, "
         f"{len(recorder.frames())} flight-recorder frames) to {path}"
-    )
-
-
-def _record_ledger(
-    args: argparse.Namespace, spec, arch, implementation, result,
-    command: str,
-    runs: "int | None" = None,
-    metrics: "dict | None" = None,
-) -> None:
-    """Append this run's reliability outcome to the run ledger.
-
-    *runs* overrides ``args.runs`` (an adaptive batch records the
-    stop point, not the budget) and *metrics* attaches extra
-    metadata — the adaptive stopping summary — to the record.
-    """
-    if not getattr(args, "ledger", None):
-        return
-    from repro.telemetry import (
-        RunLedger,
-        derive_run_id,
-        record_from_result,
-    )
-
-    record = record_from_result(
-        spec,
-        arch,
-        implementation,
-        result,
-        run_id=derive_run_id(args.seed),
-        command=command,
-        seed=args.seed,
-        runs=args.runs if runs is None else runs,
-        metrics=metrics,
-    )
-    ledger = RunLedger(args.ledger)
-    index = ledger.append(record)
-    print(
-        f"ledger: recorded entry #{index} ({record.run_id}) "
-        f"in {args.ledger}"
     )
 
 
@@ -544,62 +504,36 @@ def _finish_metrics(registry, srgs, spec, path: str) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.request import parse_simulate
     from repro.telemetry import NULL_PROFILER, StageProfiler
 
-    if args.runs < 1:
-        raise ReproError(
-            f"--runs must be >= 1, got {args.runs}"
-        )
-    if args.iterations < 1:
-        raise ReproError(
-            f"--iterations must be >= 1, got {args.iterations}"
-        )
-    if args.jobs < 1:
-        raise ReproError(
-            f"--jobs must be >= 1, got {args.jobs}"
-        )
-    if args.jobs > 1 and args.runs == 1:
-        raise ReproError(
-            "--jobs shards the Monte-Carlo batch; use --runs > 1"
-        )
-    if args.jobs > 1 and args.recover:
-        raise ReproError(
-            "--jobs shards the vectorized batch; the resilient batch "
-            "runs serially, drop --jobs"
-        )
-    if args.trace and args.runs > 1:
-        raise ReproError("--trace needs a single run; use --runs 1")
+    request = parse_simulate(_request_document(args), label=_flag)
+    runs, iterations, seed = request.runs, request.iterations, request.seed
+    # What the request allows but this command's modes do not.
+    sharded, stopping = request.shards > 1, request.rule is not None
+    for invalid, message in (
+        (sharded and runs == 1,
+         "--jobs shards the Monte-Carlo batch; use --runs > 1"),
+        (sharded and args.recover,
+         "--jobs shards the vectorized batch; the resilient batch "
+         "runs serially, drop --jobs"),
+        (args.trace and runs > 1,
+         "--trace needs a single run; use --runs 1"),
+        (args.postmortem and runs > 1,
+         "--postmortem needs a single run (the forensics recorder "
+         "subscribes to the scalar hook stream); use --runs 1"),
+        (stopping and args.recover,
+         "--adaptive drives the batch executor; drop --recover"),
+        (stopping and runs == 1, "--adaptive needs --runs > 1"),
+    ):
+        if invalid:
+            raise ReproError(message)
     functions, conditions = _load_bindings(args.bindings)
     spec = _load_specification(args, functions, conditions)
     arch = architecture_from_dict(load_json(args.arch))
     implementation = implementation_from_dict(load_json(args.impl))
     profiler = StageProfiler() if args.profile else NULL_PROFILER
-    if args.postmortem and args.runs > 1:
-        raise ReproError(
-            "--postmortem needs a single run (the forensics recorder "
-            "subscribes to the scalar hook stream); use --runs 1"
-        )
-
-    injectors = []
-    if args.bernoulli:
-        injectors.append(BernoulliFaults(arch))
-    outages: dict[str, list[tuple[int, int | None]]] = {}
-    for entry in args.unplug or []:
-        host, _, when = entry.partition(":")
-        if not when:
-            raise ReproError(
-                f"--unplug expects HOST:TIME, got {entry!r}"
-            )
-        outages.setdefault(host, []).append((int(when), None))
-    if outages:
-        injectors.append(ScriptedFaults(host_outages=outages))
-    faults = None
-    if len(injectors) == 1:
-        faults = injectors[0]
-    elif injectors:
-        from repro.runtime.faults import CompositeFaults
-
-        faults = CompositeFaults(injectors)
+    faults = request.faults(arch)
 
     try:
         srgs = communicator_srgs(spec, implementation, arch)
@@ -607,79 +541,56 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # A communicator cycle with memory has no SRG; simulating it
         # is still well defined.
         srgs = None
-    monitor_config = None
-    if args.monitor or args.recover:
-        from repro.resilience import MonitorConfig
-
-        monitor_config = MonitorConfig(window=args.monitor_window)
-
-    if args.adaptive:
-        if args.recover:
-            raise ReproError(
-                "--adaptive drives the batch executor; drop --recover"
-            )
-        if args.runs <= 1:
-            raise ReproError("--adaptive needs --runs > 1")
-    elif args.target_width is not None:
-        raise ReproError("--target-width needs --adaptive")
 
     # Produce the result: a batch (vectorized, or the resilient
     # executive looped over spawned seeds) or one scalar run (plain or
     # resilient); either way every resilience event passes through
     # the bus.
-    tracer, metrics_sink, recorder, bus = _build_telemetry(args, spec)
+    tracer, metrics_sink, recorder, bus = _build_telemetry(args, spec, seed)
+    resilient: dict[str, Any] = {}
+    if args.recover:
+        from repro.resilience import WatchdogConfig
+
+        resilient = dict(
+            faults=faults, seed=seed, monitor=request.monitor,
+            watchdog=WatchdogConfig(),
+            policies=_build_recovery_policies(args),
+        )
     adaptive = None
-    if args.runs > 1:
+    if runs > 1:
         import time
 
         from repro.telemetry import record_batch_result
 
         if args.recover:
-            from repro.resilience import WatchdogConfig, resilient_batch
+            from repro.resilience import resilient_batch
 
             command = "resilient-batch"
             started = time.perf_counter()
             with profiler.stage(command):
                 result = resilient_batch(
-                    spec,
-                    arch,
-                    implementation,
-                    args.runs,
-                    args.iterations,
-                    seed=args.seed,
-                    faults=faults,
-                    monitor=monitor_config,
-                    watchdog=WatchdogConfig(),
-                    policies=_build_recovery_policies(args),
+                    spec, arch, implementation, runs, iterations,
+                    **resilient,
                 )
         else:
             from repro.runtime.batch import BatchSimulator
 
             executor = None
-            if args.jobs > 1:
+            if request.shards > 1:
                 from repro.service.supervision import (
                     SupervisedShardedExecutor,
                 )
 
-                executor = SupervisedShardedExecutor(args.jobs)
+                executor = SupervisedShardedExecutor(request.shards)
             batch = BatchSimulator(
                 spec, arch, implementation, faults=faults,
-                seed=args.seed, profiler=profiler, executor=executor,
+                seed=seed, profiler=profiler, executor=executor,
             )
-            rule = None
-            if args.adaptive:
-                from repro.telemetry.convergence import StoppingRule
-
-                rule = StoppingRule(
-                    target_rel_half_width=args.target_width,
-                    min_runs=min(args.min_runs, args.runs),
-                    indifference=args.indifference,
-                )
             command = "batch"
             started = time.perf_counter()
             growth = batch.grow(
-                args.runs, args.iterations, rule=rule,
-                monitor=monitor_config,
+                runs, iterations, rule=request.rule,
+                monitor=request.monitor,
                 on_snapshot=lambda snap, _: print("  " + snap.summary()),
             )
             result, adaptive = growth.result, growth.adaptive
@@ -698,35 +609,27 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         bus.extend(result.monitor_events)
         observed = result.srg_estimates()
     elif args.recover:
-        from repro.resilience import ResilientSimulator, WatchdogConfig
+        from repro.resilience import ResilientSimulator
 
         command = "resilient"
         with profiler.stage("resilient-run"):
             result = ResilientSimulator(
-                spec,
-                arch,
-                implementation,
-                faults=faults,
-                seed=args.seed,
-                monitor=monitor_config,
-                watchdog=WatchdogConfig(),
-                policies=_build_recovery_policies(args),
-                telemetry=bus,
-            ).run(args.iterations)
+                spec, arch, implementation, telemetry=bus, **resilient
+            ).run(iterations)
         observed = result.limit_averages()
     else:
         monitor = None
-        if monitor_config is not None:
+        if request.monitor is not None:
             from repro.resilience import LrcMonitor
 
-            monitor = LrcMonitor(spec, monitor_config, sink=bus)
+            monitor = LrcMonitor(spec, request.monitor, sink=bus)
         simulator = Simulator(
-            spec, arch, implementation, faults=faults, seed=args.seed,
+            spec, arch, implementation, faults=faults, seed=seed,
             monitor=monitor, sinks=bus.sinks,
         )
         command = "scalar"
         with profiler.stage("scalar-run"):
-            result = simulator.run(args.iterations)
+            result = simulator.run(iterations)
         observed = result.limit_averages()
 
     # Report it.
@@ -740,8 +643,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 else "SRG undefined (communicator cycle with memory)"
             )
         )
-    if monitor_config is not None:
-        if args.runs > 1:
+    if request.monitor is not None:
+        if runs > 1:
             print(
                 f"\nonline monitor: {len(bus)} events across "
                 f"{result.runs} runs"
@@ -752,13 +655,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         _write_events(bus.events, args.events)
     if recorder is not None:
         _write_forensics(recorder, args.postmortem)
-    _record_ledger(
-        args, spec, arch, implementation, result, command,
-        runs=None if adaptive is None else adaptive.stopped_at,
-        metrics=(
-            None if adaptive is None else {"adaptive": adaptive.to_dict()}
-        ),
-    )
+    if args.ledger:
+        from repro.telemetry import RunLedger
+
+        record = request.record(
+            spec, arch, implementation, result, command, adaptive
+        )
+        index = RunLedger(args.ledger).append(record)
+        print(
+            f"ledger: recorded entry #{index} ({record.run_id}) "
+            f"in {args.ledger}"
+        )
     if tracer is not None:
         tracer.close()
         _write_trace(tracer, args.trace)
@@ -767,7 +674,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.profile:
         print()
         print(profiler.render())
-    return 0 if result.satisfies_lrcs(slack=args.slack) else 1
+    return 0 if result.satisfies_lrcs(slack=request.slack) else 1
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -918,12 +825,54 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _unplug_pair(entry: str) -> list:
+    """One ``--unplug HOST:TIME`` value as a ``[host, time]`` pair."""
+    host, _, when = entry.partition(":")
+    try:
+        return [host, int(when)]
+    except ValueError:
+        raise ReproError(
+            f"--unplug expects HOST:TIME with an integer TIME, "
+            f"got {entry!r}"
+        ) from None
+
+
+def _flag(name: str) -> str:
+    """The command-line flag of a simulate-request field."""
+    if name == "target_rel_half_width":
+        return "--target-width"
+    return "--" + name.replace("_", "-")
+
+
+def _request_document(args: argparse.Namespace) -> dict:
+    """The simulate-request fields of ``simulate``/``submit`` flags
+    (``--recover`` implies the online monitor)."""
+    document: dict[str, Any] = {
+        name: getattr(args, name)
+        for name in ("runs", "iterations", "seed", "jobs", "bernoulli",
+                     "slack")
+    }
+    if args.unplug:
+        document["unplug"] = [_unplug_pair(entry) for entry in args.unplug]
+    if args.monitor or getattr(args, "recover", None):
+        document["monitor_window"] = args.monitor_window
+    if args.adaptive:
+        document.update(adaptive=True, min_runs=args.min_runs,
+                        indifference=args.indifference)
+    if args.target_width is not None:
+        document["target_rel_half_width"] = args.target_width
+    return document
+
+
 def _build_job_document(args: argparse.Namespace) -> dict:
-    """Assemble the job JSON from the submit command's file inputs."""
+    """Assemble the job JSON from the submit command's file inputs;
+    the daemon's own parser checks a simulate document before it is
+    sent."""
+    from repro.request import parse_simulate
+
     document: dict[str, Any] = {
         "kind": "verify" if args.verify else "simulate",
         "arch": load_json(args.arch),
-        "seed": args.seed,
     }
     if args.htl:
         with open(args.htl, "r", encoding="utf-8") as handle:
@@ -934,30 +883,15 @@ def _build_job_document(args: argparse.Namespace) -> dict:
         raise ReproError("provide a specification via --htl or --spec")
     if args.impl:
         document["impl"] = load_json(args.impl)
-    if not args.verify:
-        document.update(
-            runs=args.runs,
-            iterations=args.iterations,
-            jobs=args.jobs,
-            bernoulli=not args.no_bernoulli,
-            slack=args.slack,
-        )
-        if args.monitor:
-            document["monitor_window"] = args.monitor_window
-        if args.adaptive:
-            document["adaptive"] = True
-            document["min_runs"] = args.min_runs
-            document["indifference"] = args.indifference
-            if args.target_width is not None:
-                document["target_rel_half_width"] = args.target_width
-        elif args.target_width is not None:
-            raise ReproError("--target-width needs --adaptive")
     if args.timeout is not None:
         if args.timeout <= 0:
             raise ReproError(
                 f"--timeout must be > 0, got {args.timeout}"
             )
         document["timeout_s"] = args.timeout
+    if not args.verify:
+        document.update(_request_document(args))
+        parse_simulate(dict(document), label=_flag)
     return document
 
 
@@ -1084,6 +1018,60 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.out:
         print(f"report and event log written under {args.out}")
     return 0 if report.ok else 1
+
+
+def _add_request_arguments(
+    parser: argparse.ArgumentParser, runs: int, iterations: int
+) -> None:
+    """The simulate-request flags ``simulate`` and ``submit`` share."""
+    parser.add_argument(
+        "--runs", type=int, default=runs,
+        help="number of independent Monte-Carlo runs; values above 1 "
+        "use the vectorized batch executor",
+    )
+    parser.add_argument("--iterations", type=int, default=iterations)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="shard a batch (--runs > 1) over N supervised worker "
+        "processes (a failed shard is retried); results are "
+        "bit-identical to --jobs 1",
+    )
+    parser.add_argument("--slack", type=float, default=0.01,
+                        help="LRC slack for finite-sample noise")
+    parser.add_argument(
+        "--adaptive", action="store_true",
+        help="treat --runs as a budget and stop the batch early at "
+        "the first checkpoint where every LRC verdict is decided; "
+        "deterministic (same stop point serial or sharded) and "
+        "bit-identical to a fixed batch truncated at the stop point",
+    )
+    parser.add_argument(
+        "--target-width", type=float, metavar="REL",
+        help="with --adaptive, additionally require every "
+        "communicator's relative CI half-width to shrink below REL",
+    )
+    parser.add_argument(
+        "--min-runs", type=int, default=64, metavar="N",
+        help="first adaptive checkpoint (default 64)",
+    )
+    parser.add_argument(
+        "--indifference", type=float, default=0.002, metavar="DELTA",
+        help="half-width of the sequential test's indifference "
+        "region around each LRC (default 0.002)",
+    )
+    parser.add_argument(
+        "--unplug", action="append", metavar="HOST:TIME",
+        help="take HOST down permanently at TIME (repeatable)",
+    )
+    parser.add_argument(
+        "--monitor", action="store_true",
+        help="attach the online LRC monitor (alarm/clear events)",
+    )
+    parser.add_argument(
+        "--monitor-window", type=int, default=50,
+        help="sliding-window length of the online monitor (accesses)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1225,57 +1213,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_inputs(simulate)
     simulate.add_argument("--arch", required=True)
     simulate.add_argument("--impl", required=True)
-    simulate.add_argument("--iterations", type=int, default=1000)
-    simulate.add_argument(
-        "--runs", type=int, default=1,
-        help="number of independent Monte-Carlo runs; values above 1 "
-        "use the vectorized batch executor",
-    )
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="shard a batch (--runs > 1) over N supervised worker "
-        "processes (a failed shard is retried twice); results are "
-        "bit-identical to --jobs 1",
-    )
-    simulate.add_argument("--slack", type=float, default=0.01,
-                          help="LRC slack for finite-sample noise")
-    simulate.add_argument(
-        "--adaptive", action="store_true",
-        help="treat --runs as a budget and stop the batch early at "
-        "the first checkpoint where every LRC verdict is decided; "
-        "deterministic (same stop point serial or sharded) and "
-        "bit-identical to a fixed batch truncated at the stop point",
-    )
-    simulate.add_argument(
-        "--target-width", type=float, metavar="REL",
-        help="with --adaptive, additionally require every "
-        "communicator's relative CI half-width to shrink below REL",
-    )
-    simulate.add_argument(
-        "--min-runs", type=int, default=64, metavar="N",
-        help="first adaptive checkpoint (default 64)",
-    )
-    simulate.add_argument(
-        "--indifference", type=float, default=0.002, metavar="DELTA",
-        help="half-width of the sequential test's indifference "
-        "region around each LRC (default 0.002)",
-    )
+    _add_request_arguments(simulate, runs=1, iterations=1000)
     simulate.add_argument(
         "--bernoulli", action="store_true",
         help="inject transient faults matching hrel/srel",
-    )
-    simulate.add_argument(
-        "--unplug", action="append", metavar="HOST:TIME",
-        help="take HOST down permanently at TIME (repeatable)",
-    )
-    simulate.add_argument(
-        "--monitor", action="store_true",
-        help="attach the online LRC monitor (alarm/clear events)",
-    )
-    simulate.add_argument(
-        "--monitor-window", type=int, default=50,
-        help="sliding-window length of the online monitor (accesses)",
     )
     simulate.add_argument(
         "--recover", action="append",
@@ -1402,46 +1343,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="submit an analytic verification job instead of a "
         "Monte-Carlo batch",
     )
-    submit.add_argument("--runs", type=int, default=1000)
-    submit.add_argument("--iterations", type=int, default=200)
-    submit.add_argument("--seed", type=int, default=0)
+    _add_request_arguments(submit, runs=1000, iterations=200)
     submit.add_argument(
-        "--slack", type=float, default=0.01,
-        help="LRC slack for finite-sample noise in the satisfied "
-        "verdict",
-    )
-    submit.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="shard count the daemon should simulate with",
-    )
-    submit.add_argument(
-        "--no-bernoulli", action="store_true",
+        "--no-bernoulli", dest="bernoulli", action="store_false",
         help="disable transient fault injection",
     )
-    submit.add_argument(
-        "--adaptive", action="store_true",
-        help="adaptive stopping: the daemon treats --runs as a "
-        "budget and stops at the first checkpoint where every LRC "
-        "verdict is decided",
-    )
-    submit.add_argument(
-        "--target-width", type=float, metavar="REL",
-        help="with --adaptive, also require every communicator's "
-        "relative CI half-width below REL",
-    )
-    submit.add_argument(
-        "--min-runs", type=int, default=64, metavar="N",
-        help="first adaptive checkpoint (default 64)",
-    )
-    submit.add_argument(
-        "--indifference", type=float, default=0.002, metavar="DELTA",
-        help="sequential-test indifference half-width (default 0.002)",
-    )
-    submit.add_argument(
-        "--monitor", action="store_true",
-        help="attach the online LRC monitor",
-    )
-    submit.add_argument("--monitor-window", type=int, default=50)
     submit.add_argument(
         "--timeout", type=float, metavar="SECONDS",
         help="per-job deadline; the daemon cancels the job with "

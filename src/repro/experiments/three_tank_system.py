@@ -293,21 +293,12 @@ def unplug_monte_carlo(
     Monte-Carlo runs — the reliability-counts view of the paper's E5
     experiment, executed on the vectorized batch path.
     """
+    from repro.request import fault_injector
     from repro.runtime.batch import BatchSimulator
-    from repro.runtime.faults import (
-        BernoulliFaults,
-        CompositeFaults,
-        ScriptedFaults,
-    )
 
     spec = three_tank_spec(lrc_u=lrc_u)
     arch = three_tank_architecture()
-    faults = CompositeFaults(
-        [
-            ScriptedFaults(host_outages={victim: [(unplug_at, None)]}),
-            BernoulliFaults(arch),
-        ]
-    )
+    faults = fault_injector(arch, True, [(victim, unplug_at)])
     simulator = BatchSimulator(
         spec, arch, implementation, faults=faults, seed=seed
     )
@@ -420,11 +411,7 @@ def detect_and_recover(
         ResilientSimulator,
         WatchdogConfig,
     )
-    from repro.runtime.faults import (
-        BernoulliFaults,
-        CompositeFaults,
-        ScriptedFaults,
-    )
+    from repro.request import fault_injector
 
     implementation = implementation or baseline_implementation()
     monitor = monitor or MonitorConfig(
@@ -435,13 +422,6 @@ def detect_and_recover(
         policies = (ReReplicatePolicy(max_replicas=max_replicas),)
     arch = three_tank_architecture()
 
-    def build_faults() -> Any:
-        scripted = ScriptedFaults(
-            host_outages={victim: [(unplug_at, None)]}
-        )
-        if not bernoulli:
-            return scripted
-        return CompositeFaults([scripted, BernoulliFaults(arch)])
 
     def run(with_policies: Any) -> Any:
         spec = three_tank_spec(
@@ -452,7 +432,7 @@ def detect_and_recover(
             arch,
             implementation,
             environment=ThreeTankEnvironment(),
-            faults=build_faults(),
+            faults=fault_injector(arch, bernoulli, [(victim, unplug_at)]),
             actuator_communicators=ACTUATORS,
             seed=seed,
             monitor=monitor,

@@ -75,7 +75,9 @@ class McKey:
 
     Two queries with equal keys denote the same simulation, so any
     prefix of one is a prefix of the other — the invariant the
-    hit/partial/miss logic rests on.
+    hit/partial/miss logic rests on.  The fault model is the
+    request's whole one: ``bernoulli`` and the sorted ``unplug``
+    outages of :class:`~repro.request.SimulateRequest`.
     """
 
     spec_hash: str
@@ -85,6 +87,7 @@ class McKey:
     iterations: int
     bernoulli: bool
     monitor_window: "int | None"
+    unplug: "tuple[tuple[str, int], ...]" = ()
 
 
 #: Legacy flat counter name → (registry metric name, labels, help).
@@ -295,7 +298,9 @@ def _estimate_bytes(result: "BatchResult") -> int:
 
 def _key_document(kind: str, key: Any) -> Any:
     """The JSON form of a cache key, as its spill file records it."""
-    return asdict(key) if kind == "mc" else list(key)
+    if kind == "verify":
+        return list(key)
+    return {**asdict(key), "unplug": [list(pair) for pair in key.unplug]}
 
 
 def _freeze(kind: str, value: Any) -> dict:

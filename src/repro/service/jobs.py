@@ -12,18 +12,21 @@ Job document fields (``kind`` selects the pipeline):
 
 ``kind: "simulate"``
     ``spec`` (specification dict) or ``htl`` (source text), ``arch``
-    (dict), ``impl`` (dict), ``runs``, ``iterations``, ``seed``
-    (default 0), ``jobs`` (shard count, default 1), ``bernoulli``
-    (default true), ``monitor_window`` (optional int), ``timeout_s``
-    (optional per-job deadline).
+    (dict), ``impl`` (dict), ``timeout_s`` (optional per-job
+    deadline), and the request fields of :mod:`repro.request`
+    (``runs``, ``iterations``, ``seed``, ``jobs``, ``bernoulli``,
+    ``unplug``, ``slack``, ``monitor_window``, adaptive stopping),
+    the same document ``repro simulate`` builds from its flags.
 ``kind: "verify"``
     ``spec``/``htl``, ``arch``, optional ``impl`` — the analytic
     abstract-interpretation verdict, memoized by design fingerprint.
 
 :meth:`ReliabilityService.submit` type-checks every field once (JSON
-integers, booleans and numbers, never one for another) and builds a
-simulate job's :class:`SimulateOptions`, so a malformed document is
-refused at submission and never fails later in a worker.
+integers, booleans and numbers, never one for another), refuses a
+simulate field it does not know, and builds a simulate job's
+:class:`~repro.request.SimulateRequest`, so a malformed document is
+refused at submission; only an unplugged host missing from ``arch``
+fails later, in the worker.
 
 Cache semantics (the PR 7 contract): an identical repeated simulate
 job answers from cache without simulating; a ``runs`` upgrade
@@ -72,16 +75,19 @@ simulation state.
 from __future__ import annotations
 
 import contextlib
-import math
 import queue
 import threading
 import time
 import traceback
-from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.errors import ReproError
-from repro.resilience.monitor import MonitorConfig
+from repro.request import (
+    RequestError,
+    SimulateRequest,
+    parse_simulate,
+    typed_field,
+)
 from repro.service.cache import McKey, ResultCache, ServiceMetrics
 from repro.service.slo import SloTracker
 from repro.service.slog import ServiceLog
@@ -90,7 +96,6 @@ from repro.telemetry.distributed import (
     build_job_trace,
     mint_trace_id,
 )
-from repro.telemetry.convergence import StoppingRule
 from repro.telemetry.ledger import RunLedger
 from repro.telemetry.profiler import StageProfiler
 
@@ -132,102 +137,6 @@ class ServiceDraining(ServiceError):
     """The service is draining/stopped and rejects new jobs (503)."""
 
 
-#: Simulate-job fields that only an adaptive job may carry.
-ADAPTIVE_FIELDS = (
-    "target_rel_half_width",
-    "min_runs",
-    "stop_confidence",
-    "indifference",
-    "sequential",
-)
-
-
-@dataclass(frozen=True)
-class SimulateOptions:
-    """The typed fields of a simulate job document, parsed at submission."""
-
-    runs: int
-    iterations: int
-    seed: int
-    shards: int
-    bernoulli: bool
-    slack: float
-    monitor: MonitorConfig | None
-    rule: StoppingRule | None
-
-
-def _typed(
-    doc: Mapping[str, Any], name: str, kind: type, default: Any = None
-) -> Any:
-    """Return ``doc[name]`` (or *default*) checked against a JSON type.
-
-    *kind* is ``bool``, ``int`` or ``float``.  A JSON boolean is never
-    a number, an integer is a valid ``float`` (returned as one), and
-    ``NaN``/``Infinity`` (which Python's JSON parser accepts) are not.
-    An absent or null field with no default is ``None``.
-    """
-    value = doc.get(name, default)
-    if value is None and default is None:
-        return None
-    accepted = (int, float) if kind is float else kind
-    if (
-        isinstance(value, bool) is not (kind is bool)
-        or not isinstance(value, accepted)
-        or (kind is float and not math.isfinite(value))
-    ):
-        noun = {bool: "a boolean", int: "an integer"}.get(kind, "a number")
-        raise ServiceError(f"{name} must be {noun}, got {value!r}")
-    return float(value) if kind is float else value
-
-
-def _parse_simulate(doc: dict) -> SimulateOptions:
-    """Type-check a simulate document and build its monitor and rule.
-
-    The counts are written back into *doc* with their defaults, as the
-    job document records them.  :class:`MonitorConfig` and
-    :class:`StoppingRule` validate their own values; their errors are
-    re-raised as :class:`ServiceError`.
-    """
-    if "impl" not in doc:
-        raise ServiceError("simulate job needs an 'impl' dict")
-    for name in ("runs", "iterations", "jobs"):
-        value = doc[name] = _typed(doc, name, int, 1)
-        if value < 1:
-            raise ServiceError(f"{name} must be >= 1, got {value!r}")
-    window = _typed(doc, "monitor_window", int)
-    adaptive = _typed(doc, "adaptive", bool, False)
-    stray = [name for name in ADAPTIVE_FIELDS if name in doc]
-    if stray and not adaptive:
-        raise ServiceError(
-            f"{', '.join(stray)} apply only with \"adaptive\": true"
-        )
-    try:
-        monitor = None if window is None else MonitorConfig(window=window)
-        rule = None
-        if adaptive:
-            rule = StoppingRule(
-                target_rel_half_width=_typed(
-                    doc, "target_rel_half_width", float
-                ),
-                sequential=_typed(doc, "sequential", bool, True),
-                confidence=_typed(doc, "stop_confidence", float, 0.99),
-                indifference=_typed(doc, "indifference", float, 0.002),
-                min_runs=_typed(doc, "min_runs", int, 64),
-            )
-    except ReproError as error:
-        raise ServiceError(str(error)) from None
-    return SimulateOptions(
-        runs=doc["runs"],
-        iterations=doc["iterations"],
-        seed=doc["seed"],
-        shards=doc["jobs"],
-        bernoulli=_typed(doc, "bernoulli", bool, True),
-        slack=_typed(doc, "slack", float, 0.01),
-        monitor=monitor,
-        rule=rule,
-    )
-
-
 class Job:
     """One submitted query: state, progress events, result."""
 
@@ -238,12 +147,12 @@ class Job:
         timeout_s: "float | None" = None,
         trace_id: "str | None" = None,
         observer: "Callable[[Job, dict], None] | None" = None,
-        options: "SimulateOptions | None" = None,
+        request: "SimulateRequest | None" = None,
     ) -> None:
         self.id = job_id
         self.document = document
         #: The typed fields of a simulate job, parsed at submission.
-        self.options = options
+        self.request = request
         # queued | running | done | failed | timed_out | cancelled
         self.state = "queued"
         self.error: "str | None" = None
@@ -653,17 +562,19 @@ class ReliabilityService:
             raise ServiceError("job needs a 'spec' dict or 'htl' source")
         if "arch" not in doc:
             raise ServiceError("job needs an 'arch' dict")
-        seed = doc["seed"] = _typed(doc, "seed", int, 0)
-        if seed < 0:
-            raise ServiceError(f"seed must be >= 0, got {seed!r}")
-        options = None
-        if kind == "simulate":
-            options = _parse_simulate(doc)
-        elif doc.get("adaptive"):
-            raise ServiceError(
-                "adaptive stopping applies to simulate jobs only"
-            )
-        timeout_s = _typed(doc, "timeout_s", float)
+        request = None
+        try:
+            if kind == "simulate":
+                if "impl" not in doc:
+                    raise ServiceError("simulate job needs an 'impl' dict")
+                request = parse_simulate(doc)
+            elif doc.get("adaptive"):
+                raise ServiceError(
+                    "adaptive stopping applies to simulate jobs only"
+                )
+            timeout_s = typed_field(doc, "timeout_s", float)
+        except RequestError as error:
+            raise ServiceError(str(error)) from None
         if timeout_s is None:
             timeout_s = self.default_timeout_s
         elif timeout_s <= 0:
@@ -692,7 +603,7 @@ class ReliabilityService:
             job = Job(
                 f"job-{self._counter}", doc, timeout_s=timeout_s,
                 trace_id=trace_id, observer=self._on_job_event,
-                options=options,
+                request=request,
             )
             self._jobs[job.id] = job
             self._queued += 1
@@ -978,7 +889,7 @@ class ReliabilityService:
 
     # -- design construction -------------------------------------------
 
-    def _design(self, doc: Mapping[str, Any], need_impl: bool):
+    def _design(self, doc: Mapping[str, Any]):
         from repro.htl.compiler import compile_program
         from repro.io import (
             architecture_from_dict,
@@ -1000,8 +911,6 @@ class ReliabilityService:
         impl = None
         if doc.get("impl") is not None:
             impl = implementation_from_dict(doc["impl"])
-        if need_impl and impl is None:
-            raise ServiceError("simulate job needs an 'impl' dict")
         return spec, arch, impl
 
     # -- pipelines ------------------------------------------------------
@@ -1009,7 +918,7 @@ class ReliabilityService:
     def _verify(self, job: Job) -> dict:
         from repro.analysis import Verifier
 
-        spec, arch, impl = self._design(job.document, need_impl=False)
+        spec, arch, impl = self._design(job.document)
         fingerprint = Verifier.design_fingerprint(spec, arch, impl)
         cached = self.cache.get_verify(fingerprint)
         if cached is not None:
@@ -1083,25 +992,25 @@ class ReliabilityService:
         """
         from repro.analysis import Verifier
         from repro.runtime.batch import BatchSimulator
-        from repro.runtime.faults import BernoulliFaults
 
-        options = job.options
-        assert options is not None  # submit parses every simulate job
-        runs, iterations, seed = options.runs, options.iterations, options.seed
-        monitor, rule = options.monitor, options.rule
-        spec, arch, impl = self._design(job.document, need_impl=True)
+        request = job.request
+        assert request is not None  # submit parses every simulate job
+        runs, iterations, seed = request.runs, request.iterations, request.seed
+        spec, arch, impl = self._design(job.document)
+        faults = request.faults(arch)
         fingerprint = Verifier.design_fingerprint(spec, arch, impl)
         key = McKey(
-            spec_hash=fingerprint[0],
-            arch_hash=fingerprint[1],
-            impl_hash=fingerprint[2],
+            *fingerprint,
             seed=seed,
             iterations=iterations,
-            bernoulli=options.bernoulli,
-            monitor_window=None if monitor is None else monitor.window,
+            bernoulli=request.bernoulli,
+            monitor_window=(
+                None if request.monitor is None else request.monitor.window
+            ),
+            unplug=request.unplug,
         )
         executor = (
-            self._executor(options.shards) if options.shards > 1 else None
+            self._executor(request.shards) if request.shards > 1 else None
         )
 
         with profiler.stage("cache-lookup"):
@@ -1119,7 +1028,7 @@ class ReliabilityService:
                 yield
             if executor is not None:
                 self._note_shard_retries(job, executor)
-            if rule is None and cached is not None:
+            if request.rule is None and cached is not None:
                 # A fixed upgrade merges its one tail onto the prefix
                 # right after this; grow returns when the merge is done.
                 job.emit(
@@ -1141,13 +1050,13 @@ class ReliabilityService:
         with merging:
             growth = BatchSimulator(
                 spec, arch, impl,
-                faults=BernoulliFaults(arch) if options.bernoulli else None,
+                faults=faults,
                 seed=seed,
                 profiler=profiler,
                 executor=executor,
             ).grow(
-                runs, iterations, prefix=cached, rule=rule,
-                monitor=monitor, on_chunk=on_chunk,
+                runs, iterations, prefix=cached, rule=request.rule,
+                monitor=request.monitor, on_chunk=on_chunk,
                 on_snapshot=on_snapshot,
             )
         adaptive = growth.adaptive
@@ -1174,14 +1083,13 @@ class ReliabilityService:
             # request with runs <= growth.batch.runs is a prefix hit.
             self.cache.store(key, growth.batch)
         result = growth.result
-        # Adaptive stopping metadata rides in the ledger and the reply.
-        metrics = (
-            None if adaptive is None else {"adaptive": adaptive.to_dict()}
-        )
         with profiler.stage("persist"):
-            entry = self._persist(
-                job, spec, arch, impl, result, seed, metrics=metrics
-            )
+            entry = None
+            if self.ledger is not None:
+                entry = self.ledger.append(request.record(
+                    spec, arch, impl, result, "batch", adaptive
+                ))
+                job.emit("ledger", entry=entry)
         averages = result.limit_averages()
         rates = {
             name: float(averages[name].mean())
@@ -1198,10 +1106,10 @@ class ReliabilityService:
             "executor": result.executor,
             "cache": outcome,
             "simulated_runs": growth.simulated,
-            **(metrics or {}),
+            **({} if adaptive is None else {"adaptive": adaptive.to_dict()}),
             "rates": rates,
             "lrcs": dict(sorted(result.lrcs.items())),
-            "satisfied": bool(result.satisfies_lrcs(slack=options.slack)),
+            "satisfied": bool(result.satisfies_lrcs(slack=request.slack)),
             "monitor_events": len(result.monitor_events),
             "ledger_entry": entry,
         }
@@ -1237,23 +1145,3 @@ class ReliabilityService:
                 help="Empirical LRC margin at the latest adaptive "
                 "checkpoint.",
             )
-
-    def _persist(
-        self, job: Job, spec, arch, impl, result, seed: int,
-        metrics: "dict | None" = None,
-    ) -> "int | None":
-        if self.ledger is None:
-            return None
-        from repro.telemetry import derive_run_id, record_from_result
-
-        record = record_from_result(
-            spec, arch, impl, result,
-            run_id=derive_run_id(seed),
-            command="batch",
-            seed=seed,
-            runs=result.runs,
-            metrics=metrics,
-        )
-        index = self.ledger.append(record)
-        job.emit("ledger", entry=index)
-        return index

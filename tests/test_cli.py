@@ -1043,6 +1043,8 @@ def test_simulate_resilient_batch_records_ledger_and_events(
             ("--recover", "re-replicate", "--runs", "3", "--jobs", "2"),
             "drop --jobs",
         ),
+        (("--unplug", "h2:abc"), "HOST:TIME"),
+        (("--unplug", "h9:10"), "'h9' is not in the architecture"),
     ],
 )
 def test_simulate_input_validation_exits_2(
@@ -1088,6 +1090,41 @@ def test_simulate_jobs_output_matches_serial(
         return doc
 
     assert record(tmp_path / "serial") == record(tmp_path / "sharded")
+
+
+def test_simulate_and_service_record_the_same_unplug_batch(
+    workspace, tmp_path, capsys
+):
+    # One request through `repro simulate` and through the service's
+    # job pipeline: equal ledger records up to the wall-clock stamp.
+    from repro.service import ReliabilityService
+
+    assert _simulate(
+        workspace, "--bernoulli", "--unplug", "h2:5000",
+        "--runs", "16", "--jobs", "2", "--iterations", "60",
+        "--seed", "4", "--ledger", str(tmp_path / "cli"),
+    ) == 1  # the unplug breaks u2's LRC
+    exec(BINDINGS, (namespace := {}))
+    service = ReliabilityService(
+        ledger=str(tmp_path / "service"), functions=namespace["FUNCTIONS"]
+    )
+    job = service.submit({
+        "htl": (workspace / "three_tank.htl").read_text(),
+        "arch": json.loads((workspace / "arch.json").read_text()),
+        "impl": json.loads((workspace / "baseline.json").read_text()),
+        "runs": 16, "iterations": 60, "seed": 4, "jobs": 2,
+        "bernoulli": True, "unplug": [["h2", 5000]],
+    })
+    service.run_pending()
+    assert job.state == "done", job.error
+    assert job.result["satisfied"] is False
+
+    def record(path):
+        doc = json.loads((path / "ledger.jsonl").read_text())
+        del doc["recorded_at"]
+        return doc
+
+    assert record(tmp_path / "cli") == record(tmp_path / "service")
 
 
 def test_serve_and_submit_round_trip(workspace, tmp_path, capsys):

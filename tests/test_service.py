@@ -121,6 +121,13 @@ def test_submit_rejects_malformed_documents():
         {"min_runs": 8},
         {"sequential": "x"},
         {"stop_confidence": 7},
+        # Unknown fields, never dropped (and never cached as if absent).
+        {"iteration": 5},
+        {"unplugged": [["h2", 0]]},
+        # Outages are [host, time] pairs with an integer time >= 0.
+        {"unplug": "h2:0"},
+        {"unplug": [["h2", "0"]]},
+        {"unplug": [["h2", -1]]},
     ):
         with pytest.raises(ServiceError):
             service.submit(simulate_document(**bad))
@@ -203,6 +210,38 @@ def test_runs_upgrade_is_bit_identical_to_fresh_full_batch():
             cached.reliable_counts[name], fresh.reliable_counts[name]
         )
     assert cached.monitor_events == fresh.monitor_events
+
+
+def test_unplug_outages_are_part_of_the_cache_key(tmp_path):
+    # One entry in memory, so every revisit below thaws from disk.
+    service = make_service(
+        cache_entries=1, cache_dir=str(tmp_path / "spill")
+    )
+    plain = run_job(service, simulate_document(runs=4))
+    outages = [["h2", 0], ["h1", 100]]
+    unplugged = run_job(service, simulate_document(runs=4, unplug=outages))
+    assert unplugged.result["cache"] == "miss"
+    assert unplugged.result["rates"] != plain.result["rates"]
+    again = run_job(service, simulate_document(runs=4))
+    assert again.result["cache"] == "hit"
+    assert again.result["rates"] == plain.result["rates"]
+    # Two orderings of the same outages are one request.
+    reordered = run_job(
+        service, simulate_document(runs=4, unplug=outages[::-1])
+    )
+    assert reordered.result["cache"] == "hit"
+    assert reordered.result["rates"] == unplugged.result["rates"]
+    assert service.metrics.get("mc_cache_disk_hits") == 2
+    assert service.metrics.get("cache_corrupt_quarantined") == 0
+    assert service.metrics.get("runs_simulated_total") == 8
+
+
+def test_unplug_of_a_host_not_in_the_architecture_fails_the_job():
+    service = make_service()
+    job = service.submit(simulate_document(unplug=[["h9", 0]]))
+    service.run_pending()
+    assert job.state == "failed"
+    assert "'h9' is not in the architecture" in job.error
 
 
 class KillShardZeroOnce:
